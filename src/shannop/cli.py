@@ -3,30 +3,17 @@
 Subcommands: gen-field, decompose, solve-ilap, helmholtz, rates, verify.
 Exit codes: 0 success, 2 usage or file-format error, 3 divergence,
 4 refusal because a contraction bound is >= 1.
-
-The environment variable SHANNOP_THREADS, when set, caps the numeric
-libraries' thread pools (it must be read before numpy is first imported,
-hence the lazy imports below).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_BOUND = 4
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("SHANNOP_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _parse_grid(text: str):
@@ -379,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
 

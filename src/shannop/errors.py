@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ShannopError(Exception):
     """Base class for all package errors."""
@@ -42,14 +44,19 @@ class NotInvertibleOnBandError(ShannopError):
 
 
 class BoundViolationError(ShannopError):
-    """A contraction bound is >= 1, so the iteration is refused in strict mode."""
+    """A contraction bound is >= 1 or not finite, so the iteration is refused
+    in strict mode."""
 
     def __init__(self, band_id, rho, message=None):
         self.band_id = band_id
         self.rho = float(rho)
-        super().__init__(
-            message or f"contraction bound {self.rho:.6f} >= 1 on band {band_id}"
-        )
+        if message is None:
+            message = (
+                f"contraction bound {self.rho:.6f} >= 1 on band {band_id}"
+                if math.isfinite(self.rho)
+                else f"contraction bound {self.rho} is not finite on band {band_id}"
+            )
+        super().__init__(message)
 
 
 class DivergenceError(ShannopError):

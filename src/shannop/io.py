@@ -34,6 +34,8 @@ def read_field(path) -> RealField:
     d, m = struct.unpack("<II", raw[4:12])
     if not 1 <= d <= 3:
         raise StructuralError(f"{path}: bad dimension {d}")
+    if m < 1:
+        raise StructuralError(f"{path}: field has no components")
     if len(raw) < 12 + 4 * d:
         raise StructuralError(f"{path}: truncated header")
     sizes = struct.unpack(f"<{d}I", raw[12 : 12 + 4 * d])

@@ -2,10 +2,13 @@
 split, and the exact modewise oracles they are checked against.
 
 Everything runs in spectral space: a field is transformed once on entry and
-once on exit.  Bands of a partition are spectrally disjoint, so per-band
-updates within one sweep are independent; the sweep order is fixed (sorted
-band ids) and all reductions are deterministic, which makes reports
-bit-reproducible for identical inputs.
+once on exit.  Both iterations are fixed per-mode linear recurrences.  Each
+solver starts by building a band-major plan: one gather of the spectrum
+into contiguous band order (sorted band ids, then the dc set) and per-mode
+coefficients.  One sweep loop, ``_iterate``, then runs ``S += r; r = g r``
+on contiguous arrays, and one scatter assembles the output on exit.  The
+order of every reduction is fixed, so reports are bit-reproducible for
+identical inputs.
 
 The dc set (zero mode, axis-zero planes, Nyquist planes) is excluded from
 every contraction theorem, so both solvers treat it by one exact modewise
@@ -15,7 +18,8 @@ solve instead of iterating.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +40,6 @@ from .grid import (
     forward_transform,
     inverse_transform,
     ksq_table,
-    wavevector_table,
 )
 from .precond import (
     BandPreconditioner,
@@ -140,34 +143,53 @@ def estimate_rate(history, window: int | None = None) -> float:
     return float(np.exp(np.mean(np.log(tail))))
 
 
+def _effective_axis(grid: GridSpec, axis: int) -> np.ndarray:
+    """Wavevectors along one axis with the Nyquist entry mapped to 0,
+    matching the convention that odd symbols vanish on the Nyquist plane."""
+    k = grid.axis_wavevectors(axis).astype(float)
+    k[k == grid.nyquist(axis)] = 0.0
+    return k
+
+
 @lru_cache(maxsize=32)
 def kappa_table(grid: GridSpec) -> np.ndarray:
-    """Effective wavevectors (npoints, d): Nyquist components mapped to 0,
-    matching the convention that odd symbols vanish on the Nyquist plane."""
-    K = wavevector_table(grid).astype(float)
-    for i in range(grid.dim):
-        K[:, i] = np.where(K[:, i] == grid.nyquist(i), 0.0, K[:, i])
-    return K
+    """Effective wavevectors of all grid modes, (npoints, d), row-major."""
+    axes = [_effective_axis(grid, i) for i in range(grid.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def spectral_divergence(spec: SpectralField) -> np.ndarray:
     """Flat spectrum of div(u) using the effective wavevectors."""
-    if spec.components != spec.grid.dim:
+    grid = spec.grid
+    if spec.components != grid.dim:
         raise ArityError("divergence needs one component per axis")
-    kappa = kappa_table(spec.grid)
-    return np.sum(1j * kappa.T * spec.flat(), axis=0)
+    kappa = np.ix_(*(_effective_axis(grid, i) for i in range(grid.dim)))
+    return 1j * sum(k * modes for k, modes in zip(kappa, spec.modes)).ravel()
 
 
-def _residual_weights(grid: GridSpec, t: float) -> np.ndarray | None:
-    if t == 0.0:
-        return None
-    return (1.0 + ksq_table(grid)) ** t
+def _norm_scale(grid: GridSpec, t: float) -> np.ndarray | None:
+    """Square roots of the residual weights (1 + |k|^2)^t; None for l2."""
+    return None if t == 0.0 else (1.0 + ksq_table(grid)) ** (0.5 * t)
 
 
-def _weighted_norm(flat: np.ndarray, weights) -> float:
-    if weights is None:
-        return float(np.linalg.norm(flat))
-    return float(np.sqrt(np.sum(weights * np.abs(flat) ** 2)))
+def _norm(x: np.ndarray, scale: np.ndarray | None = None) -> float:
+    """l2 norm of a complex array with the last axis weighted by ``scale``."""
+    if scale is not None:
+        x = x * scale
+    v = np.ascontiguousarray(x).view(float).ravel()
+    return float(np.sqrt(v @ v))
+
+
+def _split_modes(kappa: np.ndarray, flat: np.ndarray):
+    """Exact modewise split of ``flat`` (d, M) into the part orthogonal to
+    the wavevectors ``kappa`` (d, M) and the part parallel to them; modes
+    with zero wavevector go entirely to the orthogonal part."""
+    ksq = np.sum(kappa**2, axis=0)
+    safe = np.where(ksq == 0, 1.0, ksq)
+    curl = kappa * (np.sum(kappa * flat, axis=0) / safe)[None, :]
+    curl[:, ksq == 0] = 0.0
+    return flat - curl, curl
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +236,9 @@ def exact_leray(u: RealField) -> tuple[RealField, RealField]:
     """
     if u.components != u.grid.dim:
         raise ArityError("Helmholtz split needs one component per axis")
-    spec = forward_transform(u)
-    flat = spec.flat()
-    kappa = kappa_table(u.grid).T  # (d, npoints)
-    ksq = np.sum(kappa**2, axis=0)
-    safe = np.where(ksq == 0, 1.0, ksq)
-    coef = np.sum(kappa * flat, axis=0) / safe
-    curl = kappa * coef[None, :]
-    curl[:, ksq == 0] = 0.0
-    div = flat - curl
+    div, curl = _split_modes(
+        kappa_table(u.grid).T, forward_transform(u).flat()
+    )
     shape = (u.components,) + u.grid.sizes
     return (
         inverse_transform(SpectralField(u.grid, div.reshape(shape)), check=False),
@@ -231,17 +247,111 @@ def exact_leray(u: RealField) -> tuple[RealField, RealField]:
 
 
 # ---------------------------------------------------------------------------
-# Richardson iteration
+# The recurrence engine and Richardson iteration
 # ---------------------------------------------------------------------------
 
 
 def _check_bounds(bounds: list[RateBound], strict: bool) -> float:
-    worst = max(bounds, key=lambda rb: rb.rho, default=None)
+    """Worst contraction bound; a non-finite bound counts as the worst."""
+
+    def key(rb):
+        return rb.rho if math.isfinite(rb.rho) else math.inf
+
+    worst = max(bounds, key=key, default=None)
     if worst is None:
         return 0.0
-    if strict and worst.rho >= 1.0:
+    if strict and key(worst) >= 1.0:
         raise BoundViolationError(worst.band_id, worst.rho)
     return worst.rho
+
+
+def _finish(report: SolveReport, cfg: SolveConfig) -> SolveReport:
+    h = report.residual_history
+    report.fitted_rate = estimate_rate(h) if len(h) >= 3 else float("nan")
+    if not cfg.record_history:
+        report.residual_history = []
+    return report
+
+
+def _real_if_exact(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x.real) if not np.any(x.imag) else x
+
+
+def _iterate(r, g, scale, ref, report, cfg, observe=None):
+    """The sweep loop of both solvers: ``S += r; r = g r`` per mode.
+
+    ``g`` is one scalar (M,) or one matrix (M, n, n) per mode.  The loop
+    continues from the residual history and sweep count in ``report`` and
+    updates them in place; before each sweep it tests the last residual
+    for non-finite values, the stop, growth and the sweep cap.
+    ``observe(S)`` runs after each sweep.  Returns the accumulated S.
+    """
+    S = np.zeros_like(r)
+    history = report.residual_history
+    growth = 0
+    while True:
+        res = history[-1]
+        if not math.isfinite(res):
+            raise DivergenceError(
+                _finish(report, cfg),
+                f"non-finite residual at sweep {report.iterations}",
+            )
+        if res <= cfg.tol * ref:
+            report.converged = True
+            break
+        growth = growth + 1 if report.iterations and res > history[-2] else 0
+        if growth >= 5:
+            raise DivergenceError(_finish(report, cfg))
+        if report.iterations >= cfg.max_iter:
+            break
+        report.iterations += 1
+        S += r
+        if g.ndim == 1:
+            r *= g
+        else:
+            r = np.einsum("kij,jk->ik", g, r)
+        history.append(_norm(r, scale))
+        if observe is not None:
+            observe(S)
+    _finish(report, cfg)
+    return S
+
+
+def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, ncomp: int):
+    """Gather order (band modes by sorted band id, then dc) and per-mode
+    G = Id - A P and P, with P the inverse of the band's constant entry or,
+    on dc modes, the pseudo-inverse of A: one scalar per mode for a scalar
+    symbol with 1x1 entries, else one matrix per mode."""
+    part = pc.partition
+    mats = []
+    for band in part.bands:
+        if not pc.entries[band.id].is_constant:
+            raise ArityError(f"band {band.id}: the solver needs a constant entry")
+        mats.append(pc.entries[band.id].matrix)
+    counts = [band.nmodes for band in part.bands]
+    perm = np.concatenate(
+        [band.flat_indices() for band in part.bands] + [part.dc_indices]
+    )
+    vals, _ = evaluate_on_grid(A, part.grid, SingularModePolicy.ZERO)
+    a = vals[perm]
+    nb = len(perm) - len(part.dc_indices)
+    if A.is_scalar and all(E.shape == (1, 1) for E in mats):
+        a = _real_if_exact(a[:, 0, 0])
+        adc = a[nb:]
+        p = np.concatenate([
+            np.repeat([1.0 / E[0, 0] for E in mats], counts),
+            np.where(adc == 0, 0.0, 1.0 / np.where(adc == 0, 1.0, adc)),
+        ])
+        g = 1.0 - a * p
+    else:
+        if A.is_scalar:
+            a = a[:, 0, 0, None, None] * np.eye(ncomp)
+        p = np.concatenate(
+            [np.broadcast_to(pseudo_inverse(E), (k,) + E.shape[::-1])
+             for E, k in zip(mats, counts)] + [pseudo_inverse(a[nb:])]
+        )
+        g = np.eye(a.shape[1]) - a @ p
+    return perm, _real_if_exact(g), _real_if_exact(p)
 
 
 def richardson_solve(
@@ -253,9 +363,11 @@ def richardson_solve(
     """Solve A u = v by the band-preconditioned residual iteration.
 
     Starting from u = 0 and residual v, each sweep adds the band entries'
-    pseudo-inverses applied to the residual and subtracts A applied to the
-    update; dc modes are solved exactly on the first sweep.  Stops when the
-    relative residual (in the configured norm) reaches ``tol``.
+    inverses applied to the residual and subtracts A applied to the update;
+    dc modes are solved exactly on the first sweep.  Per mode this is the
+    recurrence r <- (Id - A P) r with u = P (r_0 + r_1 + ...), so the
+    solution is assembled once, at exit.  Stops when the relative residual
+    (in the configured norm) reaches ``tol``.
     """
     cfg = cfg or SolveConfig()
     part = pc.partition
@@ -266,123 +378,23 @@ def richardson_solve(
             f"symbol takes {A.shape[1]} components, field has {v.components}"
         )
     ncols = v.components if A.is_scalar else A.shape[1]
-    nrows = v.components
 
     bounds = pc.rate_bounds()
     theoretical = _check_bounds(bounds, cfg.strict)
+    perm, g, p = _richardson_plan(A, pc, v.components)
+    scale = _norm_scale(v.grid, cfg.norm)
+    if scale is not None:
+        scale = scale[perm]
 
-    grid_vals, _ = evaluate_on_grid(A, v.grid, SingularModePolicy.ZERO)
-    scalar_sym = A.is_scalar
+    r = forward_transform(v).flat()[:, perm]
+    ref = _norm(r, scale)
+    report = SolveReport(0, [ref], float("nan"), theoretical, False, bounds)
+    S = _iterate(r, g, scale, ref, report, cfg)
 
-    spec = forward_transform(v)
-    v_flat = spec.flat().copy()
-    u_flat = np.zeros((ncols, v.grid.npoints), dtype=complex)
-
-    # Per-band operator data, precomputed once.  Bands whose target symbol
-    # and entry are both scalar fuse into one concatenated modewise update
-    # (band order is fixed, so this changes nothing but speed).
-    band_data = []
-    fused_idx, fused_avals, fused_pinv = [], [], []
-    for band in part.bands:
-        idx = band.flat_indices()
-        entry = pc.entries[band.id]
-        avals = grid_vals[idx]
-        if scalar_sym and entry.is_constant and entry.matrix.shape == (1, 1):
-            fused_idx.append(idx)
-            fused_avals.append(avals[:, 0, 0])
-            fused_pinv.append(np.full(len(idx), 1.0 / entry.matrix[0, 0]))
-        else:
-            if entry.is_constant:
-                pinv = pseudo_inverse(entry.matrix)
-                band_data.append(("const", idx, avals, pinv))
-            else:
-                evals = entry.values_at(band.mode_wavevectors().astype(float))
-                band_data.append(("mode", idx, avals, pseudo_inverse(evals)))
-    if fused_idx:
-        band_data.insert(
-            0,
-            (
-                "scalar",
-                np.concatenate(fused_idx),
-                np.concatenate(fused_avals),
-                np.concatenate(fused_pinv),
-            ),
-        )
-    dc_idx = part.dc_indices
-    dc_pinv = pseudo_inverse(grid_vals[dc_idx]) if len(dc_idx) else None
-
-    weights = _residual_weights(v.grid, cfg.norm)
-    ref = _weighted_norm(v_flat, weights)
-    history = [ref]
-    converged = False
-    growth = 0
-    iterations = 0
-
-    def make_report():
-        fitted = (
-            estimate_rate(history) if len(history) >= 3 else float("nan")
-        )
-        return SolveReport(
-            iterations=iterations,
-            residual_history=list(history) if cfg.record_history else [],
-            fitted_rate=fitted,
-            theoretical_rate=theoretical,
-            converged=converged,
-            per_band_rates=bounds,
-        )
-
-    if ref == 0.0:
-        converged = True
-        return inverse_transform(
-            SpectralField(v.grid, u_flat.reshape((ncols,) + v.grid.sizes)),
-            check=False,
-        ), make_report()
-
-    for iterations in range(1, cfg.max_iter + 1):
-        for kind, idx, avals, pinv in band_data:
-            vb = v_flat[:, idx]
-            if kind == "scalar":
-                du = pinv * vb
-                adu = avals[None, :] * du
-            elif kind == "const":
-                du = np.einsum("ij,jk->ik", pinv, vb)
-                adu = _apply_vals(avals, du, scalar_sym)
-            else:
-                du = np.einsum("kij,jk->ik", pinv, vb)
-                adu = _apply_vals(avals, du, scalar_sym)
-            u_flat[:, idx] += du
-            v_flat[:, idx] = vb - adu
-        if dc_pinv is not None:
-            vb = v_flat[:, dc_idx]
-            if scalar_sym:
-                du = dc_pinv[:, 0, 0][None, :] * vb
-                adu = grid_vals[dc_idx, 0, 0][None, :] * du
-            else:
-                du = np.einsum("kij,jk->ik", dc_pinv, vb)
-                adu = np.einsum("kij,jk->ik", grid_vals[dc_idx], du)
-            u_flat[:, dc_idx] += du
-            v_flat[:, dc_idx] = vb - adu
-
-        res = _weighted_norm(v_flat, weights)
-        history.append(res)
-        if res <= cfg.tol * ref:
-            converged = True
-            break
-        growth = growth + 1 if res > history[-2] else 0
-        if growth >= 5:
-            raise DivergenceError(make_report())
-
-    u = inverse_transform(
-        SpectralField(v.grid, u_flat.reshape((ncols,) + v.grid.sizes)),
-        check=False,
-    )
-    return u, make_report()
-
-
-def _apply_vals(avals, du, scalar_sym):
-    if scalar_sym:
-        return avals[:, 0, 0][None, :] * du
-    return np.einsum("kij,jk->ik", avals, du)
+    u_flat = np.empty((ncols, v.grid.npoints), dtype=complex)
+    u_flat[:, perm] = p * S if p.ndim == 1 else np.einsum("kij,jk->ik", p, S)
+    u_spec = SpectralField(v.grid, u_flat.reshape((ncols,) + v.grid.sizes))
+    return inverse_transform(u_spec, check=False), report
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +410,15 @@ def helmholtz_decompose(
     """Split u into divergence-free and gradient parts by band iteration.
 
     Each sweep applies the band's divergence-free and gradient-part
-    operators to the remainder and accumulates the two outputs; the
-    remainder contracts per mode by the single nonzero eigenvalue of the
-    residual operator.  The accumulated divergence-free part has zero
-    spectral divergence after every sweep, not just at convergence.  The
-    dc set is assigned exactly up front (mean to the divergence-free part).
+    operators Mw, Lw to the remainder and accumulates the two outputs.  The
+    residual operator Id - Mw - Lw is rank one, c (xi - |xi|^2 c)^T / |w|^2
+    with c_i = w_i^2 / xi_i, so after the first sweep the remainder is
+    c t with one complex scalar t per mode, and every later sweep is
+    t <- lambda t with lambda the closed-form eigenvalue; its outputs are
+    m t and l t with fixed per-mode vectors m, l.  The accumulated
+    divergence-free part has zero spectral divergence after every sweep,
+    not just at convergence.  The dc set is assigned exactly up front
+    (mean to the divergence-free part).
     """
     cfg = cfg or SolveConfig()
     d = u.grid.dim
@@ -417,103 +433,77 @@ def helmholtz_decompose(
 
     bounds = leray_rate_bounds(part, mode_exact=False)
     theoretical = _check_bounds(bounds, cfg.strict)
+    grid = u.grid
+    flat = forward_transform(u).flat()
+    scale = _norm_scale(grid, cfg.norm)
+    ref = _norm(flat, scale)
 
-    spec = forward_transform(u)
-    flat = spec.flat()
-    kappa = kappa_table(u.grid).T
-    ksq = np.sum(kappa**2, axis=0)
+    # Exact dc assignment along the effective wavevectors.
+    dc = part.dc_indices
+    kdc = np.stack([
+        _effective_axis(grid, i)[ix]
+        for i, ix in enumerate(np.unravel_index(dc, grid.sizes))
+    ])
+    div_dc, curl_dc = _split_modes(kdc, flat[:, dc])
 
-    # Exact dc assignment: gradient content along the effective wavevector,
-    # everything at zero effective frequency to the divergence-free part.
-    dc_idx = part.dc_indices
-    udiv = np.zeros_like(flat)
-    ucurl = np.zeros_like(flat)
-    kdc = kappa[:, dc_idx]
-    ksq_dc = ksq[dc_idx]
-    safe = np.where(ksq_dc == 0, 1.0, ksq_dc)
-    coef = np.sum(kdc * flat[:, dc_idx], axis=0) / safe
-    curl_dc = kdc * coef[None, :]
-    curl_dc[:, ksq_dc == 0] = 0.0
-    udiv[:, dc_idx] = flat[:, dc_idx] - curl_dc
-    ucurl[:, dc_idx] = curl_dc
+    # Band-major plan: per-mode wavevectors xi, c = w^2 / xi, the
+    # eigenvalue lambda and the output vectors m, l.
+    bands = part.bands
+    perm = np.concatenate([b.flat_indices() for b in bands])
+    xi = np.concatenate([b.mode_wavevectors() for b in bands]).T.astype(float)
+    w2 = np.repeat([band_omega(b) ** 2 for b in bands],
+                   [b.nmodes for b in bands], axis=0).T
+    wsq = np.sum(w2, axis=0)
+    c = w2 / xi
+    csq = np.sum(c**2, axis=0)
+    lam = 1.0 - np.sum(xi**2, axis=0) * csq / wsq**2
+    l = xi * (csq / wsq)
+    m = c * (1.0 - lam) - l
 
-    # Remainder lives on the proper bands only.
-    v_flat = flat.copy()
-    v_flat[:, dc_idx] = 0.0
-
-    # The sweep is modewise with per-band scales, so all bands fuse into
-    # one concatenated update (fixed band order).
-    parts_idx, parts_xi, parts_c, parts_wsq = [], [], [], []
-    for band in part.bands:
-        band_idx = band.flat_indices()
-        xi = wavevector_table(u.grid)[band_idx].T.astype(float)  # (d, nb)
-        omega = band_omega(band)
-        wsq = float(np.sum(omega**2))
-        parts_idx.append(band_idx)
-        parts_xi.append(xi)
-        parts_c.append((omega**2)[:, None] / xi)
-        parts_wsq.append(np.full(len(band_idx), wsq))
-    idx = np.concatenate(parts_idx) if parts_idx else np.array([], dtype=int)
-    xi = np.concatenate(parts_xi, axis=1) if parts_idx else np.zeros((d, 0))
-    c = np.concatenate(parts_c, axis=1) if parts_idx else np.zeros((d, 0))
-    wsq = np.concatenate(parts_wsq) if parts_idx else np.zeros(0)
-
-    weights = _residual_weights(u.grid, cfg.norm)
-    ref = _weighted_norm(flat, weights)
-    history = [_weighted_norm(v_flat, weights)]
-    div_history = []
-    converged = ref == 0.0 or history[0] <= cfg.tol * ref
-    growth = 0
-    iterations = 0
-
-    while not converged and iterations < cfg.max_iter:
-        iterations += 1
-        vb = v_flat[:, idx]
-        lv = xi * (np.sum(c * vb, axis=0) / wsq)[None, :]
-        y = vb - lv
-        mv = y - c * (np.sum(xi * y, axis=0) / wsq)[None, :]
-        udiv[:, idx] += mv
-        ucurl[:, idx] += lv
-        v_flat[:, idx] = vb - mv - lv
-        res = _weighted_norm(v_flat, weights)
-        history.append(res)
-        div_history.append(
-            float(np.linalg.norm(np.sum(1j * kappa * udiv, axis=0)))
-        )
-        if res <= cfg.tol * ref:
-            converged = True
-            break
-        growth = growth + 1 if res > history[-2] else 0
-        if growth >= 5:
-            raise DivergenceError(
-                SolveReport(
-                    iterations,
-                    list(history),
-                    float("nan"),
-                    theoretical,
-                    False,
-                    bounds,
-                    div_history,
-                )
-            )
-
-    fitted = estimate_rate(history) if len(history) >= 3 else float("nan")
+    v0 = flat[:, perm]
+    sb = None if scale is None else scale[perm]
     report = SolveReport(
-        iterations=iterations,
-        residual_history=list(history) if cfg.record_history else [],
-        fitted_rate=fitted,
-        theoretical_rate=theoretical,
-        converged=converged,
-        per_band_rates=bounds,
-        divergence_history=div_history,
+        0, [_norm(v0, sb)], float("nan"), theoretical, False, bounds, []
     )
-    shape = (d,) + u.grid.sizes
+    sweep = report.residual_history[0] > cfg.tol * ref
+    if not sweep:
+        v0[:] = 0.0
+
+    # Sweep 1 on the full vectors; its remainder is exactly c t.
+    lv1 = xi * (np.sum(c * v0, axis=0) / wsq)
+    y = v0 - lv1
+    t = np.sum(xi * y, axis=0) / wsq
+    mv1 = y - c * t
+
+    # Divergence of the accumulated part, by linearity in S.
+    dv1 = np.sum(xi * mv1, axis=0)
+    xm = np.sum(xi * m, axis=0)
+    div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0)) ** 2
+
+    def observe(S):
+        report.divergence_history.append(
+            math.sqrt(_norm(dv1 + xm * S) ** 2 + div_dc_sq)
+        )
+
+    tscale = np.sqrt(csq) if sb is None else np.sqrt(csq) * sb
+    if sweep:
+        report.iterations = 1
+        report.residual_history.append(_norm(t, tscale))
+        observe(0.0)
+    S = _iterate(t, lam, tscale, ref, report, cfg, observe)
+
+    udiv = np.empty((d, grid.npoints), dtype=complex)
+    ucurl = np.empty_like(udiv)
+    udiv[:, perm] = mv1 + m * S
+    udiv[:, dc] = div_dc
+    ucurl[:, perm] = lv1 + l * S
+    ucurl[:, dc] = curl_dc
+    shape = (d,) + grid.sizes
+    div_spec = SpectralField(grid, udiv.reshape(shape))
+    if report.divergence_history:
+        report.divergence_history[-1] = _norm(spectral_divergence(div_spec))
     return (
-        inverse_transform(
-            SpectralField(u.grid, udiv.reshape(shape)), check=False
-        ),
-        inverse_transform(
-            SpectralField(u.grid, ucurl.reshape(shape)), check=False
-        ),
+        inverse_transform(div_spec, check=False),
+        inverse_transform(SpectralField(grid, ucurl.reshape(shape)), check=False),
         report,
     )

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -92,6 +93,12 @@ class TestSolveIlap:
         bad = tmp_path / "bad.swf"
         bad.write_bytes(b"JUNKJUNKJUNK")
         code = run(["solve-ilap", "--alpha", "1", "--in", str(bad)])
+        assert code == 2
+
+    def test_zero_component_file_exits_2(self, tmp_path):
+        empty = tmp_path / "empty.swf"
+        empty.write_bytes(b"SWF1" + struct.pack("<II2I", 2, 0, 16, 16))
+        code = run(["solve-ilap", "--alpha", "1", "--in", str(empty)])
         assert code == 2
 
 

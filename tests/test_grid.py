@@ -1,5 +1,7 @@
 """Transforms, norms, modewise application and field files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -207,4 +209,10 @@ class TestFieldFiles:
         sp.write_field(f, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(StructuralError):
+            sp.read_field(path)
+
+    def test_zero_components_rejected(self, tmp_path):
+        path = tmp_path / "empty.swf"
+        path.write_bytes(b"SWF1" + struct.pack("<II2I", 2, 0, 8, 8))
+        with pytest.raises(StructuralError, match="component"):
             sp.read_field(path)

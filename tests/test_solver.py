@@ -1,6 +1,7 @@
 """Richardson iteration, Helmholtz split, oracles, and rate estimation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,42 @@ class TestRichardson:
             sp.richardson_solve(sym, bad, v, cfg)
         assert err.value.report.iterations >= 5
 
+    def test_matrix_symbol_constant_entries(self):
+        grid = sp.GridSpec((32, 32))
+        part = tensorial((32, 32))
+        alphas = (10.0, 1e3)
+        sym = sp.Sum(
+            sp.Product(sp.Delta(1, 1, 2), sp.ImplicitLaplacian(alphas[0])),
+            sp.Product(sp.Delta(2, 2, 2), sp.ImplicitLaplacian(alphas[1])),
+        )
+        entries = {}
+        for band in part.bands:
+            a, b, _ = sp.band_extrema(band, mode_exact=False)
+            omega_sq = 0.5 * (a * a + b * b)
+            entries[band.id] = BandEntry(
+                matrix=np.diag([1.0 + alpha * omega_sq for alpha in alphas])
+            )
+        pc = BandPreconditioner(part, sym, entries, "custom", False)
+        v = random_field(grid, 2, seed=25)
+        cfg = sp.SolveConfig(tol=1e-10)
+        u, rep = sp.richardson_solve(sym, pc, v, cfg)
+        assert rep.converged
+        assert rep.theoretical_rate < 0.6
+        ref = sp.exact_solve(sym, v)
+        assert (u - ref).l2_norm() <= 10 * cfg.tol * ref.l2_norm()
+
+    def test_symbol_entry_rejected(self):
+        grid = sp.GridSpec((16, 16))
+        part = tensorial((16, 16))
+        pc = sp.implicit_laplacian_precond(10.0, part)
+        entries = dict(pc.entries)
+        band_id = part.bands[1].id
+        entries[band_id] = BandEntry(symbol=sp.ImplicitLaplacian(10.0))
+        bad = BandPreconditioner(part, pc.target, entries, "custom", False)
+        v = random_field(grid, 1, seed=26)
+        with pytest.raises(ArityError, match=re.escape(repr(band_id))):
+            sp.richardson_solve(sp.ImplicitLaplacian(10.0), bad, v)
+
     def test_grid_mismatch(self):
         part = tensorial((16, 16))
         v = random_field(sp.GridSpec((32, 32)), 1, seed=13)
@@ -216,6 +253,32 @@ class TestRichardson:
         _, rep1 = sp.richardson_solve(sym, pc, v)
         _, rep2 = sp.richardson_solve(sym, pc, v)
         assert rep1.residual_history == rep2.residual_history
+
+
+class TestNonFinite:
+    @staticmethod
+    def nan_preconditioner(part):
+        pc = sp.implicit_laplacian_precond(100.0, part)
+        entries = dict(pc.entries)
+        entries[part.bands[0].id] = BandEntry(matrix=np.array([[np.nan]]))
+        return BandPreconditioner(part, pc.target, entries, "custom", False)
+
+    def test_nan_entry_refused_under_strict(self):
+        part = tensorial((16, 16))
+        pc = self.nan_preconditioner(part)
+        v = random_field(part.grid, 1, seed=24)
+        with pytest.raises(BoundViolationError) as err:
+            sp.richardson_solve(sp.ImplicitLaplacian(100.0), pc, v)
+        assert err.value.band_id == part.bands[0].id
+        assert "not finite" in str(err.value)
+
+    def test_nan_entry_named_as_divergence(self):
+        part = tensorial((16, 16))
+        pc = self.nan_preconditioner(part)
+        v = random_field(part.grid, 1, seed=24)
+        cfg = sp.SolveConfig(strict=False)
+        with pytest.raises(DivergenceError, match="non-finite residual at sweep 1"):
+            sp.richardson_solve(sp.ImplicitLaplacian(100.0), pc, v, cfg)
 
 
 class TestHelmholtz:
