@@ -34,7 +34,7 @@ from .errors import (
     StructuralError,
     UnsupportedSchemeError,
 )
-from .grid import GridSpec, SpectralField, wavevector_table
+from .grid import GridSpec, SpectralField, effective_axis_wavevectors
 
 
 def _flatten(obj) -> tuple:
@@ -367,14 +367,6 @@ def synthesize(banded: BandedField) -> SpectralField:
     return SpectralField(part.grid, out)
 
 
-def _effective_axis_wavevectors(part: Partition, axis: int) -> np.ndarray:
-    """Wavevector component along ``axis`` for each dc mode, with the
-    Nyquist plane mapped to zero (the odd-symbol grid convention)."""
-    K = wavevector_table(part.grid)[part.dc_indices, axis]
-    nyq = part.grid.nyquist(axis)
-    return np.where(K == nyq, 0, K).astype(float)
-
-
 def _require_tensorial(part: Partition, op: str) -> None:
     if part.base_scheme != "tensorial":
         raise UnsupportedSchemeError(f"{op} needs a tensorial partition")
@@ -397,7 +389,8 @@ def apply_lemarie_derivative(banded: BandedField, axis: int) -> BandedField:
         b.id: banded.band_coeffs[b.id] * (4.0 * b.axis_scale(ax))
         for b in part.bands
     }
-    dc = banded.dc_coeffs * (1j * _effective_axis_wavevectors(part, ax))
+    ix = np.unravel_index(part.dc_indices, part.grid.sizes)[ax]
+    dc = banded.dc_coeffs * (1j * effective_axis_wavevectors(part.grid, ax)[ix])
     nu = tuple(
         order - 1 if i == ax else order for i, order in enumerate(banded.family.nu)
     )
@@ -421,7 +414,8 @@ def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
         b.id: banded.band_coeffs[b.id] / (4.0 * b.axis_scale(ax))
         for b in part.bands
     }
-    k = _effective_axis_wavevectors(part, ax)
+    ix = np.unravel_index(part.dc_indices, part.grid.sizes)[ax]
+    k = effective_axis_wavevectors(part.grid, ax)[ix]
     inv = np.where(k == 0, 0.0, 1.0 / (1j * np.where(k == 0, 1.0, k)))
     dc = banded.dc_coeffs * inv
     nu = tuple(

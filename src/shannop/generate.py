@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bands import build_tensorial_partition
-from .errors import ArityError
+from .errors import ArityError, StructuralError
 from .grid import GridSpec, RealField, SpectralField, forward_transform, inverse_transform
 from .solver import exact_leray, kappa_table
 
@@ -59,6 +59,8 @@ KINDS = ("random", "gradient", "solenoidal", "corner-mode")
 def make_field(
     grid: GridSpec, kind: str, components: int, seed: int
 ) -> RealField:
+    if components < 1:
+        raise StructuralError(f"components must be at least 1, got {components}")
     if kind == "random":
         return random_field(grid, components, seed)
     if kind == "gradient":

@@ -16,7 +16,6 @@ plane, which is the standard convention that keeps real fields real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -61,7 +60,15 @@ class GridSpec:
         return -self.sizes[axis] // 2
 
 
-@lru_cache(maxsize=32)
+def effective_axis_wavevectors(grid: GridSpec, axis: int) -> np.ndarray:
+    """Wavevectors along ``axis`` with the Nyquist entry mapped to 0: the
+    value odd first-order symbols take there under the averaging
+    convention."""
+    k = grid.axis_wavevectors(axis).astype(float)
+    k[k == grid.nyquist(axis)] = 0.0
+    return k
+
+
 def wavevector_table(grid: GridSpec) -> np.ndarray:
     """All grid modes as an (npoints, d) integer array in row-major order."""
     axes = [grid.axis_wavevectors(i) for i in range(grid.dim)]
@@ -69,10 +76,11 @@ def wavevector_table(grid: GridSpec) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-@lru_cache(maxsize=32)
 def ksq_table(grid: GridSpec) -> np.ndarray:
-    K = wavevector_table(grid)
-    return np.sum(K.astype(float) ** 2, axis=1)
+    """|k|^2 of all grid modes in row-major order."""
+    axes = np.ix_(*(grid.axis_wavevectors(i).astype(float) ** 2
+                    for i in range(grid.dim)))
+    return sum(axes).ravel()
 
 
 @dataclass
@@ -195,19 +203,21 @@ def sobolev_norm(spec: SpectralField, t: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_on_grid(
+def evaluate_modes(
     expr: SymbolExpr,
     grid: GridSpec,
+    K: np.ndarray,
     policy: str = SingularModePolicy.ZERO,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a symbol at every grid mode with the Nyquist convention.
+    """Evaluate a symbol at the grid modes K (M, d) with the Nyquist
+    convention.
 
     Modes with one or more components on the Nyquist plane get the average
     of the symbol over the sign choices of those components, which is what
     keeps the output spectrum Hermitian.  Returns (values, skipped) like
-    ``eval_many``: values has shape (npoints, n, m).
+    ``eval_many``: values has shape (M, n, m).
     """
-    K = wavevector_table(grid).astype(float)
+    K = np.asarray(K, dtype=float)
     values, skipped = eval_many(expr, K, policy)
     nyq = np.array([grid.nyquist(i) for i in range(grid.dim)], dtype=float)
     on_nyq = K == nyq
@@ -228,6 +238,15 @@ def evaluate_on_grid(
                 acc += v
             values[sel] = acc / 2 ** len(flip_axes)
     return values, skipped
+
+
+def evaluate_on_grid(
+    expr: SymbolExpr,
+    grid: GridSpec,
+    policy: str = SingularModePolicy.ZERO,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate_modes`` at every grid mode, in row-major order."""
+    return evaluate_modes(expr, grid, wavevector_table(grid), policy)
 
 
 def apply_modewise(

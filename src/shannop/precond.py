@@ -15,6 +15,8 @@ of the target.  Closed-form constructions:
 
 No general minimax optimizer over matrix approximants is provided; the
 achieved contraction is certified a posteriori by ``sampled_contraction``.
+The certificate and the Richardson plan read the same per-mode
+coefficients from ``band_recurrence``, which needs constant entries.
 """
 
 from __future__ import annotations
@@ -65,15 +67,6 @@ class BandEntry:
     @property
     def is_constant(self) -> bool:
         return self.matrix is not None
-
-    def values_at(self, K: np.ndarray) -> np.ndarray:
-        """Entry matrices at the given wavevectors, shape (M, n, m)."""
-        if self.is_constant:
-            return np.broadcast_to(
-                self.matrix.astype(complex), (K.shape[0],) + self.matrix.shape
-            )
-        values, _ = eval_many(self.symbol, K)
-        return values
 
 
 @dataclass
@@ -331,27 +324,41 @@ def leray_rate_bounds(part: Partition, mode_exact: bool = False) -> list[RateBou
 # ---------------------------------------------------------------------------
 
 
+def _real_if_exact(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x.real) if not np.any(x.imag) else x
+
+
+def band_recurrence(sym: SymbolExpr, entry: BandEntry, band: FrequencyBand):
+    """Per-mode coefficients of the band iteration: G = Id - A(k) P and
+    P = entry^+, one scalar per mode for a scalar symbol with a 1x1 entry,
+    else one matrix per mode.
+
+    No band mode of any scheme lies on a Nyquist plane, so the symbol is
+    evaluated directly at the band's wavevectors.
+    """
+    if not entry.is_constant:
+        raise ArityError(f"band {band.id}: the solver needs a constant entry")
+    E = entry.matrix
+    a, _ = eval_many(sym, band.mode_wavevectors())
+    if sym.is_scalar and E.shape == (1, 1):
+        a = _real_if_exact(a[:, 0, 0])
+        p = np.full(len(a), 1.0 / E[0, 0])
+        return 1.0 - a * p, p
+    if sym.is_scalar:
+        a = a[:, 0, 0, None, None] * np.eye(E.shape[0])
+    p = np.broadcast_to(pseudo_inverse(E), (len(a),) + E.shape[::-1])
+    return _real_if_exact(np.eye(a.shape[1]) - a @ p), p
+
+
 def sampled_contraction(
     sym: SymbolExpr, pc: BandPreconditioner, band: FrequencyBand
 ) -> float:
-    """Achieved contraction sup over the band's modes of
-    ||Id - M(k) entry(k)^+||_2; the empirical certificate for the bound."""
+    """Achieved contraction sup over the band's modes of ||G(k)||_2, read
+    from the same ``band_recurrence`` coefficients the solver iterates; the
+    empirical certificate for the bound."""
     if isinstance(band, tuple):
         band = pc.partition.band(band)
-    K = band.mode_wavevectors().astype(float)
-    entry = pc.entries[band.id]
-    mvals, _ = eval_many(sym, K)
-    if sym.is_scalar and entry.is_constant and entry.matrix.shape == (1, 1):
-        w = entry.matrix[0, 0]
-        dev = np.abs(1.0 - mvals[:, 0, 0] / w)
-        return float(dev.max())
-    evals = entry.values_at(K)
-    if sym.is_scalar:
-        n = evals.shape[1]
-        mvals = mvals[:, 0, 0][:, None, None] * np.broadcast_to(
-            np.eye(n), (K.shape[0], n, n)
-        )
-    pinv = pseudo_inverse(evals)
-    resid = np.eye(mvals.shape[1]) - mvals @ pinv
-    sv = np.linalg.svd(resid, compute_uv=False)
-    return float(sv[:, 0].max())
+    g, _ = band_recurrence(sym, pc.entries[band.id], band)
+    if g.ndim == 1:
+        return float(np.abs(g).max())
+    return float(np.linalg.svd(g, compute_uv=False)[:, 0].max())

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .grid import (
     GridSpec,
     RealField,
     SpectralField,
+    effective_axis_wavevectors,
+    evaluate_modes,
     evaluate_on_grid,
     forward_transform,
     inverse_transform,
@@ -44,7 +45,9 @@ from .grid import (
 from .precond import (
     BandPreconditioner,
     RateBound,
+    _real_if_exact,
     band_omega,
+    band_recurrence,
     leray_rate_bounds,
     pseudo_inverse,
 )
@@ -63,12 +66,11 @@ class SolveConfig:
     max_iter: int = 200
     tol: float = 1e-10
     norm: float = 0.0
-    record_history: bool = True
     strict: bool = True
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ArityError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ArityError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ArityError("max_iter must be at least 1")
 
@@ -143,18 +145,9 @@ def estimate_rate(history, window: int | None = None) -> float:
     return float(np.exp(np.mean(np.log(tail))))
 
 
-def _effective_axis(grid: GridSpec, axis: int) -> np.ndarray:
-    """Wavevectors along one axis with the Nyquist entry mapped to 0,
-    matching the convention that odd symbols vanish on the Nyquist plane."""
-    k = grid.axis_wavevectors(axis).astype(float)
-    k[k == grid.nyquist(axis)] = 0.0
-    return k
-
-
-@lru_cache(maxsize=32)
 def kappa_table(grid: GridSpec) -> np.ndarray:
     """Effective wavevectors of all grid modes, (npoints, d), row-major."""
-    axes = [_effective_axis(grid, i) for i in range(grid.dim)]
+    axes = [effective_axis_wavevectors(grid, i) for i in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -164,7 +157,9 @@ def spectral_divergence(spec: SpectralField) -> np.ndarray:
     grid = spec.grid
     if spec.components != grid.dim:
         raise ArityError("divergence needs one component per axis")
-    kappa = np.ix_(*(_effective_axis(grid, i) for i in range(grid.dim)))
+    kappa = np.ix_(
+        *(effective_axis_wavevectors(grid, i) for i in range(grid.dim))
+    )
     return 1j * sum(k * modes for k, modes in zip(kappa, spec.modes)).ravel()
 
 
@@ -265,16 +260,10 @@ def _check_bounds(bounds: list[RateBound], strict: bool) -> float:
     return worst.rho
 
 
-def _finish(report: SolveReport, cfg: SolveConfig) -> SolveReport:
+def _finish(report: SolveReport) -> SolveReport:
     h = report.residual_history
     report.fitted_rate = estimate_rate(h) if len(h) >= 3 else float("nan")
-    if not cfg.record_history:
-        report.residual_history = []
     return report
-
-
-def _real_if_exact(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x.real) if not np.any(x.imag) else x
 
 
 def _iterate(r, g, scale, ref, report, cfg, observe=None):
@@ -293,7 +282,7 @@ def _iterate(r, g, scale, ref, report, cfg, observe=None):
         res = history[-1]
         if not math.isfinite(res):
             raise DivergenceError(
-                _finish(report, cfg),
+                _finish(report),
                 f"non-finite residual at sweep {report.iterations}",
             )
         if res <= cfg.tol * ref:
@@ -301,7 +290,7 @@ def _iterate(r, g, scale, ref, report, cfg, observe=None):
             break
         growth = growth + 1 if report.iterations and res > history[-2] else 0
         if growth >= 5:
-            raise DivergenceError(_finish(report, cfg))
+            raise DivergenceError(_finish(report))
         if report.iterations >= cfg.max_iter:
             break
         report.iterations += 1
@@ -313,45 +302,41 @@ def _iterate(r, g, scale, ref, report, cfg, observe=None):
         history.append(_norm(r, scale))
         if observe is not None:
             observe(S)
-    _finish(report, cfg)
+    _finish(report)
     return S
 
 
-def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, ncomp: int):
+def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner):
     """Gather order (band modes by sorted band id, then dc) and per-mode
-    G = Id - A P and P, with P the inverse of the band's constant entry or,
-    on dc modes, the pseudo-inverse of A: one scalar per mode for a scalar
-    symbol with 1x1 entries, else one matrix per mode."""
+    G = Id - A P and P: ``band_recurrence`` on every band, and on dc modes
+    P the pseudo-inverse of A under the Nyquist convention.  One scalar per
+    mode for a scalar symbol with 1x1 entries, else one matrix per mode."""
     part = pc.partition
-    mats = []
-    for band in part.bands:
-        if not pc.entries[band.id].is_constant:
-            raise ArityError(f"band {band.id}: the solver needs a constant entry")
-        mats.append(pc.entries[band.id].matrix)
-    counts = [band.nmodes for band in part.bands]
-    perm = np.concatenate(
-        [band.flat_indices() for band in part.bands] + [part.dc_indices]
-    )
-    vals, _ = evaluate_on_grid(A, part.grid, SingularModePolicy.ZERO)
-    a = vals[perm]
-    nb = len(perm) - len(part.dc_indices)
-    if A.is_scalar and all(E.shape == (1, 1) for E in mats):
+    grid = part.grid
+    dc = part.dc_indices
+    perm = np.concatenate([band.flat_indices() for band in part.bands] + [dc])
+    gs, ps = zip(*(
+        band_recurrence(A, pc.entries[band.id], band) for band in part.bands
+    ))
+    kdc = np.stack([
+        grid.axis_wavevectors(i)[ix]
+        for i, ix in enumerate(np.unravel_index(dc, grid.sizes))
+    ], axis=1)
+    a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
+    if gs[0].ndim == 1:
         a = _real_if_exact(a[:, 0, 0])
-        adc = a[nb:]
-        p = np.concatenate([
-            np.repeat([1.0 / E[0, 0] for E in mats], counts),
-            np.where(adc == 0, 0.0, 1.0 / np.where(adc == 0, 1.0, adc)),
-        ])
+        p = np.where(a == 0, 0.0, 1.0 / np.where(a == 0, 1.0, a))
         g = 1.0 - a * p
     else:
         if A.is_scalar:
-            a = a[:, 0, 0, None, None] * np.eye(ncomp)
-        p = np.concatenate(
-            [np.broadcast_to(pseudo_inverse(E), (k,) + E.shape[::-1])
-             for E, k in zip(mats, counts)] + [pseudo_inverse(a[nb:])]
-        )
+            a = a[:, 0, 0, None, None] * np.eye(gs[0].shape[1])
+        p = pseudo_inverse(a)
         g = np.eye(a.shape[1]) - a @ p
-    return perm, _real_if_exact(g), _real_if_exact(p)
+    return (
+        perm,
+        _real_if_exact(np.concatenate(gs + (g,))),
+        _real_if_exact(np.concatenate(ps + (p,))),
+    )
 
 
 def richardson_solve(
@@ -381,7 +366,7 @@ def richardson_solve(
 
     bounds = pc.rate_bounds()
     theoretical = _check_bounds(bounds, cfg.strict)
-    perm, g, p = _richardson_plan(A, pc, v.components)
+    perm, g, p = _richardson_plan(A, pc)
     scale = _norm_scale(v.grid, cfg.norm)
     if scale is not None:
         scale = scale[perm]
@@ -441,7 +426,7 @@ def helmholtz_decompose(
     # Exact dc assignment along the effective wavevectors.
     dc = part.dc_indices
     kdc = np.stack([
-        _effective_axis(grid, i)[ix]
+        effective_axis_wavevectors(grid, i)[ix]
         for i, ix in enumerate(np.unravel_index(dc, grid.sizes))
     ])
     div_dc, curl_dc = _split_modes(kdc, flat[:, dc])

@@ -253,8 +253,8 @@ class ImplicitLaplacian(SymbolExpr):
     shape = (1, 1)
 
     def __init__(self, alpha: float):
-        if alpha < 0:
-            raise ArityError("alpha must be nonnegative")
+        if not 0 <= alpha < np.inf:
+            raise ArityError(f"alpha must be finite and nonnegative, got {alpha}")
         self.alpha = float(alpha)
 
     def _eval(self, K):

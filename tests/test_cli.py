@@ -208,3 +208,68 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 5
+
+
+class TestInputErrors:
+    @staticmethod
+    def field(tmp_path):
+        path = tmp_path / "v.swf"
+        assert run(["gen-field", "--grid", "16x16", "--seed", "1",
+                    "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, tol):
+        vpath = self.field(tmp_path)
+        code = run(["solve-ilap", "--alpha", "1", f"--tol={tol}",
+                    "--in", str(vpath)])
+        assert code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+    def test_nan_tol_exits_2_in_helmholtz(self, tmp_path):
+        vpath = tmp_path / "w.swf"
+        run(["gen-field", "--grid", "16x16", "--components", "2",
+             "--seed", "1", "--out", str(vpath)])
+        code = run(["helmholtz", "--tol", "nan", "--in", str(vpath)])
+        assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    def test_bad_alpha_exits_2(self, tmp_path, capsys, alpha):
+        vpath = self.field(tmp_path)
+        code = run(["solve-ilap", f"--alpha={alpha}", "--in", str(vpath)])
+        assert code == 2
+        assert "alpha must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("components", ["0", "-1"])
+    def test_components_below_one_exit_2(self, tmp_path, capsys, components):
+        out = tmp_path / "z.swf"
+        code = run(["gen-field", "--grid", "16x16", "--components",
+                    components, "--out", str(out)])
+        assert code == 2
+        assert "components must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        code = run(["decompose", "--in", str(tmp_path / "missing.swf")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        code = run(["gen-field", "--grid", "16x16",
+                    "--out", str(tmp_path / "no-such-dir" / "z.swf")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_library_rejects_non_finite_arguments(self):
+        from shannop.errors import ArityError, StructuralError
+        from shannop.generate import make_field
+
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ArityError):
+                sp.SolveConfig(tol=tol)
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(ArityError):
+                sp.ImplicitLaplacian(alpha)
+        for components in (0, -1):
+            with pytest.raises(StructuralError):
+                make_field(sp.GridSpec((8, 8)), "random", components, 0)
