@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import shannop as sp
-from shannop.bands import band_extrema, dump_partition
-from shannop.errors import StructuralError, UnsupportedSchemeError
+from shannop.bands import FrequencyBand, Partition, band_extrema, dump_partition
+from shannop.errors import (
+    PartitionConsistencyError,
+    StructuralError,
+    UnsupportedSchemeError,
+)
 from shannop.generate import random_field
 from shannop.solver import kappa_table
 
@@ -155,6 +159,39 @@ class TestPacketRefinement:
             assert b1 / a1 <= b0 / a0 + 1e-15
             lo, hi = per_axis[0]
             assert hi / lo in (1.5, 4 / 3)
+
+
+class TestCheckDisjoint:
+    """Hand-built 1D partitions on 8 points whose band and dc sizes add up
+    to 8, so only the exact set check can reject them.  The valid
+    tensorial partition is bands [1, 7] and [2, 3, 5, 6] plus dc [0, 4]."""
+
+    @staticmethod
+    def partition(low, high, dc):
+        grid = sp.GridSpec((8,))
+        bands = [
+            FrequencyBand(grid, (0,), ((1.0, 2.0),), (np.array(low),)),
+            FrequencyBand(grid, (1,), ((2.0, 4.0),), (np.array(high),)),
+        ]
+        return Partition(grid, "tensorial", 0, bands, np.array(dc))
+
+    def test_valid_partition_passes(self):
+        self.partition([1, 7], [2, 3, 5, 6], [0, 4]).check_disjoint()
+
+    def test_overlap_raises(self):
+        # Mode 1 is claimed twice and mode 4 by nobody.
+        part = self.partition([1, 7], [1, 2, 3, 5, 6], [0])
+        with pytest.raises(PartitionConsistencyError, match="overlap"):
+            part.check_disjoint()
+
+    @pytest.mark.parametrize("high,dc", [
+        ([2, 3, 5, 5], [0, 4]),  # a band lists mode 5 twice, 6 is missed
+        ([2, 3, 5, 6], [0, 0]),  # the dc set lists mode 0 twice, 4 is missed
+    ])
+    def test_gap_raises(self, high, dc):
+        part = self.partition([1, 7], high, dc)
+        with pytest.raises(PartitionConsistencyError, match="cover"):
+            part.check_disjoint()
 
 
 class TestBandExtrema:
