@@ -23,6 +23,7 @@ identity in exact arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -70,7 +71,7 @@ class FrequencyBand:
 
     @property
     def nmodes(self) -> int:
-        return int(np.prod([len(ix) for ix in self.axis_indices]))
+        return math.prod(len(ix) for ix in self.axis_indices)
 
     def sort_key(self) -> tuple:
         return _flatten(self.id)
@@ -162,44 +163,63 @@ class Partition:
 
     def check_disjoint(self) -> None:
         """Exact set check: every mode claimed at most once."""
-        counts = np.zeros(self.grid.sizes, dtype=np.int32)
-        for b in self.bands:
-            counts[b.selector()] += 1
-        flat = counts.ravel()
-        flat[self.dc_indices] += 1
-        if flat.max() > 1:
-            raise PartitionConsistencyError("bands overlap")
-        if flat.min() < 1:
-            raise PartitionConsistencyError("bands and dc do not cover the grid")
+        counts = _claim_counts(self.grid, self.bands)
+        counts[self.dc_indices] += 1
+        _check_claims(counts)
 
 
-def _axis_band_indices(grid: GridSpec, axis: int, lo: float, hi: float):
-    mags = np.abs(grid.axis_wavevectors(axis))
-    return np.flatnonzero((mags >= lo) & (mags < hi))
-
-
-def _complement_dc(grid: GridSpec, bands) -> np.ndarray:
-    claimed = np.zeros(grid.sizes, dtype=bool)
+def _claim_counts(grid: GridSpec, bands) -> np.ndarray:
+    """Flat count, per grid mode, of the bands whose box holds it."""
+    counts = np.zeros(grid.sizes, dtype=np.int32)
     for b in bands:
-        claimed[b.selector()] = True
-    return np.flatnonzero(~claimed.ravel())
+        counts[b.selector()] += 1
+    return counts.ravel()
+
+
+def _check_claims(counts: np.ndarray) -> None:
+    if counts.max() > 1:
+        raise PartitionConsistencyError("bands overlap")
+    if counts.min() < 1:
+        raise PartitionConsistencyError("bands and dc do not cover the grid")
+
+
+def _axis_magnitudes(grid: GridSpec) -> list:
+    return [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
+
+
+def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
+    """Bands from (id, box) pairs; every mode no band holds goes to dc.
+
+    Each distinct (axis, lo, hi) interval is resolved once per build, so
+    bands sharing it share its index array.  The dc set and the overlap
+    and cover check come from one claim count.
+    """
+    mags = _axis_magnitudes(grid)
+    table = {}
+    bands = []
+    for band_id, box in boxes:
+        for i, (lo, hi) in enumerate(box):
+            if (i, lo, hi) not in table:
+                table[i, lo, hi] = np.flatnonzero((mags[i] >= lo) & (mags[i] < hi))
+        idx = tuple(table[i, lo, hi] for i, (lo, hi) in enumerate(box))
+        bands.append(FrequencyBand(grid, band_id, box, idx))
+    counts = _claim_counts(grid, bands)
+    dc = np.flatnonzero(counts == 0)
+    part = Partition(grid, scheme, 0, bands, dc)
+    counts[dc] += 1
+    _check_claims(counts)
+    return part
 
 
 def build_tensorial_partition(grid: GridSpec) -> Partition:
     """Anisotropic splitting: per-axis dyadic octaves, indexed by a level
     tuple.  Axis magnitudes 0 and the Nyquist magnitude go to dc."""
     level_counts = [int(math.log2(n)) - 1 for n in grid.sizes]
-    bands = []
-    for j in np.ndindex(*level_counts):
-        box = tuple((float(2**ji), float(2 ** (ji + 1))) for ji in j)
-        idx = tuple(
-            _axis_band_indices(grid, i, lo, hi)
-            for i, (lo, hi) in enumerate(box)
-        )
-        bands.append(FrequencyBand(grid, tuple(int(v) for v in j), box, idx))
-    part = Partition(grid, "tensorial", 0, bands, _complement_dc(grid, bands))
-    part.check_disjoint()
-    return part
+    boxes = (
+        (j, tuple((float(2**ji), float(2 ** (ji + 1))) for ji in j))
+        for j in np.ndindex(*level_counts)
+    )
+    return _base_partition(grid, "tensorial", boxes)
 
 
 def build_mra_partition(grid: GridSpec) -> Partition:
@@ -210,39 +230,34 @@ def build_mra_partition(grid: GridSpec) -> Partition:
             f"MRA partitions need an isotropic grid, got sizes {grid.sizes}"
         )
     levels = int(math.log2(grid.sizes[0])) - 1
-    bands = []
-    for j in range(levels):
-        for eps in np.ndindex(*([2] * grid.dim)):
-            if not any(eps):
-                continue
-            box = tuple(
-                (float(2**j), float(2 ** (j + 1))) if e else (0.0, float(2**j))
-                for e in eps
-            )
-            idx = tuple(
-                _axis_band_indices(grid, i, lo, hi)
-                for i, (lo, hi) in enumerate(box)
-            )
-            bands.append(
-                FrequencyBand(grid, (j, tuple(int(e) for e in eps)), box, idx)
-            )
-    part = Partition(grid, "mra", 0, bands, _complement_dc(grid, bands))
-    part.check_disjoint()
-    return part
+    boxes = (
+        ((j, eps), tuple(
+            (float(2**j), float(2 ** (j + 1))) if e else (0.0, float(2**j))
+            for e in eps
+        ))
+        for j in range(levels)
+        for eps in np.ndindex(*([2] * grid.dim))
+        if any(eps)
+    )
+    return _base_partition(grid, "mra", boxes)
 
 
 def refine_packet(part: Partition, depth: int) -> Partition:
     """Split every band interval into 2^depth equal parts per axis.
 
-    Sub-bands that contain no grid modes are dropped and counted in the
-    result's ``dropped_empty``.  Depth 0 returns the partition unchanged.
-    Refining by 1 twice yields the same bands as refining by 2 once.
+    Each band's per-axis index list is split into its 2^depth pieces and
+    the sub-bands are the Cartesian products of the non-empty pieces.
+    Sub-boxes with an empty axis hold no grid modes; they are dropped and
+    counted in the result's ``dropped_empty``.  Depth 0 returns the
+    partition unchanged.  Refining by 1 twice yields the same bands as
+    refining by 2 once.
     """
     if depth < 0:
         raise StructuralError("packet depth must be nonnegative")
     if depth == 0:
         return part
     splits = 2**depth
+    mags = _axis_magnitudes(part.grid)
     bands = []
     dropped = part.dropped_empty
     for b in part.bands:
@@ -250,24 +265,21 @@ def refine_packet(part: Partition, depth: int) -> Partition:
             root_id, path = b.id
         else:
             root_id, path = b.id, (0,) * b.dim
-        for step in np.ndindex(*([splits] * b.dim)):
-            box = []
-            for (lo, hi), s in zip(b.box, step):
-                width = (hi - lo) / splits
-                box.append((lo + s * width, lo + (s + 1) * width))
-            idx = tuple(
-                _axis_band_indices(part.grid, i, lo, hi)
-                for i, (lo, hi) in enumerate(box)
-            )
-            if any(len(ix) == 0 for ix in idx):
-                dropped += 1
-                continue
-            new_path = tuple(
-                p * splits + s for p, s in zip(path, step)
-            )
-            bands.append(
-                FrequencyBand(part.grid, (root_id, new_path), tuple(box), idx)
-            )
+        pieces = []  # per axis: the non-empty (path entry, interval, indices)
+        for i, ((lo, hi), ix, p) in enumerate(zip(b.box, b.axis_indices, path)):
+            m = mags[i][ix]
+            width = (hi - lo) / splits
+            kept = []
+            for s in range(splits):
+                sub = (lo + s * width, lo + (s + 1) * width)
+                sub_ix = ix[(m >= sub[0]) & (m < sub[1])]
+                if len(sub_ix):
+                    kept.append((p * splits + s, sub, sub_ix))
+            pieces.append(kept)
+        dropped += splits**b.dim - math.prod(len(kept) for kept in pieces)
+        for combo in itertools.product(*pieces):
+            new_path, box, idx = zip(*combo)
+            bands.append(FrequencyBand(part.grid, (root_id, new_path), box, idx))
     refined = Partition(
         part.grid,
         part.base_scheme,

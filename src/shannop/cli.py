@@ -51,6 +51,15 @@ def _write_report(report, path) -> None:
             fh.write(report.to_json())
 
 
+def _solve_exit(report, tol: float) -> int:
+    if report.converged:
+        return EXIT_OK
+    h = report.residual_history
+    print(f"error: not converged after {report.iterations} sweeps "
+          f"(residual {h[-1] / h[0]:.3e} > tol {tol!r})", file=sys.stderr)
+    return EXIT_DIVERGED
+
+
 def cmd_gen_field(args) -> int:
     from .generate import make_field
     from .io import write_field
@@ -101,7 +110,7 @@ def cmd_solve_ilap(args) -> int:
     if args.out:
         write_field(u, args.out)
     _write_report(report, args.report)
-    return EXIT_OK if report.converged else EXIT_DIVERGED
+    return _solve_exit(report, args.tol)
 
 
 def cmd_helmholtz(args) -> int:
@@ -117,7 +126,7 @@ def cmd_helmholtz(args) -> int:
     if args.out_curl:
         write_field(ucurl, args.out_curl)
     _write_report(report, args.report)
-    return EXIT_OK if report.converged else EXIT_DIVERGED
+    return _solve_exit(report, args.tol)
 
 
 def cmd_rates(args) -> int:

@@ -21,6 +21,7 @@ coefficients from ``band_recurrence``, which needs constant entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,16 +199,24 @@ def implicit_laplacian_precond(
     """
     from .symbols import ImplicitLaplacian
 
+    sym = ImplicitLaplacian(alpha)
     entries = {}
     for band in part.bands:
         a, b, _ = band_extrema(band, mode_exact)
+        # alpha*(a^2 + b^2) bounds the entry, the rate formula and the
+        # symbol at every band mode, so if it is finite none of them is inf.
+        if not math.isfinite(alpha * (a * a + b * b)):
+            raise ArityError(
+                f"alpha {alpha!r} is too large: 1 + alpha*|k|^2 overflows "
+                f"on band {band.id}"
+            )
         omega_sq = 0.5 * (a * a + b * b)
         entries[band.id] = BandEntry(
             matrix=np.array([[1.0 + alpha * omega_sq]]),
             stats={"a": a, "b": b, "alpha": alpha, "omega_sq": omega_sq},
         )
     return BandPreconditioner(
-        part, ImplicitLaplacian(alpha), entries, "implicit-laplacian", mode_exact
+        part, sym, entries, "implicit-laplacian", mode_exact
     )
 
 

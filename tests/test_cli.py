@@ -9,7 +9,7 @@ import pytest
 
 import shannop as sp
 from shannop import cli
-from shannop.errors import BoundViolationError, DivergenceError
+from shannop.errors import ArityError, BoundViolationError, DivergenceError
 from shannop.solver import spectral_divergence
 
 
@@ -161,6 +161,31 @@ class TestRates:
         assert code == 2
 
 
+class TestSweepCap:
+    """Reaching --max-iter before --tol exits 3 and says so on stderr."""
+
+    def test_solve_ilap(self, tmp_path, capsys):
+        vpath = tmp_path / "v.swf"
+        run(["gen-field", "--grid", "16x16", "--seed", "1", "--out", str(vpath)])
+        code = run(["solve-ilap", "--alpha", "1e6", "--tol", "1e-300",
+                    "--max-iter", "3", "--in", str(vpath)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: not converged after 3 sweeps (residual ")
+        assert "> tol 1e-300)" in err
+
+    def test_helmholtz(self, tmp_path, capsys):
+        vpath = tmp_path / "w.swf"
+        run(["gen-field", "--grid", "16x16", "--components", "2",
+             "--seed", "1", "--out", str(vpath)])
+        code = run(["helmholtz", "--tol", "1e-300", "--max-iter", "3",
+                    "--in", str(vpath)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: not converged after 3 sweeps (residual ")
+        assert "> tol 1e-300)" in err
+
+
 class TestExitCodeMapping:
     def test_divergence_maps_to_3(self, monkeypatch, tmp_path):
         def boom(args):
@@ -259,6 +284,18 @@ class TestInputErrors:
                     "--out", str(tmp_path / "no-such-dir" / "z.swf")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_overflowing_alpha_exits_2(self, tmp_path, capsys):
+        vpath = self.field(tmp_path)
+        code = run(["solve-ilap", "--alpha", "1e308", "--in", str(vpath)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "alpha 1e+308" in err and "band (0, 0)" in err
+
+    def test_overflowing_alpha_in_library(self):
+        part = sp.build_tensorial_partition(sp.GridSpec((16, 16)))
+        with pytest.raises(ArityError, match=r"alpha .* band \(0, 0\)"):
+            sp.implicit_laplacian_precond(1e308, part)
 
     def test_library_rejects_non_finite_arguments(self):
         from shannop.errors import ArityError, StructuralError
