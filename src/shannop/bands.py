@@ -183,24 +183,22 @@ def _check_claims(counts: np.ndarray) -> None:
         raise PartitionConsistencyError("bands and dc do not cover the grid")
 
 
-def _axis_magnitudes(grid: GridSpec) -> list:
-    return [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
-
-
 def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
     """Bands from (id, box) pairs; every mode no band holds goes to dc.
 
     Each distinct (axis, lo, hi) interval is resolved once per build, so
-    bands sharing it share its index array.  The dc set and the overlap
-    and cover check come from one claim count.
+    bands sharing it share its index array, which is made read-only.  The
+    dc set and the overlap and cover check come from one claim count.
     """
-    mags = _axis_magnitudes(grid)
+    mags = [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
     table = {}
     bands = []
     for band_id, box in boxes:
         for i, (lo, hi) in enumerate(box):
             if (i, lo, hi) not in table:
-                table[i, lo, hi] = np.flatnonzero((mags[i] >= lo) & (mags[i] < hi))
+                ix = np.flatnonzero((mags[i] >= lo) & (mags[i] < hi))
+                ix.flags.writeable = False
+                table[i, lo, hi] = ix
         idx = tuple(table[i, lo, hi] for i, (lo, hi) in enumerate(box))
         bands.append(FrequencyBand(grid, band_id, box, idx))
     counts = _claim_counts(grid, bands)
@@ -257,7 +255,7 @@ def refine_packet(part: Partition, depth: int) -> Partition:
     if depth == 0:
         return part
     splits = 2**depth
-    mags = _axis_magnitudes(part.grid)
+    mags = [np.abs(part.grid.axis_wavevectors(i)) for i in range(part.grid.dim)]
     bands = []
     dropped = part.dropped_empty
     for b in part.bands:
