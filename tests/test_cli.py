@@ -164,22 +164,16 @@ class TestRates:
 class TestSweepCap:
     """Reaching --max-iter before --tol exits 3 and says so on stderr."""
 
-    def test_solve_ilap(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,components", [
+        (["solve-ilap", "--alpha", "1e6"], "1"),
+        (["helmholtz"], "2"),
+    ])
+    def test_exit_3_with_message(self, tmp_path, capsys, command, components):
         vpath = tmp_path / "v.swf"
-        run(["gen-field", "--grid", "16x16", "--seed", "1", "--out", str(vpath)])
-        code = run(["solve-ilap", "--alpha", "1e6", "--tol", "1e-300",
-                    "--max-iter", "3", "--in", str(vpath)])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: not converged after 3 sweeps (residual ")
-        assert "> tol 1e-300)" in err
-
-    def test_helmholtz(self, tmp_path, capsys):
-        vpath = tmp_path / "w.swf"
-        run(["gen-field", "--grid", "16x16", "--components", "2",
+        run(["gen-field", "--grid", "16x16", "--components", components,
              "--seed", "1", "--out", str(vpath)])
-        code = run(["helmholtz", "--tol", "1e-300", "--max-iter", "3",
-                    "--in", str(vpath)])
+        code = run(command + ["--tol", "1e-300", "--max-iter", "3",
+                              "--in", str(vpath)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: not converged after 3 sweeps (residual ")
