@@ -14,8 +14,10 @@ not claimed by any band (the zero mode, axis-zero planes in the tensorial
 scheme, Nyquist planes) live in the partition's dc set, which solvers
 treat by exact modewise operations.
 
-Band projection and synthesis are zero-phase: a band restriction simply
-copies mode coefficients, so synthesize(analyze(s)) == s bit for bit.
+Each partition lays its modes out once, band-major (``Partition.perm``):
+band projection is one gather into that layout and synthesis one scatter
+out of it.  Both are zero-phase: a band restriction simply copies mode
+coefficients, so synthesize(analyze(s)) == s bit for bit.
 Synthesis of a derived family multiplies each band coefficient by an exact
 per-mode spectral factor, making differentiation by coefficient scaling an
 identity in exact arithmetic.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +54,41 @@ def _fmt_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+def _write_flat_indices(bands, out: np.ndarray) -> int:
+    """Write the bands' row-major grid positions into the 1-D ``out``, band
+    after band, each in row-major sub-box order; return how many.
+
+    Each position is the broadcast sum of per-axis offsets ix * stride,
+    computed once per index array that bands share within the call."""
+    sizes = bands[0].grid.sizes if bands else ()
+    d = len(sizes)
+    strides = [math.prod(sizes[i + 1 :]) for i in range(d)]
+    offsets = {}  # (axis, id of a shared index array) -> shaped ix * stride
+    pos = 0
+    for b in bands:
+        n = b.nmodes
+        seg = out[pos : pos + n].reshape(b.shape)
+        for i, ix in enumerate(b.axis_indices):
+            key = (i, id(ix))
+            if key not in offsets:
+                offsets[key] = (ix * strides[i]).reshape((-1,) + (1,) * (d - 1 - i))
+            if i == 0:
+                seg[...] = offsets[key]
+            else:
+                seg += offsets[key]
+        pos += n
+    return pos
+
+
+def _layout_buffer(grid: GridSpec) -> np.ndarray:
+    if grid.npoints > np.iinfo(np.int32).max:
+        raise StructuralError(
+            f"grid {grid.sizes} has {grid.npoints} modes, more than an int32 "
+            f"band layout can index"
+        )
+    return np.empty(grid.npoints, dtype=np.int32)
+
+
 @dataclass(eq=False)
 class FrequencyBand:
     """One frequency box and the grid modes inside it.
@@ -70,27 +108,38 @@ class FrequencyBand:
         return self.grid.dim
 
     @property
+    def shape(self) -> tuple:
+        """Sub-box shape: the number of band positions along each axis."""
+        return tuple(map(len, self.axis_indices))
+
+    @property
     def nmodes(self) -> int:
-        return math.prod(len(ix) for ix in self.axis_indices)
+        return math.prod(self.shape)
 
     def sort_key(self) -> tuple:
         return _flatten(self.id)
 
     def axis_wavevectors(self, axis: int) -> np.ndarray:
-        return self.grid.axis_wavevectors(axis)[self.axis_indices[axis]]
+        """Integer wavevectors of the band's positions along ``axis``."""
+        ix = self.axis_indices[axis]
+        n = self.grid.sizes[axis]
+        return np.where(ix < n // 2, ix, ix - n)
 
     def mode_wavevectors(self) -> np.ndarray:
-        """Materialize the band's modes as an (nmodes, d) integer array."""
-        per_axis = [self.axis_wavevectors(i) for i in range(self.dim)]
-        mesh = np.meshgrid(*per_axis, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        """Materialize the band's modes as an (nmodes, d) integer array,
+        rows in row-major sub-box order.  It is stored axis by axis, so
+        each column is contiguous for the per-axis sums symbols take."""
+        d = self.dim
+        out = np.empty((d,) + self.shape, dtype=np.int64)
+        for i in range(d):
+            out[i] = self.axis_wavevectors(i).reshape((-1,) + (1,) * (d - 1 - i))
+        return out.reshape(d, -1).T
 
     def flat_indices(self) -> np.ndarray:
         """Row-major positions of the band's modes in the flattened grid."""
-        mesh = np.meshgrid(*self.axis_indices, indexing="ij")
-        return np.ravel_multi_index(
-            [m.ravel() for m in mesh], self.grid.sizes
-        )
+        out = np.empty(self.nmodes, dtype=np.intp)
+        _write_flat_indices([self], out)
+        return out
 
     def selector(self) -> tuple:
         """np.ix_ selector for extracting the band's sub-box per component."""
@@ -132,7 +181,14 @@ def band_extrema(band: FrequencyBand, mode_exact: bool = True):
 
 @dataclass(eq=False)
 class Partition:
-    """A disjoint cover of all grid modes by bands plus a dc set."""
+    """A disjoint cover of all grid modes by bands plus a dc set.
+
+    ``perm`` is the band-major layout: the flat grid positions of the band
+    modes, band by sorted id and each band in row-major sub-box order,
+    then the dc set.  Band i occupies ``perm[offsets[i]:offsets[i + 1]]``
+    and the dc set ``perm[offsets[-1]:]``.  A builder that already wrote
+    the band part passes it in; otherwise it is written from the bands.
+    """
 
     grid: GridSpec
     base_scheme: str  # "tensorial" | "mra"
@@ -140,17 +196,24 @@ class Partition:
     bands: list
     dc_indices: np.ndarray
     dropped_empty: int = 0
-    _by_id: dict = field(default_factory=dict, repr=False)
+    perm: np.ndarray | None = field(default=None, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.bands = sorted(self.bands, key=FrequencyBand.sort_key)
-        self._by_id = {b.id: b for b in self.bands}
-        claimed = sum(b.nmodes for b in self.bands)
+        self._index = {b.id: i for i, b in enumerate(self.bands)}
+        self.offsets = np.cumsum([0] + [b.nmodes for b in self.bands])
+        claimed = int(self.offsets[-1])
         if claimed + len(self.dc_indices) != self.grid.npoints:
             raise PartitionConsistencyError(
                 f"bands + dc cover {claimed + len(self.dc_indices)} of "
                 f"{self.grid.npoints} modes"
             )
+        if self.perm is None:
+            self.perm = _layout_buffer(self.grid)
+            _write_flat_indices(self.bands, self.perm)
+        self.perm[claimed:] = self.dc_indices
 
     @property
     def scheme(self) -> str:
@@ -159,28 +222,31 @@ class Partition:
         return self.base_scheme
 
     def band(self, band_id) -> FrequencyBand:
-        return self._by_id[band_id]
+        return self.bands[self._index[band_id]]
+
+    def segment(self, band_id) -> slice:
+        """Positions of the band's modes in ``perm``."""
+        i = self._index[band_id]
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
     def check_disjoint(self) -> None:
-        """Exact set check: every mode claimed at most once."""
-        counts = _claim_counts(self.grid, self.bands)
-        counts[self.dc_indices] += 1
-        _check_claims(counts)
+        """Exact set check: every mode claimed by exactly one band or dc.
 
-
-def _claim_counts(grid: GridSpec, bands) -> np.ndarray:
-    """Flat count, per grid mode, of the bands whose box holds it."""
-    counts = np.zeros(grid.sizes, dtype=np.int32)
-    for b in bands:
-        counts[b.selector()] += 1
-    return counts.ravel()
-
-
-def _check_claims(counts: np.ndarray) -> None:
-    if counts.max() > 1:
-        raise PartitionConsistencyError("bands overlap")
-    if counts.min() < 1:
-        raise PartitionConsistencyError("bands and dc do not cover the grid")
+        A layout listing every grid position once passes at once.  Else
+        each band and the dc set claim their positions as sets, so a band
+        listing a mode twice leaves a gap rather than an overlap.
+        """
+        n = self.grid.npoints
+        counts = np.bincount(self.perm, minlength=n)
+        if counts.max() > 1:
+            counts = np.zeros(n, dtype=np.int32)
+            bounds = self.offsets.tolist() + [n]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                counts[self.perm[lo:hi]] += 1
+        if counts.max() > 1:
+            raise PartitionConsistencyError("bands overlap")
+        if counts.min() < 1:
+            raise PartitionConsistencyError("bands and dc do not cover the grid")
 
 
 def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
@@ -188,7 +254,9 @@ def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
 
     Each distinct (axis, lo, hi) interval is resolved once per build, so
     bands sharing it share its index array, which is made read-only.  The
-    dc set and the overlap and cover check come from one claim count.
+    band layout is written first and the dc set is what it leaves out.
+    Interval indices are unique, so an overlap leaves more band and dc
+    modes than grid modes, which the partition's mode count rejects.
     """
     mags = [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
     table = {}
@@ -201,12 +269,11 @@ def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
                 table[i, lo, hi] = ix
         idx = tuple(table[i, lo, hi] for i, (lo, hi) in enumerate(box))
         bands.append(FrequencyBand(grid, band_id, box, idx))
-    counts = _claim_counts(grid, bands)
-    dc = np.flatnonzero(counts == 0)
-    part = Partition(grid, scheme, 0, bands, dc)
-    counts[dc] += 1
-    _check_claims(counts)
-    return part
+    bands.sort(key=FrequencyBand.sort_key)
+    perm = _layout_buffer(grid)
+    claimed = _write_flat_indices(bands, perm)
+    dc = np.flatnonzero(np.bincount(perm[:claimed], minlength=grid.npoints) == 0)
+    return Partition(grid, scheme, 0, bands, dc, perm=perm)
 
 
 def build_tensorial_partition(grid: GridSpec) -> Partition:
@@ -307,15 +374,44 @@ class FamilyTag:
         return FamilyTag((0,) * dim)
 
 
+class _BandViews(Mapping):
+    """Band id -> (m, *sub-box) view of a band-major coefficient array."""
+
+    def __init__(self, partition: Partition, coeffs: np.ndarray):
+        self.partition, self.coeffs = partition, coeffs
+
+    def __getitem__(self, band_id) -> np.ndarray:
+        shape = (len(self.coeffs),) + self.partition.band(band_id).shape
+        return self.coeffs[:, self.partition.segment(band_id)].reshape(shape)
+
+    def __iter__(self):
+        return (b.id for b in self.partition.bands)
+
+    def __len__(self) -> int:
+        return len(self.partition.bands)
+
+
 @dataclass
 class BandedField:
-    """Per-band spectral restrictions of a field, plus the dc restriction."""
+    """A field's modes in its partition's band-major layout: column j of
+    ``coeffs`` is grid mode ``partition.perm[j]``."""
 
     partition: Partition
-    components: int
-    band_coeffs: dict  # band id -> complex array (m, *sub-box shape)
-    dc_coeffs: np.ndarray  # (m, n_dc)
+    coeffs: np.ndarray  # (m, npoints)
     family: FamilyTag
+
+    @property
+    def components(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def band_coeffs(self) -> Mapping:
+        """Band id -> the band's (m, *sub-box) coefficients, as views."""
+        return _BandViews(self.partition, self.coeffs)
+
+    @property
+    def dc_coeffs(self) -> np.ndarray:
+        return self.coeffs[:, self.partition.offsets[-1] :]
 
     def band_energy(self, band_id) -> float:
         return float(np.sum(np.abs(self.band_coeffs[band_id]) ** 2))
@@ -324,22 +420,24 @@ class BandedField:
         return float(np.sum(np.abs(self.dc_coeffs) ** 2))
 
     def total_energy(self) -> float:
-        return self.dc_energy() + sum(
-            self.band_energy(bid) for bid in self.band_coeffs
+        # One |x|^2 pass, then one pairwise sum per band over the band's
+        # values in the same order as band_energy, so the totals agree bit
+        # for bit; reduceat would sum in another order.
+        sq = np.abs(self.coeffs) ** 2
+        bounds = self.partition.offsets.tolist()
+        bands = sum(
+            float(np.sum(sq[:, lo:hi].ravel()))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
         )
+        return float(np.sum(sq[:, bounds[-1] :].ravel())) + bands
 
 
 def analyze(spec: SpectralField, part: Partition) -> BandedField:
-    """Split a spectrum into its band restrictions (lossless copy)."""
+    """Gather a spectrum into its partition's band-major layout (lossless)."""
     if spec.grid != part.grid:
         raise StructuralError("field and partition grids differ")
-    coeffs = {}
-    for b in part.bands:
-        coeffs[b.id] = spec.modes[(slice(None),) + b.selector()].copy()
-    dc = spec.flat()[:, part.dc_indices].copy()
-    return BandedField(
-        part, spec.components, coeffs, dc, FamilyTag.neutral(part.grid.dim)
-    )
+    coeffs = np.take(spec.flat(), part.perm, axis=1)  # C order, unlike [:, perm]
+    return BandedField(part, coeffs, FamilyTag.neutral(part.grid.dim))
 
 
 def _family_factor(nu: int, k: np.ndarray, scale: float) -> np.ndarray:
@@ -350,36 +448,46 @@ def _family_factor(nu: int, k: np.ndarray, scale: float) -> np.ndarray:
 
 
 def synthesize(banded: BandedField) -> SpectralField:
-    """Scatter band restrictions back into a full spectrum.
+    """Scatter band-major coefficients back into a full spectrum.
 
     For a non-neutral family tag each band coefficient is multiplied by the
     exact per-mode family factor; the neutral tag makes this the inverse of
     ``analyze`` down to the bit.
     """
     part = banded.partition
-    claimed = sum(b.nmodes for b in part.bands) + len(part.dc_indices)
-    if claimed != part.grid.npoints:
-        raise PartitionConsistencyError("corrupted partition")
-    out = np.zeros((banded.components,) + part.grid.sizes, dtype=complex)
-    nu = banded.family.nu
-    for b in part.bands:
-        block = banded.band_coeffs[b.id]
-        for axis, order in enumerate(nu):
-            if order == 0:
-                continue
-            k = b.axis_wavevectors(axis).astype(float)
-            factor = _family_factor(order, k, b.axis_scale(axis))
-            shape = [1] * (part.grid.dim + 1)
-            shape[axis + 1] = len(k)
-            block = block * factor.reshape(shape)
-        out[(slice(None),) + b.selector()] = block
-    out.reshape(banded.components, -1)[:, part.dc_indices] = banded.dc_coeffs
-    return SpectralField(part.grid, out)
+    coeffs = banded.coeffs
+    if any(banded.family.nu):
+        coeffs = coeffs.copy()
+        views = _BandViews(part, coeffs)
+        for b in part.bands:
+            block = views[b.id]
+            for axis, order in enumerate(banded.family.nu):
+                if order:
+                    k = b.axis_wavevectors(axis).astype(float)
+                    factor = _family_factor(order, k, b.axis_scale(axis))
+                    block *= factor.reshape((-1,) + (1,) * (b.dim - 1 - axis))
+    out = np.zeros_like(coeffs)
+    out[:, part.perm] = coeffs
+    return SpectralField(part.grid, out.reshape((len(coeffs),) + part.grid.sizes))
 
 
-def _require_tensorial(part: Partition, op: str) -> None:
+def _lemarie_setup(banded: BandedField, axis: int, op: str, step: int):
+    """Validate a Lemarie map on ``axis`` (1-based); return the per-mode
+    band factor 4 * axis scale, the effective dc wavevectors on the axis
+    and the family tag with the axis order moved by ``step``."""
+    part = banded.partition
     if part.base_scheme != "tensorial":
         raise UnsupportedSchemeError(f"{op} needs a tensorial partition")
+    if not 1 <= axis <= part.grid.dim:
+        raise ArityError(f"axis {axis} out of range for dimension {part.grid.dim}")
+    ax = axis - 1
+    scale = np.repeat(
+        [4.0 * b.axis_scale(ax) for b in part.bands], np.diff(part.offsets)
+    )
+    ix = np.unravel_index(part.dc_indices, part.grid.sizes)[ax]
+    nu = list(banded.family.nu)
+    nu[ax] += step
+    return scale, effective_axis_wavevectors(part.grid, ax)[ix], FamilyTag(tuple(nu))
 
 
 def apply_lemarie_derivative(banded: BandedField, axis: int) -> BandedField:
@@ -390,21 +498,9 @@ def apply_lemarie_derivative(banded: BandedField, axis: int) -> BandedField:
     equals i*k_axis times synthesis of the input exactly.  The dc modes are
     multiplied by i*k_axis directly (zero on the Nyquist plane).
     """
-    part = banded.partition
-    _require_tensorial(part, "derivation")
-    if not 1 <= axis <= part.grid.dim:
-        raise ArityError(f"axis {axis} out of range for dimension {part.grid.dim}")
-    ax = axis - 1
-    coeffs = {
-        b.id: banded.band_coeffs[b.id] * (4.0 * b.axis_scale(ax))
-        for b in part.bands
-    }
-    ix = np.unravel_index(part.dc_indices, part.grid.sizes)[ax]
-    dc = banded.dc_coeffs * (1j * effective_axis_wavevectors(part.grid, ax)[ix])
-    nu = tuple(
-        order - 1 if i == ax else order for i, order in enumerate(banded.family.nu)
-    )
-    return BandedField(part, banded.components, coeffs, dc, FamilyTag(nu))
+    scale, k, family = _lemarie_setup(banded, axis, "derivation", -1)
+    coeffs = banded.coeffs * np.concatenate([scale, 1j * k])
+    return BandedField(banded.partition, coeffs, family)
 
 
 def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
@@ -415,23 +511,13 @@ def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
     modes with zero (or Nyquist) component on the axis have no periodic
     antiderivative and are set to zero.
     """
-    part = banded.partition
-    _require_tensorial(part, "integration")
-    if not 1 <= axis <= part.grid.dim:
-        raise ArityError(f"axis {axis} out of range for dimension {part.grid.dim}")
-    ax = axis - 1
-    coeffs = {
-        b.id: banded.band_coeffs[b.id] / (4.0 * b.axis_scale(ax))
-        for b in part.bands
-    }
-    ix = np.unravel_index(part.dc_indices, part.grid.sizes)[ax]
-    k = effective_axis_wavevectors(part.grid, ax)[ix]
+    scale, k, family = _lemarie_setup(banded, axis, "integration", 1)
+    nb = len(scale)
+    coeffs = np.empty_like(banded.coeffs)
+    np.divide(banded.coeffs[:, :nb], scale, out=coeffs[:, :nb])
     inv = np.where(k == 0, 0.0, 1.0 / (1j * np.where(k == 0, 1.0, k)))
-    dc = banded.dc_coeffs * inv
-    nu = tuple(
-        order + 1 if i == ax else order for i, order in enumerate(banded.family.nu)
-    )
-    return BandedField(part, banded.components, coeffs, dc, FamilyTag(nu))
+    np.multiply(banded.coeffs[:, nb:], inv, out=coeffs[:, nb:])
+    return BandedField(banded.partition, coeffs, family)
 
 
 def dump_partition(part: Partition) -> str:

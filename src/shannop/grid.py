@@ -15,6 +15,7 @@ plane, which is the standard convention that keeps real fields real.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -49,7 +50,7 @@ class GridSpec:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def axis_wavevectors(self, axis: int) -> np.ndarray:
         """Integer wavevectors along ``axis`` in FFT layout (0-based axis)."""

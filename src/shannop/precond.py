@@ -311,17 +311,9 @@ def leray_rate_bounds(part: Partition, mode_exact: bool = False) -> list[RateBou
     bounds = []
     for band in part.bands:
         omega = band_omega(band)
-        ratios_lo, ratios_hi = [], []
-        if mode_exact:
-            for i in range(band.dim):
-                mags = np.abs(band.axis_wavevectors(i))
-                ratios_lo.append(mags.min() / omega[i])
-                ratios_hi.append(mags.max() / omega[i])
-        else:
-            for i, (lo, hi) in enumerate(band.box):
-                ratios_lo.append(lo / omega[i])
-                ratios_hi.append(hi / omega[i])
-        a, b = float(min(ratios_lo)), float(max(ratios_hi))
+        _, _, per_axis = band_extrema(band, mode_exact)
+        a = float(min(lo / w for (lo, _), w in zip(per_axis, omega)))
+        b = float(max(hi / w for (_, hi), w in zip(per_axis, omega)))
         bounds.append(
             RateBound(band.id, a, b, rate_kantorovich(a, b), FORMULA_KANTOROVICH)
         )

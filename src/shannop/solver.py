@@ -3,9 +3,9 @@ split, and the exact modewise oracles they are checked against.
 
 Everything runs in spectral space: a field is transformed once on entry and
 once on exit.  Both iterations are fixed per-mode linear recurrences.  Each
-solver starts by building a band-major plan: one gather of the spectrum
-into contiguous band order (sorted band ids, then the dc set) and per-mode
-coefficients.  One sweep loop, ``_iterate``, then runs ``S += r; r = g r``
+solver starts by building a plan: one gather of the spectrum into the
+partition's band-major layout (``Partition.perm``: sorted band ids, then
+the dc set) and per-mode coefficients in the same order.  One sweep loop, ``_iterate``, then runs ``S += r; r = g r``
 on contiguous arrays, and one scatter assembles the output on exit.  The
 order of every reduction is fixed, so reports are bit-reproducible for
 identical inputs.
@@ -307,14 +307,14 @@ def _iterate(r, g, scale, ref, report, cfg, observe=None):
 
 
 def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner):
-    """Gather order (band modes by sorted band id, then dc) and per-mode
-    G = Id - A P and P: ``band_recurrence`` on every band, and on dc modes
-    P the pseudo-inverse of A under the Nyquist convention.  One scalar per
-    mode for a scalar symbol with 1x1 entries, else one matrix per mode."""
+    """The partition's band-major order ``perm`` and, in that order,
+    per-mode G = Id - A P and P: ``band_recurrence`` on every band, and on
+    dc modes P the pseudo-inverse of A under the Nyquist convention.  One
+    scalar per mode for a scalar symbol with 1x1 entries, else one matrix
+    per mode."""
     part = pc.partition
     grid = part.grid
     dc = part.dc_indices
-    perm = np.concatenate([band.flat_indices() for band in part.bands] + [dc])
     gs, ps = zip(*(
         band_recurrence(A, pc.entries[band.id], band) for band in part.bands
     ))
@@ -333,7 +333,7 @@ def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner):
         p = pseudo_inverse(a)
         g = np.eye(a.shape[1]) - a @ p
     return (
-        perm,
+        part.perm,
         _real_if_exact(np.concatenate(gs + (g,))),
         _real_if_exact(np.concatenate(ps + (p,))),
     )
@@ -434,7 +434,7 @@ def helmholtz_decompose(
     # Band-major plan: per-mode wavevectors xi, c = w^2 / xi, the
     # eigenvalue lambda and the output vectors m, l.
     bands = part.bands
-    perm = np.concatenate([b.flat_indices() for b in bands])
+    perm = part.perm[: part.offsets[-1]]
     xi = np.concatenate([b.mode_wavevectors() for b in bands]).T.astype(float)
     w2 = np.repeat([band_omega(b) ** 2 for b in bands],
                    [b.nmodes for b in bands], axis=0).T

@@ -286,6 +286,22 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "alpha 1e+308" in err and "band (0, 0)" in err
 
+    def test_header_whose_mode_count_overflows_int64_exits_2(
+        self, tmp_path, capsys
+    ):
+        # 2^93 points: a product in int64 wraps to 0 and lets an empty
+        # sample section pass the length check.
+        path = tmp_path / "huge.swf"
+        path.write_bytes(b"SWF1" + struct.pack("<II3I", 3, 1, *[2**31] * 3))
+        code = run(["decompose", "--in", str(path)])
+        assert code == 2
+        assert "expected" in capsys.readouterr().err
+
+    def test_grid_too_large_for_an_int32_layout_exits_2(self, capsys):
+        code = run(["rates", "--grid", "65536x65536"])
+        assert code == 2
+        assert "int32" in capsys.readouterr().err
+
     def test_overflowing_alpha_in_library(self):
         part = sp.build_tensorial_partition(sp.GridSpec((16, 16)))
         with pytest.raises(ArityError, match=r"alpha .* band \(0, 0\)"):

@@ -56,6 +56,23 @@ def reference_wavevectors(band):
 
 
 @SETTINGS
+@given(part=partitions)
+def test_layout_is_the_band_positions_then_dc(part):
+    part = build(*part)
+    flat = []
+    for band in part.bands:
+        mesh = np.meshgrid(*band.axis_indices, indexing="ij")
+        want = np.ravel_multi_index([m.ravel() for m in mesh], part.grid.sizes)
+        assert np.array_equal(band.flat_indices(), want)
+        flat.append(want)
+    assert part.perm.dtype == np.int32
+    assert np.array_equal(part.perm, np.concatenate(flat + [part.dc_indices]))
+    assert np.array_equal(
+        part.offsets, np.cumsum([0] + [band.nmodes for band in part.bands])
+    )
+
+
+@SETTINGS
 @given(part=partitions, components=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_analyze_synthesize_and_energies_match_per_band_reference(
     part, components, seed
