@@ -80,6 +80,13 @@ def _write_flat_indices(bands, out: np.ndarray) -> int:
     return pos
 
 
+def _marked(positions: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the n grid modes that ``positions`` lists."""
+    mask = np.zeros(n, dtype=bool)
+    mask[positions] = True
+    return mask
+
+
 def _layout_buffer(grid: GridSpec) -> np.ndarray:
     if grid.npoints > np.iinfo(np.int32).max:
         raise StructuralError(
@@ -232,17 +239,18 @@ class Partition:
     def check_disjoint(self) -> None:
         """Exact set check: every mode claimed by exactly one band or dc.
 
-        A layout listing every grid position once passes at once.  Else
-        each band and the dc set claim their positions as sets, so a band
-        listing a mode twice leaves a gap rather than an overlap.
+        A layout of npoints positions that marks every grid mode lists
+        each once and passes.  Else each band and the dc set claim their
+        positions as sets, so a band listing a mode twice leaves a gap
+        rather than an overlap.
         """
         n = self.grid.npoints
-        counts = np.bincount(self.perm, minlength=n)
-        if counts.max() > 1:
-            counts = np.zeros(n, dtype=np.int32)
-            bounds = self.offsets.tolist() + [n]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                counts[self.perm[lo:hi]] += 1
+        if _marked(self.perm, n).all():
+            return
+        counts = np.zeros(n, dtype=np.int32)
+        bounds = self.offsets.tolist() + [n]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            counts[self.perm[lo:hi]] += 1
         if counts.max() > 1:
             raise PartitionConsistencyError("bands overlap")
         if counts.min() < 1:
@@ -272,7 +280,7 @@ def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
     bands.sort(key=FrequencyBand.sort_key)
     perm = _layout_buffer(grid)
     claimed = _write_flat_indices(bands, perm)
-    dc = np.flatnonzero(np.bincount(perm[:claimed], minlength=grid.npoints) == 0)
+    dc = np.flatnonzero(~_marked(perm[:claimed], grid.npoints))
     return Partition(grid, scheme, 0, bands, dc, perm=perm)
 
 
@@ -420,23 +428,24 @@ class BandedField:
         return float(np.sum(np.abs(self.dc_coeffs) ** 2))
 
     def total_energy(self) -> float:
-        # One |x|^2 pass, then one pairwise sum per band over the band's
-        # values in the same order as band_energy, so the totals agree bit
-        # for bit; reduceat would sum in another order.
-        sq = np.abs(self.coeffs) ** 2
-        bounds = self.partition.offsets.tolist()
-        bands = sum(
-            float(np.sum(sq[:, lo:hi].ravel()))
+        # Per segment, |x|^2 and one pairwise sum in band_energy's order,
+        # so totals agree bit for bit (reduceat sums in another order); no
+        # spectrum-sized temporary.
+        bounds = self.partition.offsets.tolist() + [self.coeffs.shape[1]]
+        energies = [
+            float(np.sum((np.abs(self.coeffs[:, lo:hi]) ** 2).ravel()))
             for lo, hi in zip(bounds[:-1], bounds[1:])
-        )
-        return float(np.sum(sq[:, bounds[-1] :].ravel())) + bands
+        ]
+        return energies[-1] + sum(energies[:-1])
 
 
 def analyze(spec: SpectralField, part: Partition) -> BandedField:
     """Gather a spectrum into its partition's band-major layout (lossless)."""
     if spec.grid != part.grid:
         raise StructuralError("field and partition grids differ")
-    coeffs = np.take(spec.flat(), part.perm, axis=1)  # C order, unlike [:, perm]
+    # Indexing with int32 needs no intp copy of perm, but its result is
+    # column-major when there are several components.
+    coeffs = np.ascontiguousarray(spec.flat()[:, part.perm])
     return BandedField(part, coeffs, FamilyTag.neutral(part.grid.dim))
 
 

@@ -86,6 +86,7 @@ def cmd_decompose(args) -> int:
     else:
         sys.stdout.write(text)
     spec = forward_transform(field)
+    del field  # the samples are not needed once transformed
     banded = analyze(spec, part)
     total = spec.l2_norm() ** 2
     err = abs(banded.total_energy() - total) / max(total, 1e-300)
