@@ -5,10 +5,10 @@ Everything runs in spectral space: a field is transformed once on entry and
 once on exit.  Both iterations are fixed per-mode linear recurrences.  Each
 solver starts by building a plan: one gather of the spectrum into the
 partition's band-major layout (``Partition.perm``: sorted band ids, then
-the dc set) and per-mode coefficients in the same order.  One sweep loop, ``_iterate``, then runs ``S += r; r = g r``
-on contiguous arrays, and one scatter assembles the output on exit.  The
-order of every reduction is fixed, so reports are bit-reproducible for
-identical inputs.
+the dc set) and per-mode coefficients in the same order.  One sweep loop,
+``_iterate``, then runs ``S += r; r = g r`` on contiguous arrays, and one
+scatter assembles the output on exit.  The order of every reduction is
+fixed, so reports are bit-reproducible for identical inputs.
 
 The dc set (zero mode, axis-zero planes, Nyquist planes) is excluded from
 every contraction theorem, so both solvers treat it by one exact modewise
