@@ -434,8 +434,11 @@ def helmholtz_decompose(
     # Band-major plan: per-mode wavevectors xi, c = w^2 / xi, the
     # eigenvalue lambda and the output vectors m, l.
     bands = part.bands
-    perm = part.perm[: part.offsets[-1]]
-    xi = np.concatenate([b.mode_wavevectors() for b in bands]).T.astype(float)
+    offsets = part.offsets.tolist()
+    perm = part.perm[: offsets[-1]]
+    xi = np.empty((d, offsets[-1]))
+    for b, lo, hi in zip(bands, offsets, offsets[1:]):
+        xi[:, lo:hi] = b.mode_wavevectors().T
     w2 = np.repeat([band_omega(b) ** 2 for b in bands],
                    [b.nmodes for b in bands], axis=0).T
     wsq = np.sum(w2, axis=0)
