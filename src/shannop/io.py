@@ -7,6 +7,7 @@ row-major within a component).  Write then read is bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -28,25 +29,26 @@ def write_field(field: RealField, path) -> None:
 
 
 def read_field(path) -> RealField:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != MAGIC:
-        raise StructuralError(f"{path}: not an SWF1 field file")
-    d, m = struct.unpack("<II", raw[4:12])
-    if not 1 <= d <= 3:
-        raise StructuralError(f"{path}: bad dimension {d}")
-    if m < 1:
-        raise StructuralError(f"{path}: field has no components")
-    if len(raw) < 12 + 4 * d:
-        raise StructuralError(f"{path}: truncated header")
-    sizes = struct.unpack(f"<{d}I", raw[12 : 12 + 4 * d])
-    grid = GridSpec(sizes)
-    offset = 12 + 4 * d
-    expected = m * grid.npoints * 8
-    if len(raw) != offset + expected:
-        raise StructuralError(
-            f"{path}: expected {expected} sample bytes, found {len(raw) - offset}"
-        )
-    values = np.frombuffer(raw, dtype="<f8", offset=offset).reshape(
-        (m,) + grid.sizes
-    )
-    return RealField(grid, values.astype(float))
+    """Read an SWF1 file.  The header and the file length are checked
+    before the samples are read, straight into one float64 array."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != MAGIC:
+            raise StructuralError(f"{path}: not an SWF1 field file")
+        d, m = struct.unpack("<II", head[4:12])
+        if not 1 <= d <= 3:
+            raise StructuralError(f"{path}: bad dimension {d}")
+        if m < 1:
+            raise StructuralError(f"{path}: field has no components")
+        raw_sizes = fh.read(4 * d)
+        if len(raw_sizes) < 4 * d:
+            raise StructuralError(f"{path}: truncated header")
+        grid = GridSpec(struct.unpack(f"<{d}I", raw_sizes))
+        expected = m * grid.npoints * 8
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            raise StructuralError(
+                f"{path}: expected {expected} sample bytes, found {found}"
+            )
+        values = np.fromfile(fh, dtype="<f8", count=expected // 8)
+    return RealField(grid, values.reshape((m,) + grid.sizes))
