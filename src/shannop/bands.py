@@ -194,7 +194,8 @@ class Partition:
     modes, band by sorted id and each band in row-major sub-box order,
     then the dc set.  Band i occupies ``perm[offsets[i]:offsets[i + 1]]``
     and the dc set ``perm[offsets[-1]:]``.  A builder that already wrote
-    the band part passes it in; otherwise it is written from the bands.
+    the band part passes it in, with the bands in sorted order; otherwise
+    the bands are sorted and it is written from them.
     """
 
     grid: GridSpec
@@ -208,7 +209,8 @@ class Partition:
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.bands = sorted(self.bands, key=FrequencyBand.sort_key)
+        if self.perm is None:
+            self.bands = sorted(self.bands, key=FrequencyBand.sort_key)
         self._index = {b.id: i for i, b in enumerate(self.bands)}
         self.offsets = np.cumsum([0] + [b.nmodes for b in self.bands])
         claimed = int(self.offsets[-1])
@@ -353,6 +355,12 @@ def refine_packet(part: Partition, depth: int) -> Partition:
         for combo in itertools.product(*pieces):
             new_path, box, idx = zip(*combo)
             bands.append(FrequencyBand(part.grid, (root_id, new_path), box, idx))
+    if part.packet_depth > 0:
+        # Sub-bands of different parents interleave in path order; refined
+        # from a base partition they come out sorted already.
+        bands.sort(key=FrequencyBand.sort_key)
+    perm = _layout_buffer(part.grid)
+    _write_flat_indices(bands, perm)
     refined = Partition(
         part.grid,
         part.base_scheme,
@@ -360,6 +368,7 @@ def refine_packet(part: Partition, depth: int) -> Partition:
         bands,
         part.dc_indices,
         dropped,
+        perm=perm,
     )
     refined.check_disjoint()
     return refined
