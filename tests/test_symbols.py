@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shannop as sp
 from shannop.errors import ArityError, SingularModeError, SymbolParseError
@@ -173,3 +175,51 @@ class TestParser:
             sp.parse_symbol("xi(1", dim=1)
         with pytest.raises(SymbolParseError):
             sp.parse_symbol("grad * grad", dim=2)
+
+
+def grammar_strings(dim):
+    """Random well-shaped grammar strings for ``dim``, drawn as (text, shape)
+    pairs built up from every built-in by '+', '-', '*' and unary minus."""
+    axes = st.integers(1, dim)
+    numbers = st.floats(0.0, 1e3).map(repr)
+    s, v = (1, 1), (dim, dim)
+    atoms = st.one_of(
+        st.just(("id", s)), st.just(("nlap", s)), numbers.map(lambda x: (x, s)),
+        axes.map(lambda a: (f"xi({a})", s)),
+        axes.map(lambda a: (f"xiinv({a})", s)),
+        numbers.map(lambda x: (f"ilap({x})", s)),
+        st.tuples(axes, axes).map(lambda ij: (f"delta({ij[0]},{ij[1]})", v)),
+        st.just(("grad", (dim, 1))), st.just(("div", (1, dim))),
+        st.just(("leray", v)),
+    )
+
+    def combine(args):
+        (a, sa), (b, sb), op = args
+        if op == "neg":
+            return f"-({a})", sa
+        if op in "+-":
+            return (f"({a} {op} {b})", sa) if sa == sb else None
+        if sa == s or sb == s:
+            return f"{a} * {b}", sb if sa == s else sa
+        return (f"{a} * {b}", (sa[0], sb[1])) if sa[1] == sb[0] else None
+
+    return st.recursive(
+        atoms,
+        lambda kids: st.tuples(
+            kids, kids, st.sampled_from(["+", "-", "*", "neg"])
+        ).map(combine).filter(lambda x: x is not None),
+        max_leaves=8,
+    ).map(lambda pair: pair[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_reflection_identity_of_parsed_symbols(data, dim, seed):
+    """M(-xi) == conj(M(xi)) at grid wavevectors, singular modes included
+    (zero on both sides); the half-spectrum solvers rest on it."""
+    text = data.draw(grammar_strings(dim))
+    expr = sp.parse_symbol(text, dim)
+    K = np.random.default_rng(seed).integers(-16, 16, (64, dim)).astype(float)
+    plus, _ = eval_many(expr, K, SingularModePolicy.ZERO)
+    minus, _ = eval_many(expr, -K, SingularModePolicy.ZERO)
+    assert np.array_equal(minus, np.conj(plus)), text
