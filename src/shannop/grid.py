@@ -52,6 +52,12 @@ class GridSpec:
     def npoints(self) -> int:
         return math.prod(self.sizes)
 
+    @property
+    def half_sizes(self) -> tuple[int, ...]:
+        """Shape of the half grid ``numpy.fft.rfftn`` returns: last-axis
+        indices 0..N_last/2 only."""
+        return self.sizes[:-1] + (self.sizes[-1] // 2 + 1,)
+
     def axis_wavevectors(self, axis: int) -> np.ndarray:
         """Integer wavevectors along ``axis`` in FFT layout (0-based axis)."""
         n = self.sizes[axis]
@@ -108,7 +114,7 @@ class RealField:
         return self.values.shape[0]
 
     def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return math.sqrt(sum_squares(self.values))
 
     def __add__(self, other: "RealField") -> "RealField":
         return RealField(self.grid, self.values + other.values)
@@ -143,7 +149,7 @@ class SpectralField:
         return self.modes.reshape(self.components, -1)
 
     def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.modes))
+        return math.sqrt(sum_squares(self.modes))
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.modes.copy())
@@ -178,6 +184,31 @@ def inverse_transform(
                 f"the field magnitude; spectrum does not represent a real field"
             )
     return RealField(spec.grid, values.real)
+
+
+def forward_half_transform(field: RealField) -> np.ndarray:
+    """Unitary DFT of each component on the half grid (``numpy.fft.rfftn``),
+    shape (m, *grid.half_sizes).  The modes it leaves out, last-axis index above
+    N_last/2, are the conjugates of their reflections."""
+    axes = tuple(range(1, field.grid.dim + 1))
+    return np.fft.rfftn(field.values, axes=axes, norm="ortho")
+
+
+def inverse_half_transform(grid: GridSpec, modes: np.ndarray) -> RealField:
+    """Inverse of ``forward_half_transform`` (``numpy.fft.irfftn``): the real
+    field whose spectrum is the Hermitian extension of ``modes``."""
+    axes = tuple(range(1, grid.dim + 1))
+    return RealField(grid, np.fft.irfftn(modes, s=grid.sizes, axes=axes, norm="ortho"))
+
+
+def sum_squares(x: np.ndarray) -> float:
+    """Sum of the squared real and imaginary parts of ``x``.
+
+    einsum's own loop, in a fixed order: a BLAS dot (``@``,
+    ``np.linalg.norm``) splits the sum by the BLAS thread count, so its
+    last digits depend on it."""
+    v = np.ascontiguousarray(x).view(float).ravel()
+    return float(np.einsum("i,i->", v, v))
 
 
 def is_hermitian(spec: SpectralField, tol: float = 1e-12) -> bool:

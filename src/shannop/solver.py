@@ -1,25 +1,33 @@
 """Band-preconditioned Richardson iteration, the iterative Helmholtz/Leray
 split, and the exact modewise oracles they are checked against.
 
-Everything runs in spectral space: a field is transformed once on entry and
-once on exit.  Both iterations are fixed per-mode linear recurrences.  Each
-solver starts by building a plan: one gather of the spectrum into the
+Both solvers run on the half spectrum of a real field: ``rfftn`` once on
+entry and ``irfftn`` once on exit.  Every symbol satisfies
+M(-xi) = conj(M(xi)) and every band holds both signs of each axis
+interval, so the modes with last-axis index above N_last/2 would only
+repeat the conjugates of the others.  Both iterations are fixed per-mode
+linear recurrences.  Each solver starts by building a plan: the
 partition's band-major layout (``Partition.perm``: sorted band ids, then
-the dc set) and per-mode coefficients in the same order.  One sweep loop,
-``_iterate``, then runs ``S += r; r = g r`` on contiguous arrays, and one
-scatter assembles the output on exit.  The order of every reduction is
-fixed, so reports are bit-reproducible for identical inputs.
+the dc set) cut to the half grid, one gather of the spectrum into it, and
+per-mode coefficients in the same order.  One sweep loop, ``_iterate``,
+then runs ``S += r; r = g r`` on contiguous arrays, and one scatter
+assembles the output on exit.  Residuals are full-spectrum norms: a
+half-spectrum value counts twice, for its mode and the mode's reflection,
+except on the self-conjugate planes k_last = 0 and k_last = -N_last/2,
+which count once.  Every reduction runs in a fixed order and without BLAS,
+so reports are bit-reproducible for identical inputs at any thread count.
 
-The dc set (zero mode, axis-zero planes, Nyquist planes) is excluded from
-every contraction theorem, so both solvers treat it by one exact modewise
-solve instead of iterating.
+The exact oracles stay on full complex spectra, an independent yardstick
+for the solvers.  The dc set (zero mode, axis-zero planes, Nyquist planes)
+is excluded from every contraction theorem, so both solvers treat it by
+one exact modewise solve instead of iterating.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,9 +46,11 @@ from .grid import (
     effective_axis_wavevectors,
     evaluate_modes,
     evaluate_on_grid,
+    forward_half_transform,
     forward_transform,
+    inverse_half_transform,
     inverse_transform,
-    ksq_table,
+    sum_squares,
 )
 from .precond import (
     BandPreconditioner,
@@ -164,16 +174,58 @@ def spectral_divergence(spec: SpectralField) -> np.ndarray:
 
 
 def _norm_scale(grid: GridSpec, t: float) -> np.ndarray | None:
-    """Square roots of the residual weights (1 + |k|^2)^t; None for l2."""
-    return None if t == 0.0 else (1.0 + ksq_table(grid)) ** (0.5 * t)
+    """Square roots of the residual weights (1 + |k|^2)^t on the half grid,
+    shaped ``grid.half_sizes``; None for l2."""
+    if t == 0.0:
+        return None
+    ksq = [grid.axis_wavevectors(i).astype(float) ** 2 for i in range(grid.dim)]
+    ksq[-1] = ksq[-1][: grid.half_sizes[-1]]
+    return (1.0 + sum(np.ix_(*ksq))) ** (0.5 * t)
 
 
-def _norm(x: np.ndarray, scale: np.ndarray | None = None) -> float:
-    """l2 norm of a complex array with the last axis weighted by ``scale``."""
+def _norm(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
+    """Full-spectrum l2 norm of half-spectrum values ``x``, the last axis
+    weighted by ``scale``.  Each value stands for its mode and the mode's
+    reflection, so it counts twice, except at the self-conjugate last-axis
+    positions ``sc`` (last-axis index 0 or N_last/2), which count once."""
     if scale is not None:
         x = x * scale
-    v = np.ascontiguousarray(x).view(float).ravel()
-    return float(np.sqrt(v @ v))
+    return math.sqrt(2.0 * sum_squares(x) - sum_squares(x[..., sc]))
+
+
+@dataclass(frozen=True)
+class _HalfLayout:
+    """The partition's band-major layout restricted to the half grid.
+
+    ``perm`` lists flat half-grid positions: the entries of
+    ``Partition.perm`` whose last-axis index is <= N_last/2, in the same
+    order.  Band i occupies ``perm[offsets[i]:offsets[i + 1]]`` and the dc
+    set ``perm[offsets[-1]:]``.  ``bands`` are the partition's bands with
+    their last-axis indices cut the same way, so their modes come in layout
+    order.  ``sc`` lists the layout positions of self-conjugate modes.
+    """
+
+    perm: np.ndarray
+    offsets: list
+    bands: list
+    sc: np.ndarray
+
+
+def _half_layout(part: Partition) -> _HalfLayout:
+    n = part.grid.sizes[-1]
+    h = n // 2
+    last = part.perm & (n - 1)  # n is a power of two
+    keep = last <= h
+    last = last[keep]
+    perm = (part.perm[keep] >> (n.bit_length() - 1)) * (h + 1)
+    perm += last
+    bands = []
+    for b in part.bands:
+        ix = b.axis_indices[-1]
+        bands.append(replace(b, axis_indices=b.axis_indices[:-1] + (ix[ix <= h],)))
+    offsets = np.cumsum([0] + [b.nmodes for b in bands]).tolist()
+    sc = np.flatnonzero((last == 0) | (last == h))
+    return _HalfLayout(perm, offsets, bands, sc)
 
 
 def _split_modes(kappa: np.ndarray, flat: np.ndarray):
@@ -266,14 +318,16 @@ def _finish(report: SolveReport) -> SolveReport:
     return report
 
 
-def _iterate(r, g, scale, ref, report, cfg, observe=None):
+def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
     """The sweep loop of both solvers: ``S += r; r = g r`` per mode.
 
-    ``g`` is one scalar (M,) or one matrix (M, n, n) per mode.  The loop
-    continues from the residual history and sweep count in ``report`` and
-    updates them in place; before each sweep it tests the last residual
-    for non-finite values, the stop, growth and the sweep cap.
-    ``observe(S)`` runs after each sweep.  Returns the accumulated S.
+    ``g`` is one scalar (M,) or one matrix (M, n, n) per mode.  Residuals
+    are measured by ``_norm`` with the self-conjugate positions ``sc`` and
+    weights ``scale``.  The loop continues from the residual history and
+    sweep count in ``report`` and updates them in place; before each sweep
+    it tests the last residual for non-finite values, the stop, growth and
+    the sweep cap.  ``observe(S)`` runs after each sweep.  Returns the
+    accumulated S.
     """
     S = np.zeros_like(r)
     history = report.residual_history
@@ -299,7 +353,7 @@ def _iterate(r, g, scale, ref, report, cfg, observe=None):
             r *= g
         else:
             r = np.einsum("kij,jk->ik", g, r)
-        history.append(_norm(r, scale))
+        history.append(_norm(r, sc, scale))
         if observe is not None:
             observe(S)
     _finish(report)
@@ -307,20 +361,21 @@ def _iterate(r, g, scale, ref, report, cfg, observe=None):
 
 
 def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner):
-    """The partition's band-major order ``perm`` and, in that order,
-    per-mode G = Id - A P and P: ``band_recurrence`` on every band, and on
-    dc modes P the pseudo-inverse of A under the Nyquist convention.  One
+    """The half layout of the partition and, in its order, per-mode
+    G = Id - A P and P: ``band_recurrence`` on every half band, and on dc
+    modes P the pseudo-inverse of A under the Nyquist convention.  One
     scalar per mode for a scalar symbol with 1x1 entries, else one matrix
     per mode."""
     part = pc.partition
     grid = part.grid
-    dc = part.dc_indices
+    half = _half_layout(part)
+    dc = half.perm[half.offsets[-1] :]
     gs, ps = zip(*(
-        band_recurrence(A, pc.entries[band.id], band) for band in part.bands
+        band_recurrence(A, pc.entries[band.id], band) for band in half.bands
     ))
     kdc = np.stack([
         grid.axis_wavevectors(i)[ix]
-        for i, ix in enumerate(np.unravel_index(dc, grid.sizes))
+        for i, ix in enumerate(np.unravel_index(dc, grid.half_sizes))
     ], axis=1)
     a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
     if gs[0].ndim == 1:
@@ -333,7 +388,7 @@ def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner):
         p = pseudo_inverse(a)
         g = np.eye(a.shape[1]) - a @ p
     return (
-        part.perm,
+        half,
         _real_if_exact(np.concatenate(gs + (g,))),
         _real_if_exact(np.concatenate(ps + (p,))),
     )
@@ -356,7 +411,8 @@ def richardson_solve(
     """
     cfg = cfg or SolveConfig()
     part = pc.partition
-    if v.grid != part.grid:
+    grid = v.grid
+    if grid != part.grid:
         raise ArityError("preconditioner partition grid differs from field grid")
     if not A.is_scalar and A.shape[1] != v.components:
         raise ArityError(
@@ -366,20 +422,24 @@ def richardson_solve(
 
     bounds = pc.rate_bounds()
     theoretical = _check_bounds(bounds, cfg.strict)
-    perm, g, p = _richardson_plan(A, pc)
-    scale = _norm_scale(v.grid, cfg.norm)
+    half, g, p = _richardson_plan(A, pc)
+    scale = _norm_scale(grid, cfg.norm)
     if scale is not None:
-        scale = scale[perm]
+        scale = scale.ravel()[half.perm]
 
-    r = forward_transform(v).flat()[:, perm]
-    ref = _norm(r, scale)
+    r = forward_half_transform(v).reshape(v.components, -1)[:, half.perm]
+    ref = _norm(r, half.sc, scale)
     report = SolveReport(0, [ref], float("nan"), theoretical, False, bounds)
-    S = _iterate(r, g, scale, ref, report, cfg)
+    S = _iterate(r, g, half.sc, scale, ref, report, cfg)
+    del r
 
-    u_flat = np.empty((ncols, v.grid.npoints), dtype=complex)
-    u_flat[:, perm] = p * S if p.ndim == 1 else np.einsum("kij,jk->ik", p, S)
-    u_spec = SpectralField(v.grid, u_flat.reshape((ncols,) + v.grid.sizes))
-    return inverse_transform(u_spec, check=False), report
+    u = np.empty((ncols,) + grid.half_sizes, dtype=complex)
+    if p.ndim == 1:
+        S *= p
+    else:
+        S = np.einsum("kij,jk->ik", p, S)
+    u.reshape(ncols, -1)[:, half.perm] = S
+    return inverse_half_transform(grid, u), report
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +479,29 @@ def helmholtz_decompose(
     bounds = leray_rate_bounds(part, mode_exact=False)
     theoretical = _check_bounds(bounds, cfg.strict)
     grid = u.grid
-    flat = forward_transform(u).flat()
+    half = _half_layout(part)
+    nb = half.offsets[-1]
+    perm, dc = half.perm[:nb], half.perm[nb:]
+    split = np.searchsorted(half.sc, nb)
+    sc, sc_dc = half.sc[:split], half.sc[split:] - nb
+    planes = [0, grid.sizes[-1] // 2]  # the self-conjugate last-axis indices
+    spec = forward_half_transform(u)
     scale = _norm_scale(grid, cfg.norm)
-    ref = _norm(flat, scale)
+    ref = _norm(spec, planes, scale)
+    flat = spec.reshape(d, -1)
 
     # Exact dc assignment along the effective wavevectors.
-    dc = part.dc_indices
     kdc = np.stack([
         effective_axis_wavevectors(grid, i)[ix]
-        for i, ix in enumerate(np.unravel_index(dc, grid.sizes))
+        for i, ix in enumerate(np.unravel_index(dc, grid.half_sizes))
     ])
     div_dc, curl_dc = _split_modes(kdc, flat[:, dc])
 
     # Band-major plan: per-mode wavevectors xi, c = w^2 / xi, the
     # eigenvalue lambda and the output vectors m, l.
-    bands = part.bands
-    offsets = part.offsets.tolist()
-    perm = part.perm[: offsets[-1]]
-    xi = np.empty((d, offsets[-1]))
+    bands = half.bands
+    offsets = half.offsets
+    xi = np.empty((d, nb))
     for b, lo, hi in zip(bands, offsets, offsets[1:]):
         xi[:, lo:hi] = b.mode_wavevectors().T
     w2 = np.repeat([band_omega(b) ** 2 for b in bands],
@@ -449,49 +514,54 @@ def helmholtz_decompose(
     m = c * (1.0 - lam) - l
 
     v0 = flat[:, perm]
-    sb = None if scale is None else scale[perm]
+    del spec, flat
+    sb = None if scale is None else scale.ravel()[perm]
     report = SolveReport(
-        0, [_norm(v0, sb)], float("nan"), theoretical, False, bounds, []
+        0, [_norm(v0, sc, sb)], float("nan"), theoretical, False, bounds, []
     )
     sweep = report.residual_history[0] > cfg.tol * ref
     if not sweep:
         v0[:] = 0.0
 
-    # Sweep 1 on the full vectors; its remainder is exactly c t.
+    # Sweep 1 on the full vectors; its remainder is exactly c t.  In place,
+    # v0 becomes v0 - lv1 and then mv1.
     lv1 = xi * (np.sum(c * v0, axis=0) / wsq)
-    y = v0 - lv1
-    t = np.sum(xi * y, axis=0) / wsq
-    mv1 = y - c * t
+    mv1 = v0
+    mv1 -= lv1
+    t = np.sum(xi * mv1, axis=0) / wsq
+    mv1 -= c * t
 
     # Divergence of the accumulated part, by linearity in S.
     dv1 = np.sum(xi * mv1, axis=0)
     xm = np.sum(xi * m, axis=0)
-    div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0)) ** 2
+    div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0), sc_dc) ** 2
 
     def observe(S):
         report.divergence_history.append(
-            math.sqrt(_norm(dv1 + xm * S) ** 2 + div_dc_sq)
+            math.sqrt(_norm(dv1 + xm * S, sc) ** 2 + div_dc_sq)
         )
 
     tscale = np.sqrt(csq) if sb is None else np.sqrt(csq) * sb
     if sweep:
         report.iterations = 1
-        report.residual_history.append(_norm(t, tscale))
+        report.residual_history.append(_norm(t, sc, tscale))
         observe(0.0)
-    S = _iterate(t, lam, tscale, ref, report, cfg, observe)
+    S = _iterate(t, lam, sc, tscale, ref, report, cfg, observe)
 
-    udiv = np.empty((d, grid.npoints), dtype=complex)
-    ucurl = np.empty_like(udiv)
-    udiv[:, perm] = mv1 + m * S
-    udiv[:, dc] = div_dc
-    ucurl[:, perm] = lv1 + l * S
-    ucurl[:, dc] = curl_dc
-    shape = (d,) + grid.sizes
-    div_spec = SpectralField(grid, udiv.reshape(shape))
+    # Both outputs go through one half-spectrum buffer, the divergence-free
+    # part first; its last divergence entry measures it (times i).
+    out = np.empty((d,) + grid.half_sizes, dtype=complex)
+    flat = out.reshape(d, -1)
+    mv1 += m * S
+    flat[:, perm] = mv1
+    flat[:, dc] = div_dc
     if report.divergence_history:
-        report.divergence_history[-1] = _norm(spectral_divergence(div_spec))
-    return (
-        inverse_transform(div_spec, check=False),
-        inverse_transform(SpectralField(grid, ucurl.reshape(shape)), check=False),
-        report,
-    )
+        kappa = [effective_axis_wavevectors(grid, i) for i in range(d)]
+        kappa[-1] = kappa[-1][: grid.half_sizes[-1]]
+        div = sum(k * comp for k, comp in zip(np.ix_(*kappa), out))
+        report.divergence_history[-1] = _norm(div, planes)
+    udiv = inverse_half_transform(grid, out)
+    lv1 += l * S
+    flat[:, perm] = lv1
+    flat[:, dc] = curl_dc
+    return udiv, inverse_half_transform(grid, out), report

@@ -23,10 +23,15 @@ def build(grid, scheme, depth):
     return sp.refine_packet(part, depth)
 
 
-def segments(part):
-    """Slices of each band's modes in the plan's band-major order."""
-    ends = np.cumsum([band.nmodes for band in part.bands])
-    return [slice(e - band.nmodes, e) for band, e in zip(part.bands, ends)]
+def segments(half):
+    """Slices of each half band's modes in the plan's band-major order."""
+    return [slice(lo, hi) for lo, hi in zip(half.offsets, half.offsets[1:])]
+
+
+def full_grid_positions(half, grid):
+    """Row-major full-grid positions of the modes the half layout names."""
+    n, h = grid.sizes[-1], grid.half_sizes[-1]
+    return (half.perm // h) * n + half.perm % h
 
 
 def diagonal_ilap_pair(part, alphas=(10.0, 1e3)):
@@ -73,18 +78,18 @@ def test_certificate_reads_the_scalar_plan(scheme, depth):
     part = build(sp.GridSpec((32, 32)), scheme, depth)
     sym = sp.ImplicitLaplacian(1e6)
     pc = sp.implicit_laplacian_precond(1e6, part)
-    _, g, _ = _richardson_plan(sym, pc)
+    half, g, _ = _richardson_plan(sym, pc)
     assert g.ndim == 1
-    for band, seg in zip(part.bands, segments(part)):
+    for band, seg in zip(part.bands, segments(half)):
         assert sp.sampled_contraction(sym, pc, band) == np.abs(g[seg]).max()
 
 
 def test_certificate_reads_the_matrix_plan():
     part = build(sp.GridSpec((32, 32)), "tensorial", 0)
     sym, pc = diagonal_ilap_pair(part)
-    _, g, _ = _richardson_plan(sym, pc)
+    half, g, _ = _richardson_plan(sym, pc)
     assert g.shape[1:] == (2, 2)
-    for band, seg in zip(part.bands, segments(part)):
+    for band, seg in zip(part.bands, segments(half)):
         sv = np.linalg.svd(g[seg], compute_uv=False)[:, 0].max()
         assert sp.sampled_contraction(sym, pc, band) == sv
 
@@ -98,9 +103,9 @@ def test_plan_matches_full_grid_evaluation(sizes, scheme, depth):
     part = build(grid, scheme, depth)
     sym = sp.ImplicitLaplacian(1e4)
     pc = sp.implicit_laplacian_precond(1e4, part)
-    perm, g, p = _richardson_plan(sym, pc)
+    half, g, p = _richardson_plan(sym, pc)
     vals, _ = evaluate_on_grid(sym, grid)
-    assert np.array_equal(g, 1.0 - vals[perm, 0, 0] * p)
+    assert np.array_equal(g, 1.0 - vals[full_grid_positions(half, grid), 0, 0] * p)
 
 
 def test_builder_rejects_symbol_entry_naming_the_band():

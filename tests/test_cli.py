@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +222,41 @@ class TestDecompose:
         assert out.read_text() == expected
         summary = capsys.readouterr().out
         assert "band_energy_rel_err" in summary
+
+
+class TestThreadIndependence:
+    """Reports and energies must not depend on the BLAS thread count: a
+    BLAS dot splits its sum per thread, so its last digits do.  512^2 is
+    large enough for OpenBLAS to split a dot."""
+
+    @staticmethod
+    def shannop(argv, threads, cwd):
+        env = dict(os.environ, OMP_NUM_THREADS=str(threads),
+                   OPENBLAS_NUM_THREADS=str(threads))
+        src = str(Path(sp.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "shannop.cli", *argv], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_outputs_equal_under_one_and_two_threads(self, tmp_path):
+        run(["gen-field", "--grid", "512x512", "--components", "2",
+             "--kind", "random", "--seed", "101", "--out",
+             str(tmp_path / "v.swf")])
+        outputs = []
+        for threads in (1, 2):
+            report = f"r{threads}.json"
+            self.shannop(["helmholtz", "--in", "v.swf", "--report", report],
+                         threads, tmp_path)
+            summary = self.shannop(["decompose", "--in", "v.swf"], threads,
+                                   tmp_path).splitlines()[-1]
+            outputs.append(((tmp_path / report).read_bytes(), summary))
+        assert outputs[0] == outputs[1]
 
 
 class TestVerify:
