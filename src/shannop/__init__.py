@@ -22,7 +22,9 @@ from .grid import (
     RealField,
     SpectralField,
     apply_modewise,
+    forward_half_transform,
     forward_transform,
+    inverse_half_transform,
     inverse_transform,
     sobolev_norm,
 )

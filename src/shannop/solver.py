@@ -50,6 +50,7 @@ from .grid import (
     forward_transform,
     inverse_half_transform,
     inverse_transform,
+    ksq_table,
     sum_squares,
 )
 from .precond import (
@@ -178,9 +179,8 @@ def _norm_scale(grid: GridSpec, t: float) -> np.ndarray | None:
     shaped ``grid.half_sizes``; None for l2."""
     if t == 0.0:
         return None
-    ksq = [grid.axis_wavevectors(i).astype(float) ** 2 for i in range(grid.dim)]
-    ksq[-1] = ksq[-1][: grid.half_sizes[-1]]
-    return (1.0 + sum(np.ix_(*ksq))) ** (0.5 * t)
+    ksq = ksq_table(grid).reshape(grid.sizes)[..., : grid.half_sizes[-1]]
+    return (1.0 + ksq) ** (0.5 * t)
 
 
 def _norm(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
