@@ -187,9 +187,10 @@ def inverse_transform(
 
 
 def forward_half_transform(field: RealField) -> np.ndarray:
-    """Unitary DFT of each component on the half grid (``numpy.fft.rfftn``),
-    shape (m, *grid.half_sizes).  The modes it leaves out, last-axis index above
-    N_last/2, are the conjugates of their reflections."""
+    """Unitary DFT of each component on the half grid
+    (``numpy.fft.rfftn``), shape (m, *grid.half_sizes).  The modes it
+    leaves out, last-axis index above N_last/2, are the conjugates of
+    their reflections."""
     axes = tuple(range(1, field.grid.dim + 1))
     return np.fft.rfftn(field.values, axes=axes, norm="ortho")
 
@@ -198,7 +199,8 @@ def inverse_half_transform(grid: GridSpec, modes: np.ndarray) -> RealField:
     """Inverse of ``forward_half_transform`` (``numpy.fft.irfftn``): the real
     field whose spectrum is the Hermitian extension of ``modes``."""
     axes = tuple(range(1, grid.dim + 1))
-    return RealField(grid, np.fft.irfftn(modes, s=grid.sizes, axes=axes, norm="ortho"))
+    values = np.fft.irfftn(modes, s=grid.sizes, axes=axes, norm="ortho")
+    return RealField(grid, values)
 
 
 def sum_squares(x: np.ndarray) -> float:

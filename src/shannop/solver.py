@@ -548,8 +548,9 @@ def helmholtz_decompose(
         observe(0.0)
     S = _iterate(t, lam, sc, tscale, ref, report, cfg, observe)
 
-    # Both outputs go through one half-spectrum buffer, the divergence-free
-    # part first; its last divergence entry measures it (times i).
+    # One half-spectrum buffer holds each output in turn, the
+    # divergence-free part first.  The last divergence entry is measured on
+    # it, without the factor i, which leaves the norm unchanged.
     out = np.empty((d,) + grid.half_sizes, dtype=complex)
     flat = out.reshape(d, -1)
     mv1 += m * S
