@@ -1,14 +1,24 @@
 """Transforms, norms, modewise application and field files."""
 
 import struct
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shannop as sp
 from shannop.errors import RealityViolationError, StructuralError
 from shannop.generate import random_field
-from shannop.grid import evaluate_on_grid, is_hermitian, ksq_table, wavevector_table
+from shannop.grid import (
+    evaluate_modes,
+    evaluate_on_grid,
+    is_hermitian,
+    ksq_table,
+    wavevector_table,
+)
+from shannop.symbols import eval_many
 
 
 def grid_points(grid):
@@ -176,6 +186,54 @@ class TestApplyModewise:
         K = wavevector_table(g)
         nyq_row = np.flatnonzero(K[:, 0] == -4)[0]
         assert vals[nyq_row, 0, 0] == 16.0
+
+
+# Symbols of each parity, built for a grid of dimension d: odd ones vanish
+# on a Nyquist plane of an odd axis under the averaging convention, even
+# ones keep their value there.
+SYMBOLS = {
+    "xi": lambda d: sp.Xi(d),
+    "gradient": lambda d: sp.Gradient(d),
+    "xi * nlap": lambda d: sp.Xi(1) * sp.NegLaplacian(),
+    "nlap": lambda d: sp.NegLaplacian(),
+    "ilap": lambda d: sp.ImplicitLaplacian(2.5),
+    "xi * xi": lambda d: sp.Xi(1) * sp.Xi(d),
+    "leray": lambda d: sp.LerayP(d),
+}
+
+
+def nyquist_average_reference(expr, grid, K):
+    """Row by row, the symbol averaged over the sign choices of the row's
+    Nyquist components (the symbol itself where there are none)."""
+    nyq = np.array([grid.nyquist(i) for i in range(grid.dim)], dtype=float)
+    rows = []
+    for k in K:
+        axes = np.flatnonzero(k == nyq)
+        acc = np.zeros(eval_many(expr, k[None])[0].shape[1:], dtype=complex)
+        for signs in product((1.0, -1.0), repeat=len(axes)):
+            ks = k.copy()
+            ks[axes] = np.array(signs) * np.abs(ks[axes])
+            acc += eval_many(expr, ks[None])[0][0]
+        rows.append(acc / 2 ** len(axes))
+    return np.array(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exps=st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.integers(2, 4)] * d)),
+    name=st.sampled_from(sorted(SYMBOLS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_modes_averages_each_nyquist_row(exps, name, seed):
+    grid = sp.GridSpec(tuple(2**e for e in exps))
+    expr = SYMBOLS[name](grid.dim)
+    table = wavevector_table(grid).astype(float)
+    rng = np.random.default_rng(seed)
+    K = table[rng.choice(len(table), size=min(len(table), 120), replace=False)]
+    values, _ = evaluate_modes(expr, grid, K)
+    np.testing.assert_array_equal(
+        values, nyquist_average_reference(expr, grid, K)
+    )
 
 
 def test_ksq_table_matches_wavevectors():

@@ -1,0 +1,42 @@
+"""Heap bounds, measured with tracemalloc, on the Helmholtz split and on
+SWF1 writes.  tracemalloc counts numpy's data buffers, so the peaks are
+deterministic for a given input shape."""
+
+import tracemalloc
+
+import pytest
+
+import shannop as sp
+from shannop.generate import random_field
+from shannop.io import write_field
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while ``fn(*args)`` runs, results included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("sizes", [(512, 512), (64, 64, 64)], ids=["512sq", "64cube"])
+def test_helmholtz_heap_peak_is_bounded_by_the_input(sizes, depth):
+    grid = sp.GridSpec(sizes)
+    part = sp.refine_packet(sp.build_tensorial_partition(grid), depth)
+    u = random_field(grid, grid.dim, seed=7)
+    nbytes = u.values.nbytes
+    peak = traced_peak(sp.helmholtz_decompose, u, part)
+    assert peak <= 8 * nbytes, f"heap peak {peak / nbytes:.2f}x the input"
+
+
+def test_write_field_streams_the_samples(tmp_path):
+    grid = sp.GridSpec((64, 64, 64))
+    field = random_field(grid, 1, seed=3)
+    path = tmp_path / "f.swf"
+    nbytes = field.values.nbytes
+    peak = traced_peak(write_field, field, path)
+    assert peak < nbytes / 2, f"writing allocated {peak / nbytes:.2f}x the samples"
+    assert path.stat().st_size == 24 + nbytes
