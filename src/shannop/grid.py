@@ -253,16 +253,18 @@ def evaluate_modes(
     """
     K = np.asarray(K, dtype=float)
     values, skipped = eval_many(expr, K, policy)
-    nyq = np.array([grid.nyquist(i) for i in range(grid.dim)], dtype=float)
-    on_nyq = K == nyq
-    rows = np.flatnonzero(on_nyq.any(axis=1))
+    # Group rows by which axes sit on the Nyquist plane, as a bitmask with
+    # bit i for axis i, then average the symbol over sign flips of those
+    # axes, one mask at a time (at most 2^d - 1 of them).
+    mask = sum((K[:, i] == grid.nyquist(i)) << i for i in range(grid.dim))
+    rows = np.flatnonzero(mask)
     if rows.size:
-        # Group rows by which axes sit on the Nyquist plane (at most 2^d-1
-        # patterns), then average the symbol over sign flips of those axes.
-        patterns = on_nyq[rows]
-        for pat in np.unique(patterns, axis=0):
-            sel = rows[np.all(patterns == pat, axis=1)]
-            flip_axes = np.flatnonzero(pat)
+        masks = mask[rows]
+        for pat in range(1, 2**grid.dim):
+            sel = rows[masks == pat]
+            if not sel.size:
+                continue
+            flip_axes = [i for i in range(grid.dim) if pat >> i & 1]
             acc = np.zeros_like(values[sel])
             for signs in product((1.0, -1.0), repeat=len(flip_axes)):
                 Ks = K[sel].copy()

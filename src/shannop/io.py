@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -20,12 +19,15 @@ MAGIC = b"SWF1"
 
 
 def write_field(field: RealField, path) -> None:
+    """Write an SWF1 file: the header, then the samples straight from the
+    field's array, with no copy of them in memory."""
     grid = field.grid
     header = MAGIC + struct.pack(
         f"<II{grid.dim}I", grid.dim, field.components, *grid.sizes
     )
-    data = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + data)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        np.ascontiguousarray(field.values, dtype="<f8").tofile(fh)
 
 
 def read_field(path) -> RealField:

@@ -447,6 +447,74 @@ def richardson_solve(
 # ---------------------------------------------------------------------------
 
 
+
+# Band positions of the half layout per block of the Helmholtz plan: its
+# per-mode vectors xi, c, l, m and sweep 1's outputs, (d, _BLOCK) each,
+# exist one block at a time and never for the whole layout.
+_BLOCK = 8192
+
+
+def _axis_sum(x: np.ndarray) -> np.ndarray:
+    """The rows of the (d, M) array ``x`` added first to last, which is how
+    ``np.sum(x, axis=0)`` adds a C-contiguous one, but for any M."""
+    s = x[0] + x[1]
+    for row in x[2:]:
+        s += row
+    return s
+
+
+def _leray_blocks(grid: GridSpec, half: _HalfLayout, omega_sq, v0, lam=None):
+    """Sweep 1 of the Leray iteration, block by block over the band
+    positions of the half layout.
+
+    Per mode, with xi its wavevector and w^2 its band's row of
+    ``omega_sq`` (nbands, d): c = w^2 / xi, the eigenvalue
+    lambda = 1 - |xi|^2 |c|^2 / |w|^4 (read from ``lam`` when given), the
+    output vectors l = xi |c|^2 / |w|^2 and m = c (1 - lambda) - l; and on
+    the band-major spectrum ``v0`` (d, M) lv1 = xi (c.v0) / |w|^2, the
+    remainder coefficient t = xi.(v0 - lv1) / |w|^2 and
+    mv1 = v0 - lv1 - c t.  Yields (slice, xi, lambda, |c|^2, l, m, lv1,
+    mv1, t) per block.
+    """
+    d = grid.dim
+    offsets = np.asarray(half.offsets)
+    nb = half.offsets[-1]
+    wsq_band = np.sum(omega_sq, axis=1)
+    omega_sq = omega_sq.T
+    hl = grid.half_sizes[-1]
+    for lo in range(0, nb, _BLOCK):
+        hi = min(lo + _BLOCK, nb)
+        sl = slice(lo, hi)
+        first = int(np.searchsorted(offsets, lo, "right")) - 1
+        last = int(np.searchsorted(offsets, hi))
+        counts = np.diff(np.clip(offsets[first : last + 1], lo, hi))
+        # Axis indices by shifts and masks (every size is a power of two),
+        # then k = ix below the middle and ix - n from it on.
+        pos = half.perm[sl]
+        row = pos // hl
+        xi = np.empty((d, hi - lo))
+        xi[-1] = pos - row * hl
+        for i in range(d - 2, -1, -1):
+            n = grid.sizes[i]
+            xi[i] = ((row + n // 2) & (n - 1)) - n // 2
+            row >>= n.bit_length() - 1
+        wsq = np.repeat(wsq_band[first:last], counts)
+        c = np.repeat(omega_sq[:, first:last], counts, axis=1)
+        c /= xi
+        csq = _axis_sum(c**2)
+        if lam is None:
+            lam_b = 1.0 - _axis_sum(xi**2) * csq / wsq**2
+        else:
+            lam_b = lam[sl]
+        l = xi * (csq / wsq)
+        m = c * (1.0 - lam_b) - l
+        lv1 = xi * (_axis_sum(c * v0[:, sl]) / wsq)
+        mv1 = v0[:, sl] - lv1
+        t = _axis_sum(xi * mv1) / wsq
+        mv1 -= c * t
+        yield sl, xi, lam_b, csq, l, m, lv1, mv1, t
+
+
 def helmholtz_decompose(
     u: RealField,
     part: Partition,
@@ -464,6 +532,14 @@ def helmholtz_decompose(
     divergence-free part has zero spectral divergence after every sweep,
     not just at convergence.  The dc set is assigned exactly up front
     (mean to the divergence-free part).
+
+    Besides the gathered band spectrum v0, the plan keeps one value per
+    band mode for each of t, lambda, |c| times the norm weight and the two
+    roundoff terms of the divergence entry, and the sweep loop adds the
+    accumulator S.  The d-vectors xi, c, l, m and sweep 1's outputs exist
+    only block by block (``_leray_blocks``): once to fill the plan, and
+    once at exit to assemble u_div = v0 - lv1 - c t_1 + m S and
+    u_curl = lv1 + l S straight into half spectra.
     """
     cfg = cfg or SolveConfig()
     d = u.grid.dim
@@ -496,25 +572,10 @@ def helmholtz_decompose(
         for i, ix in enumerate(np.unravel_index(dc, grid.half_sizes))
     ])
     div_dc, curl_dc = _split_modes(kdc, flat[:, dc])
-
-    # Band-major plan: per-mode wavevectors xi, c = w^2 / xi, the
-    # eigenvalue lambda and the output vectors m, l.
-    bands = half.bands
-    offsets = half.offsets
-    xi = np.empty((d, nb))
-    for b, lo, hi in zip(bands, offsets, offsets[1:]):
-        xi[:, lo:hi] = b.mode_wavevectors().T
-    w2 = np.repeat([band_omega(b) ** 2 for b in bands],
-                   [b.nmodes for b in bands], axis=0).T
-    wsq = np.sum(w2, axis=0)
-    c = w2 / xi
-    csq = np.sum(c**2, axis=0)
-    lam = 1.0 - np.sum(xi**2, axis=0) * csq / wsq**2
-    l = xi * (csq / wsq)
-    m = c * (1.0 - lam) - l
+    div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0), sc_dc) ** 2
 
     v0 = flat[:, perm]
-    del spec, flat
+    del spec, flat, kdc
     sb = None if scale is None else scale.ravel()[perm]
     report = SolveReport(
         0, [_norm(v0, sc, sb)], float("nan"), theoretical, False, bounds, []
@@ -523,46 +584,61 @@ def helmholtz_decompose(
     if not sweep:
         v0[:] = 0.0
 
-    # Sweep 1 on the full vectors; its remainder is exactly c t.  In place,
-    # v0 becomes v0 - lv1 and then mv1.
-    lv1 = xi * (np.sum(c * v0, axis=0) / wsq)
-    mv1 = v0
-    mv1 -= lv1
-    t = np.sum(xi * mv1, axis=0) / wsq
-    mv1 -= c * t
+    # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
+    # divergence of the accumulated part is dv1 + xm S, by linearity in S.
+    omega_sq = np.array([band_omega(b) for b in part.bands]) ** 2
+    lam = np.empty(nb)
+    tscale = np.empty(nb)
+    t = np.empty(nb, dtype=complex)
+    dv1 = np.empty(nb, dtype=complex)
+    xm = np.empty(nb)
+    for sl, xi, lam_b, csq, _, m, _, mv1, t_b in _leray_blocks(
+        grid, half, omega_sq, v0
+    ):
+        lam[sl] = lam_b
+        tscale[sl] = np.sqrt(csq) if sb is None else np.sqrt(csq) * sb[sl]
+        t[sl] = t_b
+        dv1[sl] = _axis_sum(xi * mv1)
+        xm[sl] = _axis_sum(xi * m)
+    del sb
 
-    # Divergence of the accumulated part, by linearity in S.
-    dv1 = np.sum(xi * mv1, axis=0)
-    xm = np.sum(xi * m, axis=0)
-    div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0), sc_dc) ** 2
+    buf = np.empty_like(dv1)
 
     def observe(S):
+        np.multiply(xm, S, out=buf)
+        np.add(buf, dv1, out=buf)
         report.divergence_history.append(
-            math.sqrt(_norm(dv1 + xm * S, sc) ** 2 + div_dc_sq)
+            math.sqrt(_norm(buf, sc) ** 2 + div_dc_sq)
         )
 
-    tscale = np.sqrt(csq) if sb is None else np.sqrt(csq) * sb
     if sweep:
         report.iterations = 1
         report.residual_history.append(_norm(t, sc, tscale))
         observe(0.0)
     S = _iterate(t, lam, sc, tscale, ref, report, cfg, observe)
+    del t, tscale, dv1, xm, buf
 
-    # One half-spectrum buffer holds each output in turn, the
-    # divergence-free part first.  The last divergence entry is measured on
-    # it, without the factor i, which leaves the norm unchanged.
-    out = np.empty((d,) + grid.half_sizes, dtype=complex)
-    flat = out.reshape(d, -1)
-    mv1 += m * S
-    flat[:, perm] = mv1
-    flat[:, dc] = div_dc
+    # The outputs, block by block into half spectra.  The last divergence
+    # entry is measured on u_div, without the factor i, which leaves the
+    # norm unchanged.
+    udiv = np.empty((d,) + grid.half_sizes, dtype=complex)
+    ucurl = np.empty_like(udiv)
+    fdiv, fcurl = udiv.reshape(d, -1), ucurl.reshape(d, -1)
+    for sl, _, _, _, l, m, lv1, mv1, _ in _leray_blocks(
+        grid, half, omega_sq, v0, lam
+    ):
+        mv1 += m * S[sl]
+        lv1 += l * S[sl]
+        fdiv[:, perm[sl]] = mv1
+        fcurl[:, perm[sl]] = lv1
+    fdiv[:, dc] = div_dc
+    fcurl[:, dc] = curl_dc
+    del v0, S, lam, fdiv, fcurl
     if report.divergence_history:
         kappa = [effective_axis_wavevectors(grid, i) for i in range(d)]
         kappa[-1] = kappa[-1][: grid.half_sizes[-1]]
-        div = sum(k * comp for k, comp in zip(np.ix_(*kappa), out))
+        div = sum(k * comp for k, comp in zip(np.ix_(*kappa), udiv))
         report.divergence_history[-1] = _norm(div, planes)
-    udiv = inverse_half_transform(grid, out)
-    lv1 += l * S
-    flat[:, perm] = lv1
-    flat[:, dc] = curl_dc
-    return udiv, inverse_half_transform(grid, out), report
+        del div
+    udiv = inverse_half_transform(grid, udiv)
+    return udiv, inverse_half_transform(grid, ucurl), report
