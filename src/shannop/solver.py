@@ -447,7 +447,6 @@ def richardson_solve(
 # ---------------------------------------------------------------------------
 
 
-
 # Band positions of the half layout per block of the Helmholtz plan: its
 # per-mode vectors xi, c, l, m and sweep 1's outputs, (d, _BLOCK) each,
 # exist one block at a time and never for the whole layout.
