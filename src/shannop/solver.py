@@ -57,7 +57,6 @@ from .precond import (
     BandPreconditioner,
     RateBound,
     _real_if_exact,
-    band_omega,
     band_recurrence,
     leray_rate_bounds,
     pseudo_inverse,
@@ -487,8 +486,9 @@ def _leray_blocks(grid: GridSpec, half: _HalfLayout, omega_sq, v0, lam=None):
         first = int(np.searchsorted(offsets, lo, "right")) - 1
         last = int(np.searchsorted(offsets, hi))
         counts = np.diff(np.clip(offsets[first : last + 1], lo, hi))
-        # Axis indices by shifts and masks (every size is a power of two),
-        # then k = ix below the middle and ix - n from it on.
+        # On the half grid the last-axis index is k itself (no band mode
+        # sits at N/2); the others come by shifts and masks, since every
+        # size is a power of two, and k = ix below N/2, ix - N from it on.
         pos = half.perm[sl]
         row = pos // hl
         xi = np.empty((d, hi - lo))
@@ -585,7 +585,9 @@ def helmholtz_decompose(
 
     # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
     # divergence of the accumulated part is dv1 + xm S, by linearity in S.
-    omega_sq = np.array([band_omega(b) for b in part.bands]) ** 2
+    # The bands' squared scales, band_omega's lower box edges read in one
+    # pass; leray_rate_bounds has already refused a band at zero frequency.
+    omega_sq = np.array([[lo for lo, _ in b.box] for b in part.bands]) ** 2
     lam = np.empty(nb)
     tscale = np.empty(nb)
     t = np.empty(nb, dtype=complex)
