@@ -583,11 +583,12 @@ def helmholtz_decompose(
     if not sweep:
         v0[:] = 0.0
 
-    # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
-    # divergence of the accumulated part is dv1 + xm S, by linearity in S.
-    # The bands' squared scales, band_omega's lower box edges read in one
+    # The bands' squared scales: band_omega's lower box edges, read in one
     # pass; leray_rate_bounds has already refused a band at zero frequency.
     omega_sq = np.array([[lo for lo, _ in b.box] for b in part.bands]) ** 2
+
+    # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
+    # divergence of the accumulated part is dv1 + xm S, by linearity in S.
     lam = np.empty(nb)
     tscale = np.empty(nb)
     t = np.empty(nb, dtype=complex)
@@ -603,13 +604,9 @@ def helmholtz_decompose(
         xm[sl] = _axis_sum(xi * m)
     del sb
 
-    buf = np.empty_like(dv1)
-
     def observe(S):
-        np.multiply(xm, S, out=buf)
-        np.add(buf, dv1, out=buf)
         report.divergence_history.append(
-            math.sqrt(_norm(buf, sc) ** 2 + div_dc_sq)
+            math.sqrt(_norm(dv1 + xm * S, sc) ** 2 + div_dc_sq)
         )
 
     if sweep:
@@ -617,7 +614,7 @@ def helmholtz_decompose(
         report.residual_history.append(_norm(t, sc, tscale))
         observe(0.0)
     S = _iterate(t, lam, sc, tscale, ref, report, cfg, observe)
-    del t, tscale, dv1, xm, buf
+    del t, tscale, dv1, xm
 
     # The outputs, block by block into half spectra.  The last divergence
     # entry is measured on u_div, without the factor i, which leaves the
