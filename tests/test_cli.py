@@ -164,6 +164,13 @@ class TestRates:
                     "--csv", str(tmp_path / "r.csv")])
         assert code == 2
 
+    def test_leray_on_an_mra_partition_exits_2(self, capsys):
+        code = run(["rates", "--operator", "leray", "--scheme", "mra",
+                    "--grid", "32x32"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "band (0, (0, 1)) touches zero frequency" in err
+
 
 class TestSweepCap:
     """Reaching --max-iter before --tol exits 3 and says so on stderr."""

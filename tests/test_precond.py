@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shannop as sp
 from shannop.errors import ArityError, NotInvertibleOnBandError
 from shannop.precond import (
+    RateBound,
     band_omega,
     leray_lambda,
     leray_matrices,
     leray_rate_bounds,
+    rate_kantorovich,
 )
 from shannop.symbols import eval_many
 
@@ -187,6 +191,28 @@ class TestLerayOperators:
         part = sp.build_mra_partition(sp.GridSpec((8, 8)))
         with pytest.raises(ArityError):
             sp.leray_band_operators(part.band((1, (1, 0))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exps=st.integers(1, 3).flatmap(
+        lambda dim: st.tuples(*([st.integers(2, 5)] * dim))
+    ),
+    depth=st.integers(0, 2),
+)
+def test_leray_rate_bounds_are_the_per_band_box_ratios(exps, depth):
+    """Each band's Kantorovich bound over the per-axis ratios of its box
+    edges to its scales ``band_omega``, field for field."""
+    part = sp.refine_packet(tensorial(tuple(2**e for e in exps)), depth)
+    expected = []
+    for band in part.bands:
+        omega = band_omega(band)
+        a = float(min(lo / w for (lo, _), w in zip(band.box, omega)))
+        b = float(max(hi / w for (_, hi), w in zip(band.box, omega)))
+        expected.append(
+            RateBound(band.id, a, b, rate_kantorovich(a, b), "kantorovich")
+        )
+    assert leray_rate_bounds(part) == expected
 
 
 class TestSampledContraction:
