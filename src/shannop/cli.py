@@ -152,7 +152,7 @@ def cmd_rates(args) -> int:
 
     rows = []
     if operator.strip() == "leray":
-        bounds = leray_rate_bounds(part, mode_exact=False)
+        bounds = leray_rate_bounds(part)
         for band, rb in zip(part.bands, bounds):
             lam = leray_lambda(
                 band_omega(band), band.mode_wavevectors().astype(float)

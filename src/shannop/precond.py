@@ -1,9 +1,8 @@
 """Per-band approximation operators and their contraction-rate bounds.
 
-A band preconditioner assigns each band of a partition either a constant
-real matrix or a band-parameterized symbol approximating the target symbol
-on that band; dc modes are always solved by an exact modewise pseudo-inverse
-of the target.  Closed-form constructions:
+A band preconditioner assigns each band of a partition a constant real
+matrix approximating the target symbol on that band; dc modes are always
+solved by an exact modewise pseudo-inverse of the target.  Closed-form constructions:
 
 * the optimal constant for a positive scalar symbol, equalizing the relative
   deviation at the band's extreme values;
@@ -16,7 +15,7 @@ of the target.  Closed-form constructions:
 No general minimax optimizer over matrix approximants is provided; the
 achieved contraction is certified a posteriori by ``sampled_contraction``.
 The certificate and the Richardson plan read the same per-mode
-coefficients from ``band_recurrence``, which needs constant entries.
+coefficients from ``band_recurrence``.
 """
 
 from __future__ import annotations
@@ -59,15 +58,10 @@ class RateBound:
 
 @dataclass
 class BandEntry:
-    """Approximation operator on one band: a constant matrix or a symbol."""
+    """Approximation operator on one band: a constant matrix."""
 
-    matrix: np.ndarray | None = None
-    symbol: SymbolExpr | None = None
+    matrix: np.ndarray
     stats: dict | None = None
-
-    @property
-    def is_constant(self) -> bool:
-        return self.matrix is not None
 
 
 @dataclass
@@ -107,8 +101,6 @@ class BandPreconditioner:
         """Copy with one band's constant entry scaled (perturbation probe)."""
         entries = dict(self.entries)
         old = entries[band_id]
-        if not old.is_constant:
-            raise ArityError("can only scale constant entries")
         entries[band_id] = BandEntry(matrix=old.matrix * factor, stats=old.stats)
         return BandPreconditioner(
             self.partition, self.target, entries, "custom", self.mode_exact
@@ -305,17 +297,16 @@ def leray_lambda(omega: np.ndarray, K: np.ndarray) -> np.ndarray:
     )
 
 
-def leray_rate_bounds(part: Partition, mode_exact: bool = False) -> list[RateBound]:
-    """Kantorovich bounds per band from the per-axis frequency-to-scale
-    ratios (continuous box edges by default)."""
+def leray_rate_bounds(part: Partition) -> list[RateBound]:
+    """Kantorovich bounds per band from the per-axis ratios of the box
+    edges to the band's scales, its lower edges: a = 1 and
+    b = max_i hi_i / lo_i."""
     bounds = []
     for band in part.bands:
-        omega = band_omega(band)
-        _, _, per_axis = band_extrema(band, mode_exact)
-        a = float(min(lo / w for (lo, _), w in zip(per_axis, omega)))
-        b = float(max(hi / w for (_, hi), w in zip(per_axis, omega)))
+        lows = band_omega(band)
+        b = float(max(hi / lo for (_, hi), lo in zip(band.box, lows)))
         bounds.append(
-            RateBound(band.id, a, b, rate_kantorovich(a, b), FORMULA_KANTOROVICH)
+            RateBound(band.id, 1.0, b, rate_kantorovich(1.0, b), FORMULA_KANTOROVICH)
         )
     return bounds
 
@@ -329,18 +320,16 @@ def _real_if_exact(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.real) if not np.any(x.imag) else x
 
 
-def band_recurrence(sym: SymbolExpr, entry: BandEntry, band: FrequencyBand):
-    """Per-mode coefficients of the band iteration: G = Id - A(k) P and
-    P = entry^+, one scalar per mode for a scalar symbol with a 1x1 entry,
-    else one matrix per mode.
+def band_recurrence(sym: SymbolExpr, entry: BandEntry, K: np.ndarray):
+    """Per-mode coefficients of the band iteration at the band's
+    wavevectors K (M, d): G = Id - A(k) P and P = entry^+, one scalar per
+    mode for a scalar symbol with a 1x1 entry, else one matrix per mode.
 
     No band mode of any scheme lies on a Nyquist plane, so the symbol is
-    evaluated directly at the band's wavevectors.
+    evaluated directly at K.
     """
-    if not entry.is_constant:
-        raise ArityError(f"band {band.id}: the solver needs a constant entry")
     E = entry.matrix
-    a, _ = eval_many(sym, band.mode_wavevectors())
+    a, _ = eval_many(sym, K)
     if sym.is_scalar and E.shape == (1, 1):
         a = _real_if_exact(a[:, 0, 0])
         p = np.full(len(a), 1.0 / E[0, 0])
@@ -359,7 +348,7 @@ def sampled_contraction(
     empirical certificate for the bound."""
     if isinstance(band, tuple):
         band = pc.partition.band(band)
-    g, _ = band_recurrence(sym, pc.entries[band.id], band)
+    g, _ = band_recurrence(sym, pc.entries[band.id], band.mode_wavevectors())
     if g.ndim == 1:
         return float(np.abs(g).max())
     return float(np.linalg.svd(g, compute_uv=False)[:, 0].max())

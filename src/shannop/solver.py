@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,14 +199,12 @@ class _HalfLayout:
     ``perm`` lists flat half-grid positions: the entries of
     ``Partition.perm`` whose last-axis index is <= N_last/2, in the same
     order.  Band i occupies ``perm[offsets[i]:offsets[i + 1]]`` and the dc
-    set ``perm[offsets[-1]:]``.  ``bands`` are the partition's bands with
-    their last-axis indices cut the same way, so their modes come in layout
-    order.  ``sc`` lists the layout positions of self-conjugate modes.
+    set ``perm[offsets[-1]:]``.  ``sc`` lists the layout positions of
+    self-conjugate modes.
     """
 
     perm: np.ndarray
     offsets: list
-    bands: list
     sc: np.ndarray
 
 
@@ -218,13 +216,30 @@ def _half_layout(part: Partition) -> _HalfLayout:
     last = last[keep]
     perm = (part.perm[keep] >> (n.bit_length() - 1)) * (h + 1)
     perm += last
-    bands = []
-    for b in part.bands:
-        ix = b.axis_indices[-1]
-        bands.append(replace(b, axis_indices=b.axis_indices[:-1] + (ix[ix <= h],)))
-    offsets = np.cumsum([0] + [b.nmodes for b in bands]).tolist()
+    # A band keeps the sub-box rows whose last-axis index is <= N_last/2.
+    counts = [
+        math.prod(b.shape[:-1]) * int(np.count_nonzero(b.axis_indices[-1] <= h))
+        for b in part.bands
+    ]
+    offsets = np.cumsum([0] + counts).tolist()
     sc = np.flatnonzero((last == 0) | (last == h))
-    return _HalfLayout(perm, offsets, bands, sc)
+    return _HalfLayout(perm, offsets, sc)
+
+
+def _half_wavevectors(grid: GridSpec, pos: np.ndarray) -> np.ndarray:
+    """Integer wavevectors, (d, M) float, of the flat half-grid positions
+    ``pos``.  Every size is a power of two, so the axis indices come by
+    shifts and masks, and index ix maps to ix below N/2 and to ix - N from
+    N/2 on, as ``GridSpec.axis_wavevectors`` maps it."""
+    n = grid.sizes[-1]
+    row = pos // (n // 2 + 1)
+    xi = np.empty((grid.dim, len(pos)))
+    xi[-1] = ((pos - row * (n // 2 + 1) + n // 2) & (n - 1)) - n // 2
+    for i in range(grid.dim - 2, -1, -1):
+        n = grid.sizes[i]
+        xi[i] = ((row + n // 2) & (n - 1)) - n // 2
+        row >>= n.bit_length() - 1
+    return xi
 
 
 def _split_modes(kappa: np.ndarray, flat: np.ndarray):
@@ -361,21 +376,21 @@ def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
 
 def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner):
     """The half layout of the partition and, in its order, per-mode
-    G = Id - A P and P: ``band_recurrence`` on every half band, and on dc
-    modes P the pseudo-inverse of A under the Nyquist convention.  One
-    scalar per mode for a scalar symbol with 1x1 entries, else one matrix
-    per mode."""
+    G = Id - A P and P: ``band_recurrence`` at the wavevectors of each
+    band's segment of the layout, and on dc modes P the pseudo-inverse of A
+    under the Nyquist convention.  One scalar per mode for a scalar symbol
+    with 1x1 entries, else one matrix per mode."""
     part = pc.partition
     grid = part.grid
     half = _half_layout(part)
-    dc = half.perm[half.offsets[-1] :]
+    o = half.offsets
     gs, ps = zip(*(
-        band_recurrence(A, pc.entries[band.id], band) for band in half.bands
+        band_recurrence(
+            A, pc.entries[band.id], _half_wavevectors(grid, half.perm[lo:hi]).T
+        )
+        for band, lo, hi in zip(part.bands, o, o[1:])
     ))
-    kdc = np.stack([
-        grid.axis_wavevectors(i)[ix]
-        for i, ix in enumerate(np.unravel_index(dc, grid.half_sizes))
-    ], axis=1)
+    kdc = _half_wavevectors(grid, half.perm[o[-1] :]).T
     a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
     if gs[0].ndim == 1:
         a = _real_if_exact(a[:, 0, 0])
@@ -474,29 +489,17 @@ def _leray_blocks(grid: GridSpec, half: _HalfLayout, omega_sq, v0, lam=None):
     mv1 = v0 - lv1 - c t.  Yields (slice, xi, lambda, |c|^2, l, m, lv1,
     mv1, t) per block.
     """
-    d = grid.dim
     offsets = np.asarray(half.offsets)
     nb = half.offsets[-1]
     wsq_band = np.sum(omega_sq, axis=1)
     omega_sq = omega_sq.T
-    hl = grid.half_sizes[-1]
     for lo in range(0, nb, _BLOCK):
         hi = min(lo + _BLOCK, nb)
         sl = slice(lo, hi)
         first = int(np.searchsorted(offsets, lo, "right")) - 1
         last = int(np.searchsorted(offsets, hi))
         counts = np.diff(np.clip(offsets[first : last + 1], lo, hi))
-        # On the half grid the last-axis index is k itself (no band mode
-        # sits at N/2); the others come by shifts and masks, since every
-        # size is a power of two, and k = ix below N/2, ix - N from it on.
-        pos = half.perm[sl]
-        row = pos // hl
-        xi = np.empty((d, hi - lo))
-        xi[-1] = pos - row * hl
-        for i in range(d - 2, -1, -1):
-            n = grid.sizes[i]
-            xi[i] = ((row + n // 2) & (n - 1)) - n // 2
-            row >>= n.bit_length() - 1
+        xi = _half_wavevectors(grid, half.perm[sl])
         wsq = np.repeat(wsq_band[first:last], counts)
         c = np.repeat(omega_sq[:, first:last], counts, axis=1)
         c /= xi
@@ -551,7 +554,7 @@ def helmholtz_decompose(
     if u.grid != part.grid:
         raise ArityError("partition grid differs from field grid")
 
-    bounds = leray_rate_bounds(part, mode_exact=False)
+    bounds = leray_rate_bounds(part)
     theoretical = _check_bounds(bounds, cfg.strict)
     grid = u.grid
     half = _half_layout(part)
@@ -565,11 +568,11 @@ def helmholtz_decompose(
     ref = _norm(spec, planes, scale)
     flat = spec.reshape(d, -1)
 
-    # Exact dc assignment along the effective wavevectors.
-    kdc = np.stack([
-        effective_axis_wavevectors(grid, i)[ix]
-        for i, ix in enumerate(np.unravel_index(dc, grid.half_sizes))
-    ])
+    # Exact dc assignment along the effective wavevectors, which are 0 on
+    # each axis's Nyquist plane.
+    kdc = _half_wavevectors(grid, dc)
+    for i, k in enumerate(kdc):
+        k[k == grid.nyquist(i)] = 0.0
     div_dc, curl_dc = _split_modes(kdc, flat[:, dc])
     div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0), sc_dc) ** 2
 

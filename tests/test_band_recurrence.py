@@ -1,17 +1,14 @@
 """The per-band coefficient path shared by the Richardson plan and the
 sampled certificates, and the grid invariant it relies on."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shannop as sp
-from shannop.errors import ArityError
 from shannop.grid import evaluate_on_grid
-from shannop.precond import BandEntry, BandPreconditioner, band_recurrence
+from shannop.precond import BandEntry, BandPreconditioner
 from shannop.solver import _richardson_plan
 
 
@@ -106,14 +103,3 @@ def test_plan_matches_full_grid_evaluation(sizes, scheme, depth):
     half, g, p = _richardson_plan(sym, pc)
     vals, _ = evaluate_on_grid(sym, grid)
     assert np.array_equal(g, 1.0 - vals[full_grid_positions(half, grid), 0, 0] * p)
-
-
-def test_builder_rejects_symbol_entry_naming_the_band():
-    part = build(sp.GridSpec((16, 16)), "tensorial", 0)
-    band = part.bands[1]
-    with pytest.raises(ArityError, match=re.escape(repr(band.id))):
-        band_recurrence(
-            sp.ImplicitLaplacian(10.0),
-            BandEntry(symbol=sp.ImplicitLaplacian(10.0)),
-            band,
-        )

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import shannop as sp
 from shannop.generate import random_field
 from shannop.grid import forward_half_transform, wavevector_table
-from shannop.solver import _half_layout, _norm
+from shannop.solver import _half_layout, _half_wavevectors, _norm
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -58,11 +58,17 @@ def test_half_layout_lists_each_half_grid_position_once(part):
     kept = part.perm[part.perm % n <= n // 2]
     assert np.array_equal(full_positions(half.perm, grid), kept)
 
-    # Half bands hold their modes in layout order, segment by segment, and
-    # the self-conjugate positions are the last-axis planes 0 and N_last/2.
+    # The wavevectors of the layout, on the band and the dc parts alike
+    # (dc rows include Nyquist planes), and the self-conjugate positions,
+    # the last-axis planes 0 and N_last/2.
     wavevectors = wavevector_table(grid)[kept]
-    for band, lo, hi in zip(half.bands, half.offsets, half.offsets[1:]):
-        assert np.array_equal(band.mode_wavevectors(), wavevectors[lo:hi])
+    assert np.array_equal(_half_wavevectors(grid, half.perm).T, wavevectors)
+    # Band i's segment holds its modes with k_last >= 0 (no band mode sits
+    # on a Nyquist plane), in row-major sub-box order.
+    assert len(half.offsets) == len(part.bands) + 1
+    for band, lo, hi in zip(part.bands, half.offsets, half.offsets[1:]):
+        K = band.mode_wavevectors()
+        assert np.array_equal(wavevectors[lo:hi], K[K[:, -1] >= 0])
     dc = part.dc_indices
     assert len(half.perm) - half.offsets[-1] == np.count_nonzero(dc % n <= n // 2)
     last = wavevectors[:, -1]

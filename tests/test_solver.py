@@ -1,7 +1,6 @@
 """Richardson iteration, Helmholtz split, oracles, and rate estimation."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -215,18 +214,6 @@ class TestRichardson:
         assert rep.theoretical_rate < 0.6
         ref = sp.exact_solve(sym, v)
         assert (u - ref).l2_norm() <= 10 * cfg.tol * ref.l2_norm()
-
-    def test_symbol_entry_rejected(self):
-        grid = sp.GridSpec((16, 16))
-        part = tensorial((16, 16))
-        pc = sp.implicit_laplacian_precond(10.0, part)
-        entries = dict(pc.entries)
-        band_id = part.bands[1].id
-        entries[band_id] = BandEntry(symbol=sp.ImplicitLaplacian(10.0))
-        bad = BandPreconditioner(part, pc.target, entries, "custom", False)
-        v = random_field(grid, 1, seed=26)
-        with pytest.raises(ArityError, match=re.escape(repr(band_id))):
-            sp.richardson_solve(sp.ImplicitLaplacian(10.0), bad, v)
 
     def test_grid_mismatch(self):
         part = tensorial((16, 16))
