@@ -147,11 +147,9 @@ def cmd_rates(args) -> int:
     grid = _parse_grid(args.grid)
     part = _build_partition(grid, args.scheme, args.packet_depth)
     operator = args.operator
-    if operator is None:
-        operator = f"ilap({args.alpha})" if args.alpha is not None else "ilap(1e6)"
 
     rows = []
-    if operator.strip() == "leray":
+    if operator is not None and operator.strip() == "leray":
         bounds = leray_rate_bounds(part)
         for band, rb in zip(part.bands, bounds):
             lam = leray_lambda(
@@ -159,10 +157,13 @@ def cmd_rates(args) -> int:
             )
             rows.append((band.id, rb.a, rb.b, rb.rho, float(np.max(np.abs(lam))), rb.formula))
     else:
-        try:
-            sym = parse_symbol(operator, grid.dim)
-        except Exception as exc:
-            return _usage_error(str(exc))
+        if operator is None:
+            sym = ImplicitLaplacian(1e6 if args.alpha is None else args.alpha)
+        else:
+            try:
+                sym = parse_symbol(operator, grid.dim)
+            except Exception as exc:
+                return _usage_error(str(exc))
         if isinstance(sym, ImplicitLaplacian):
             pc = implicit_laplacian_precond(sym.alpha, part)
         elif sym.is_scalar:

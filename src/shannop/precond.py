@@ -140,8 +140,13 @@ def _scalar_band_values(sym: SymbolExpr, band: FrequencyBand, mode_exact: bool):
     else:
         corners = np.array(np.meshgrid(*band.box, indexing="ij"))
         K = corners.reshape(band.dim, -1).T
-    values, _ = eval_many(sym, K)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        values, _ = eval_many(sym, K)
     flat = values[:, 0, 0]
+    if not np.all(np.isfinite(flat)):
+        raise NotInvertibleOnBandError(
+            band.id, f"symbol is not finite on band {band.id}"
+        )
     scale = max(np.max(np.abs(flat)), 1e-300)
     if np.max(np.abs(flat.imag)) > 1e-12 * scale:
         raise NotInvertibleOnBandError(

@@ -496,9 +496,12 @@ class _Tokenizer:
             else:
                 break
         try:
-            return float(self.text[start : self.pos])
+            value = float(self.text[start : self.pos])
         except ValueError:
             raise SymbolParseError("malformed number", start) from None
+        if not np.isfinite(value):
+            raise SymbolParseError("non-finite number", start)
+        return value
 
     def expect(self, char):
         if self.peek() != char:

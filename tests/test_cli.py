@@ -164,6 +164,22 @@ class TestRates:
                     "--csv", str(tmp_path / "r.csv")])
         assert code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("operator,message", [
+        ("1e999", "non-finite number (at position 0)"),
+        ("nlap*1e300*1e300", "symbol is not finite on band (0, 0)"),
+    ])
+    def test_non_finite_operator_exits_2(self, capsys, operator, message):
+        code = run(["rates", "--operator", operator, "--grid", "8x8"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["-1", "inf", "nan"])
+    def test_bad_alpha_exits_2(self, capsys, alpha):
+        code = run(["rates", f"--alpha={alpha}", "--grid", "8x8"])
+        assert code == 2
+        assert "alpha must be finite and nonnegative" in capsys.readouterr().err
+
     def test_leray_on_an_mra_partition_exits_2(self, capsys):
         code = run(["rates", "--operator", "leray", "--scheme", "mra",
                     "--grid", "32x32"])

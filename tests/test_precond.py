@@ -68,6 +68,14 @@ class TestScalarOptimal:
         with pytest.raises(NotInvertibleOnBandError):
             sp.scalar_optimal(sym, part)
 
+    def test_non_finite_band_values_name_the_band(self):
+        part = tensorial((16,))
+        sym = sp.Scale(1e300, sp.Scale(1e300, sp.NegLaplacian()))
+        for mode_exact in (True, False):
+            with pytest.raises(NotInvertibleOnBandError, match="not finite") as err:
+                sp.scalar_optimal(sym, part, mode_exact=mode_exact)
+            assert err.value.band_id == part.bands[0].id
+
     def test_matrix_symbol_rejected(self):
         with pytest.raises(ArityError):
             sp.scalar_optimal(sp.LerayP(2), tensorial((8, 8)))

@@ -176,6 +176,13 @@ class TestParser:
         with pytest.raises(SymbolParseError):
             sp.parse_symbol("grad * grad", dim=2)
 
+    def test_non_finite_literal_rejected_at_its_position(self):
+        for text, position in (("1e999", 0), ("nlap + 2e400", 7),
+                               ("ilap(1e999)", 5)):
+            with pytest.raises(SymbolParseError, match="non-finite") as err:
+                sp.parse_symbol(text, dim=2)
+            assert err.value.position == position
+
 
 def grammar_strings(dim):
     """Random well-shaped grammar strings for ``dim``, drawn as (text, shape)
