@@ -2,7 +2,8 @@
 
 A band preconditioner assigns each band of a partition a constant real
 matrix approximating the target symbol on that band; dc modes are always
-solved by an exact modewise pseudo-inverse of the target.  Closed-form constructions:
+solved by an exact modewise pseudo-inverse of the target.  Closed-form
+constructions:
 
 * the optimal constant for a positive scalar symbol, equalizing the relative
   deviation at the band's extreme values;
@@ -140,7 +141,7 @@ def _scalar_band_values(sym: SymbolExpr, band: FrequencyBand, mode_exact: bool):
     else:
         corners = np.array(np.meshgrid(*band.box, indexing="ij"))
         K = corners.reshape(band.dim, -1).T
-    with np.errstate(over="ignore", invalid="ignore"):  # named below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by band below
         values, _ = eval_many(sym, K)
     flat = values[:, 0, 0]
     if not np.all(np.isfinite(flat)):
