@@ -1,5 +1,5 @@
-"""Heap bounds, measured with tracemalloc, on the Helmholtz split and on
-SWF1 writes.  tracemalloc counts numpy's data buffers, so the peaks are
+"""Heap bounds, measured with tracemalloc, on both solvers and on SWF1
+writes.  tracemalloc counts numpy's data buffers, so the peaks are
 deterministic for a given input shape."""
 
 import tracemalloc
@@ -30,6 +30,18 @@ def test_helmholtz_heap_peak_is_bounded_by_the_input(sizes, depth):
     nbytes = u.values.nbytes
     peak = traced_peak(sp.helmholtz_decompose, u, part)
     assert peak <= 8 * nbytes, f"heap peak {peak / nbytes:.2f}x the input"
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("sizes", [(512, 512), (64, 64, 64)], ids=["512sq", "64cube"])
+def test_richardson_heap_peak_is_bounded_by_the_input(sizes, depth):
+    grid = sp.GridSpec(sizes)
+    part = sp.refine_packet(sp.build_tensorial_partition(grid), depth)
+    pc = sp.implicit_laplacian_precond(1e6, part)
+    v = random_field(grid, 1, seed=7)
+    nbytes = v.values.nbytes
+    peak = traced_peak(sp.richardson_solve, sp.ImplicitLaplacian(1e6), pc, v)
+    assert peak <= 3.5 * nbytes, f"heap peak {peak / nbytes:.2f}x the input"
 
 
 def test_write_field_streams_the_samples(tmp_path):
