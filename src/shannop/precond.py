@@ -327,9 +327,10 @@ def _real_if_exact(x: np.ndarray) -> np.ndarray:
 
 
 def band_recurrence(sym: SymbolExpr, entry: BandEntry, K: np.ndarray):
-    """Per-mode coefficients of the band iteration at the band's
-    wavevectors K (M, d): G = Id - A(k) P and P = entry^+, one scalar per
-    mode for a scalar symbol with a 1x1 entry, else one matrix per mode.
+    """The band iteration's coefficients at the band's wavevectors K (M, d):
+    per-mode G = Id - A(k) P and the band's constant P = entry^+.  For a
+    scalar symbol with a 1x1 entry, G is one scalar per mode and P a
+    scalar; otherwise G is one matrix per mode and P one matrix.
 
     No band mode of any scheme lies on a Nyquist plane, so the symbol is
     evaluated directly at K.
@@ -338,11 +339,11 @@ def band_recurrence(sym: SymbolExpr, entry: BandEntry, K: np.ndarray):
     a, _ = eval_many(sym, K)
     if sym.is_scalar and E.shape == (1, 1):
         a = _real_if_exact(a[:, 0, 0])
-        p = np.full(len(a), 1.0 / E[0, 0])
+        p = 1.0 / E[0, 0]
         return 1.0 - a * p, p
     if sym.is_scalar:
         a = a[:, 0, 0, None, None] * np.eye(E.shape[0])
-    p = np.broadcast_to(pseudo_inverse(E), (len(a),) + E.shape[::-1])
+    p = _real_if_exact(pseudo_inverse(E))
     return _real_if_exact(np.eye(a.shape[1]) - a @ p), p
 
 

@@ -374,38 +374,57 @@ def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
     return S
 
 
-def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner):
-    """The half layout of the partition and, in its order, per-mode
-    G = Id - A P and P: ``band_recurrence`` at the wavevectors of each
-    band's segment of the layout, and on dc modes P the pseudo-inverse of A
-    under the Nyquist convention.  One scalar per mode for a scalar symbol
-    with 1x1 entries, else one matrix per mode."""
+def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
+    """Per-mode G = Id - A P in the order of the half layout, and P: one
+    constant per band from ``band_recurrence`` at the wavevectors of the
+    band's segment, and on the dc set one per mode, the pseudo-inverse of A
+    under the Nyquist convention.  G is one scalar per mode for a scalar
+    symbol with 1x1 entries, else one matrix per mode; it is complex only
+    if some mode's value is.  Returns (G, band P list, dc P)."""
     part = pc.partition
     grid = part.grid
-    half = _half_layout(part)
     o = half.offsets
-    gs, ps = zip(*(
-        band_recurrence(
+    g = None
+    pbands = []
+
+    def put(lo, hi, gk):
+        nonlocal g
+        if g is None:
+            g = np.empty((len(half.perm),) + gk.shape[1:], gk.dtype)
+        elif np.iscomplexobj(gk) and not np.iscomplexobj(g):
+            g = g.astype(complex)
+        g[lo:hi] = gk
+
+    for band, lo, hi in zip(part.bands, o, o[1:]):
+        gk, pk = band_recurrence(
             A, pc.entries[band.id], _half_wavevectors(grid, half.perm[lo:hi]).T
         )
-        for band, lo, hi in zip(part.bands, o, o[1:])
-    ))
+        put(lo, hi, gk)
+        pbands.append(pk)
     kdc = _half_wavevectors(grid, half.perm[o[-1] :]).T
     a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
-    if gs[0].ndim == 1:
+    if g.ndim == 1:
         a = _real_if_exact(a[:, 0, 0])
-        p = np.where(a == 0, 0.0, 1.0 / np.where(a == 0, 1.0, a))
-        g = 1.0 - a * p
+        pdc = np.where(a == 0, 0.0, 1.0 / np.where(a == 0, 1.0, a))
+        gdc = 1.0 - a * pdc
     else:
         if A.is_scalar:
-            a = a[:, 0, 0, None, None] * np.eye(gs[0].shape[1])
-        p = pseudo_inverse(a)
-        g = np.eye(a.shape[1]) - a @ p
-    return (
-        half,
-        _real_if_exact(np.concatenate(gs + (g,))),
-        _real_if_exact(np.concatenate(ps + (p,))),
-    )
+            a = a[:, 0, 0, None, None] * np.eye(g.shape[1])
+        pdc = _real_if_exact(pseudo_inverse(a))
+        gdc = _real_if_exact(np.eye(a.shape[1]) - a @ pdc)
+    put(o[-1], len(half.perm), gdc)
+    return g, pbands, pdc
+
+
+def _apply(p: np.ndarray, S: np.ndarray) -> None:
+    """S <- P S in place on the (n, M) values ``S``, for one scalar P, one
+    n x n matrix P, or one P per mode, (M,) or (M, n, n)."""
+    if p.ndim == 2:
+        S[:] = np.einsum("ij,jk->ik", p, S)
+    elif p.ndim == 3:
+        S[:] = np.einsum("kij,jk->ik", p, S)
+    else:
+        S *= p
 
 
 def richardson_solve(
@@ -422,6 +441,11 @@ def richardson_solve(
     recurrence r <- (Id - A P) r with u = P (r_0 + r_1 + ...), so the
     solution is assembled once, at exit.  Stops when the relative residual
     (in the configured norm) reaches ``tol``.
+
+    The plan holds G per mode, P once per band and per mode only on the dc
+    set.  Each large array is dropped at its last use: the spectrum once
+    gathered, G after the sweep loop, and the sums S and the layout before
+    the inverse transform.
     """
     cfg = cfg or SolveConfig()
     part = pc.partition
@@ -436,23 +460,25 @@ def richardson_solve(
 
     bounds = pc.rate_bounds()
     theoretical = _check_bounds(bounds, cfg.strict)
-    half, g, p = _richardson_plan(A, pc)
+    half = _half_layout(part)
+    r = forward_half_transform(v).reshape(v.components, -1)[:, half.perm]
+    g, pbands, pdc = _richardson_plan(A, pc, half)
     scale = _norm_scale(grid, cfg.norm)
     if scale is not None:
         scale = scale.ravel()[half.perm]
 
-    r = forward_half_transform(v).reshape(v.components, -1)[:, half.perm]
     ref = _norm(r, half.sc, scale)
     report = SolveReport(0, [ref], float("nan"), theoretical, False, bounds)
     S = _iterate(r, g, half.sc, scale, ref, report, cfg)
-    del r
+    del r, g, scale
 
+    o = half.offsets
+    for pk, lo, hi in zip(pbands, o, o[1:]):
+        _apply(pk, S[:, lo:hi])
+    _apply(pdc, S[:, o[-1] :])
     u = np.empty((ncols,) + grid.half_sizes, dtype=complex)
-    if p.ndim == 1:
-        S *= p
-    else:
-        S = np.einsum("kij,jk->ik", p, S)
     u.reshape(ncols, -1)[:, half.perm] = S
+    del S, half
     return inverse_half_transform(grid, u), report
 
 
