@@ -320,8 +320,9 @@ def build_mra_partition(grid: GridSpec) -> Partition:
 def refine_packet(part: Partition, depth: int) -> Partition:
     """Split every band interval into 2^depth equal parts per axis.
 
-    Each band's per-axis index list is split into its 2^depth pieces and
-    the sub-bands are the Cartesian products of the non-empty pieces.
+    Each band's per-axis index list is split into its non-empty pieces,
+    found from each index's piece number rather than by visiting all 2^depth
+    of them, and the sub-bands are the Cartesian products of those pieces.
     Sub-boxes with an empty axis hold no grid modes; they are dropped and
     counted in the result's ``dropped_empty``.  Depth 0 returns the
     partition unchanged.  Refining by 1 twice yields the same bands as
@@ -342,14 +343,20 @@ def refine_packet(part: Partition, depth: int) -> Partition:
             root_id, path = b.id, (0,) * b.dim
         pieces = []  # per axis: the non-empty (path entry, interval, indices)
         for i, ((lo, hi), ix, p) in enumerate(zip(b.box, b.axis_indices, path)):
-            m = mags[i][ix]
             width = (hi - lo) / splits
+            # Widths are dyadic, so the piece index of each magnitude is
+            # exact; a stable sort groups the indices by piece in order.
+            piece = np.floor((mags[i][ix] - lo) / width)
+            inside = (piece >= 0) & (piece < splits)
+            piece, ix = piece[inside], ix[inside]
+            order = np.argsort(piece, kind="stable")
+            piece, ix = piece[order], ix[order]
+            starts = np.flatnonzero(np.diff(piece, prepend=-1.0))
             kept = []
-            for s in range(splits):
+            for s, sub_ix in zip(piece[starts], np.split(ix, starts[1:])):
+                s = int(s)
                 sub = (lo + s * width, lo + (s + 1) * width)
-                sub_ix = ix[(m >= sub[0]) & (m < sub[1])]
-                if len(sub_ix):
-                    kept.append((p * splits + s, sub, sub_ix))
+                kept.append((p * splits + s, sub, sub_ix))
             pieces.append(kept)
         dropped += splits**b.dim - math.prod(len(kept) for kept in pieces)
         for combo in itertools.product(*pieces):

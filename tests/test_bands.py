@@ -1,5 +1,7 @@
 """Partition construction, band projection and the derivation maps."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,28 @@ class TestPacketRefinement:
         # [1,2) splits into [1,1.5) and [1.5,2); the second holds no integer.
         assert refined.dropped_empty >= 1
         refined.check_disjoint()
+
+    def test_deep_refinement_builds_only_nonempty_pieces(self):
+        # 2^40 pieces per band axis; on 16^2 only 7 magnitudes per axis
+        # exist, so the refinement has 49 one-magnitude sub-bands.
+        part = sp.build_tensorial_partition(sp.GridSpec((16, 16)))
+
+        def give_up(signum, frame):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(10)
+        try:
+            refined = sp.refine_packet(part, 40)
+        except TimeoutError:
+            refined = None  # asserted outside the handler's traceback
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert refined is not None, "refine_packet(part, 40) ran for over 10 s"
+        refined.check_disjoint()
+        assert len(refined.bands) == 49
+        assert refined.dropped_empty == 9 * 2**80 - 49
 
     def test_extrema_ratio_shrinks(self):
         part = sp.build_tensorial_partition(sp.GridSpec((32,)))
