@@ -566,6 +566,7 @@ def _parse_atom(tok, dim):
         if name not in _BUILTIN_ARITY:
             raise SymbolParseError(f"unknown symbol {name!r}", start)
         args = []
+        positions = []
         if tok.peek() == "(":
             tok.pos += 1
             while True:
@@ -574,6 +575,7 @@ def _parse_atom(tok, dim):
                     raise SymbolParseError("unterminated argument list", tok.pos)
                 if p == ")":
                     break
+                positions.append(tok.pos)
                 args.append(tok.take_number())
                 if tok.peek() == ",":
                     tok.pos += 1
@@ -582,19 +584,26 @@ def _parse_atom(tok, dim):
             raise SymbolParseError(
                 f"{name} takes {_BUILTIN_ARITY[name]} argument(s)", start
             )
-        return _build(name, args, dim, start)
+        return _build(name, args, positions, dim, start)
     raise SymbolParseError(f"unexpected character {c!r}", tok.pos)
 
 
-def _build(name, args, dim, pos):
+def _build(name, args, positions, dim, pos):
+    def axis(i):
+        if args[i] != int(args[i]):
+            raise SymbolParseError(
+                f"{name} takes integer axis arguments", positions[i]
+            )
+        return int(args[i])
+
     if name == "id":
         return Identity(1)
     if name == "xi":
-        return Xi(int(args[0]))
+        return Xi(axis(0))
     if name == "xiinv":
-        return XiInv(int(args[0]))
+        return XiInv(axis(0))
     if name == "delta":
-        return Delta(int(args[0]), int(args[1]), dim)
+        return Delta(axis(0), axis(1), dim)
     if name == "ilap":
         return ImplicitLaplacian(args[0])
     if name == "nlap":

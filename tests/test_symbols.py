@@ -176,6 +176,15 @@ class TestParser:
         with pytest.raises(SymbolParseError):
             sp.parse_symbol("grad * grad", dim=2)
 
+    def test_non_integer_axis_argument_rejected_at_its_position(self):
+        for text, position in (("xi(1.5)", 3), ("xiinv( 2.5)", 7),
+                               ("nlap + delta(1, 1.5)", 16),
+                               ("delta(1.5,2)", 6)):
+            with pytest.raises(SymbolParseError, match="integer axis") as err:
+                sp.parse_symbol(text, dim=2)
+            assert err.value.position == position
+        assert repr(sp.parse_symbol("xi(2.0)", dim=2)) == repr(sp.Xi(2))
+
     def test_non_finite_literal_rejected_at_its_position(self):
         for text, position in (("1e999", 0), ("nlap + 2e400", 7),
                                ("ilap(1e999)", 5)):
