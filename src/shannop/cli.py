@@ -144,9 +144,14 @@ def cmd_rates(args) -> int:
     )
     from .symbols import ImplicitLaplacian, parse_symbol
 
+    operator = args.operator
+    if operator is not None and args.alpha is not None:
+        return _usage_error(
+            "--alpha sets the default operator and cannot be combined with "
+            "--operator; write ilap(ALPHA) in --operator instead"
+        )
     grid = _parse_grid(args.grid)
     part = _build_partition(grid, args.scheme, args.packet_depth)
-    operator = args.operator
 
     rows = []
     if operator is not None and operator.strip() == "leray":
@@ -356,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--scheme", default="tensorial", choices=["tensorial", "mra"])
     p.add_argument("--packet-depth", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None,
+                   help="alpha of the default operator ilap(alpha), 1e6 if "
+                        "unset; not with --operator")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_rates)
 

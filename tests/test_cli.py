@@ -180,6 +180,20 @@ class TestRates:
         assert code == 2
         assert "alpha must be finite and nonnegative" in capsys.readouterr().err
 
+    def test_non_integer_axis_exits_2(self, capsys):
+        code = run(["rates", "--operator", "xi(1.5)*xiinv(1.5)", "--grid", "8x8"])
+        assert code == 2
+        assert "integer axis arguments (at position 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("operator", ["nlap", "leray"])
+    def test_alpha_with_operator_exits_2(self, capsys, operator):
+        code = run(["rates", "--operator", operator, "--alpha", "5",
+                    "--grid", "8x8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --alpha")
+
     def test_leray_on_an_mra_partition_exits_2(self, capsys):
         code = run(["rates", "--operator", "leray", "--scheme", "mra",
                     "--grid", "32x32"])
