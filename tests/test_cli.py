@@ -295,6 +295,17 @@ class TestThreadIndependence:
             outputs.append(((tmp_path / report).read_bytes(), summary))
         assert outputs[0] == outputs[1]
 
+    def test_solve_ilap_report_equal_under_one_and_two_threads(self, tmp_path):
+        run(["gen-field", "--grid", "512x512", "--kind", "random",
+             "--seed", "101", "--out", str(tmp_path / "v.swf")])
+        reports = []
+        for threads in (1, 2):
+            report = tmp_path / f"r{threads}.json"
+            self.shannop(["solve-ilap", "--alpha", "1e6", "--in", "v.swf",
+                          "--report", report.name], threads, tmp_path)
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestVerify:
     def test_rates_suite_passes(self, capsys):
