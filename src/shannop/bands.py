@@ -317,6 +317,12 @@ def build_mra_partition(grid: GridSpec) -> Partition:
     return _base_partition(grid, "mra", boxes)
 
 
+# A base interval [lo, hi) has hi - lo = 2^j and edges below 2^(j+1), so
+# its edges at packet depth D need D + 1 significant bits: float64 holds
+# them exactly up to D = 52.
+_MAX_PACKET_DEPTH = 52
+
+
 def refine_packet(part: Partition, depth: int) -> Partition:
     """Split every band interval into 2^depth equal parts per axis.
 
@@ -332,6 +338,11 @@ def refine_packet(part: Partition, depth: int) -> Partition:
         raise StructuralError("packet depth must be nonnegative")
     if depth == 0:
         return part
+    if part.packet_depth + depth > _MAX_PACKET_DEPTH:
+        raise StructuralError(
+            f"packet depth {part.packet_depth + depth} is above "
+            f"{_MAX_PACKET_DEPTH}: finer box edges are not exact in float64"
+        )
     splits = 2**depth
     mags = [np.abs(part.grid.axis_wavevectors(i)) for i in range(part.grid.dim)]
     bands = []

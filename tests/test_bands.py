@@ -171,6 +171,12 @@ class TestPacketRefinement:
         assert len(refined.bands) == 49
         assert refined.dropped_empty == 9 * 2**80 - 49
 
+    def test_depth_beyond_exact_box_edges_refused(self):
+        part = sp.build_tensorial_partition(sp.GridSpec((16, 16)))
+        assert sp.refine_packet(part, 52).packet_depth == 52
+        with pytest.raises(StructuralError, match="packet depth 53 is above 52"):
+            sp.refine_packet(sp.refine_packet(part, 1), 52)
+
     def test_extrema_ratio_shrinks(self):
         part = sp.build_tensorial_partition(sp.GridSpec((32,)))
         band = part.band((3,))

@@ -389,6 +389,11 @@ class TestInputErrors:
         assert code == 2
         assert "int32" in capsys.readouterr().err
 
+    def test_packet_depth_beyond_exact_box_edges_exits_2(self, capsys):
+        code = run(["rates", "--grid", "16x16", "--packet-depth", "1100"])
+        assert code == 2
+        assert "packet depth 1100 is above 52" in capsys.readouterr().err
+
     def test_overflowing_alpha_in_library(self):
         part = sp.build_tensorial_partition(sp.GridSpec((16, 16)))
         with pytest.raises(ArityError, match=r"alpha .* band \(0, 0\)"):
