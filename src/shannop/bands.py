@@ -323,6 +323,29 @@ def build_mra_partition(grid: GridSpec) -> Partition:
 _MAX_PACKET_DEPTH = 52
 
 
+def _axis_pieces(mag: np.ndarray, ix: np.ndarray, lo: float, hi: float, splits: int):
+    """The non-empty pieces of [lo, hi) cut into ``splits`` equal parts, for
+    the axis indices ``ix`` with magnitudes ``mag[ix]`` in it: (piece
+    number, interval, read-only indices) each, in piece order, the indices
+    in their order in ``ix``.
+
+    Widths are dyadic, so each piece number floor((|k| - lo) / width) is
+    exact; a stable sort groups the indices by piece.
+    """
+    width = (hi - lo) / splits
+    piece = np.floor((mag[ix] - lo) / width)
+    order = np.argsort(piece, kind="stable")
+    piece, ix = piece[order], ix[order]
+    ix.flags.writeable = False
+    starts = np.flatnonzero(np.diff(piece, prepend=-1.0))
+    return [
+        (s, (lo + s * width, lo + (s + 1) * width), sub_ix)
+        for s, sub_ix in zip(
+            piece[starts].astype(int).tolist(), np.split(ix, starts[1:])
+        )
+    ]
+
+
 def refine_packet(part: Partition, depth: int) -> Partition:
     """Split every band interval into 2^depth equal parts per axis.
 
@@ -345,6 +368,9 @@ def refine_packet(part: Partition, depth: int) -> Partition:
         )
     splits = 2**depth
     mags = [np.abs(part.grid.axis_wavevectors(i)) for i in range(part.grid.dim)]
+    # A band's axis indices are all those with magnitude in its interval,
+    # so bands sharing an (axis, lo, hi) share its pieces.
+    table = {}
     bands = []
     dropped = part.dropped_empty
     for b in part.bands:
@@ -354,21 +380,10 @@ def refine_packet(part: Partition, depth: int) -> Partition:
             root_id, path = b.id, (0,) * b.dim
         pieces = []  # per axis: the non-empty (path entry, interval, indices)
         for i, ((lo, hi), ix, p) in enumerate(zip(b.box, b.axis_indices, path)):
-            width = (hi - lo) / splits
-            # Widths are dyadic, so the piece index of each magnitude is
-            # exact; a stable sort groups the indices by piece in order.
-            piece = np.floor((mags[i][ix] - lo) / width)
-            inside = (piece >= 0) & (piece < splits)
-            piece, ix = piece[inside], ix[inside]
-            order = np.argsort(piece, kind="stable")
-            piece, ix = piece[order], ix[order]
-            starts = np.flatnonzero(np.diff(piece, prepend=-1.0))
-            kept = []
-            for s, sub_ix in zip(piece[starts], np.split(ix, starts[1:])):
-                s = int(s)
-                sub = (lo + s * width, lo + (s + 1) * width)
-                kept.append((p * splits + s, sub, sub_ix))
-            pieces.append(kept)
+            if (i, lo, hi) not in table:
+                table[i, lo, hi] = _axis_pieces(mags[i], ix, lo, hi, splits)
+            pieces.append([(p * splits + s, sub, sub_ix)
+                           for s, sub, sub_ix in table[i, lo, hi]])
         dropped += splits**b.dim - math.prod(len(kept) for kept in pieces)
         for combo in itertools.product(*pieces):
             new_path, box, idx = zip(*combo)
