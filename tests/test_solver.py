@@ -134,6 +134,21 @@ class TestRichardson:
             ref = sp.exact_solve(sym, v)
             assert (u - ref).l2_norm() <= 10 * cfg.tol * ref.l2_norm()
 
+    def test_complex_symbol_keeps_complex_coefficients(self):
+        # i(k - k^3) vanishes on the first band of a 16-point axis (|k| = 1)
+        # and not on the others: the plan's G turns complex after a real
+        # first segment, and no imaginary part may be dropped.
+        grid = sp.GridSpec((16,))
+        part = tensorial((16,))
+        sym = sp.parse_symbol("ilap(100) + xi(1) + xi(1)*xi(1)*xi(1)", 1)
+        pc = sp.implicit_laplacian_precond(100.0, part)
+        v = random_field(grid, 1, seed=9)
+        cfg = sp.SolveConfig(tol=1e-10)
+        u, rep = sp.richardson_solve(sym, pc, v, cfg)
+        assert rep.converged
+        ref = sp.exact_solve(sym, v)
+        assert (u - ref).l2_norm() <= 10 * cfg.tol * ref.l2_norm()
+
     def test_contraction_certificate(self):
         grid = sp.GridSpec((32, 32))
         part = tensorial((32, 32))
