@@ -80,6 +80,29 @@ def _write_flat_indices(bands, out: np.ndarray) -> int:
     return pos
 
 
+_BLOCK = 8192  # positions per block of a band-major layout
+
+
+def layout_blocks(offsets, whole_bands: bool = False):
+    """Positions ``offsets[0]`` to ``offsets[-1]`` of a band-major layout
+    (band i from ``offsets[i]``, none empty) in blocks of at most
+    ``_BLOCK``, as (slice, first, last, counts): the bands first to last - 1
+    the block meets and how many of its positions each holds.  With
+    ``whole_bands`` a block is a run of whole bands, or one long band."""
+    offsets = np.asarray(offsets)
+    lo, end = int(offsets[0]), int(offsets[-1])
+    while lo < end:
+        hi = min(lo + _BLOCK, end)
+        first = int(np.searchsorted(offsets, lo, "right")) - 1
+        last = int(np.searchsorted(offsets, hi))
+        if whole_bands:  # lo is a band's start; end at a band's end
+            last = max(first + 1, int(np.searchsorted(offsets, hi, "right")) - 1)
+            hi = int(offsets[last])
+        counts = np.diff(np.clip(offsets[first : last + 1], lo, hi))
+        yield slice(lo, hi), first, last, counts
+        lo = hi
+
+
 def _marked(positions: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask of the n grid modes that ``positions`` lists."""
     mask = np.zeros(n, dtype=bool)
@@ -148,10 +171,6 @@ class FrequencyBand:
         _write_flat_indices([self], out)
         return out
 
-    def selector(self) -> tuple:
-        """np.ix_ selector for extracting the band's sub-box per component."""
-        return np.ix_(*self.axis_indices)
-
     def axis_scale(self, axis: int) -> float:
         """Dyadic scale 2^j of the band along ``axis`` (0-based).
 
@@ -174,11 +193,9 @@ def band_extrema(band: FrequencyBand, mode_exact: bool = True):
     """
     if band.nmodes == 0:
         raise StructuralError(f"band {band.id} is empty")
-    per_axis = []
     if mode_exact:
-        for i in range(band.dim):
-            mags = np.abs(band.axis_wavevectors(i))
-            per_axis.append((float(mags.min()), float(mags.max())))
+        mags = [np.abs(band.axis_wavevectors(i)) for i in range(band.dim)]
+        per_axis = [(float(m.min()), float(m.max())) for m in mags]
     else:
         per_axis = [(float(lo), float(hi)) for lo, hi in band.box]
     a = math.sqrt(sum(lo * lo for lo, _ in per_axis))
@@ -223,12 +240,6 @@ class Partition:
             self.perm = _layout_buffer(self.grid)
             _write_flat_indices(self.bands, self.perm)
         self.perm[claimed:] = self.dc_indices
-
-    @property
-    def scheme(self) -> str:
-        if self.packet_depth > 0:
-            return f"packet({self.packet_depth})"
-        return self.base_scheme
 
     def band(self, band_id) -> FrequencyBand:
         return self.bands[self._index[band_id]]
@@ -470,15 +481,16 @@ class BandedField:
         return float(np.sum(np.abs(self.dc_coeffs) ** 2))
 
     def total_energy(self) -> float:
-        # Per segment, |x|^2 and one pairwise sum in band_energy's order,
-        # so totals agree bit for bit (reduceat sums in another order); no
-        # spectrum-sized temporary.
-        bounds = self.partition.offsets.tolist() + [self.coeffs.shape[1]]
-        energies = [
-            float(np.sum((np.abs(self.coeffs[:, lo:hi]) ** 2).ravel()))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        return energies[-1] + sum(energies[:-1])
+        # |x|^2 a block of whole bands at a time, and per band one pairwise
+        # sum in band_energy's order, so totals agree bit for bit.
+        energies = []
+        for sl, _, _, counts in layout_blocks(self.partition.offsets, True):
+            sq = np.abs(self.coeffs[:, sl]) ** 2
+            ends = np.cumsum(counts).tolist()
+            for lo, hi in zip([0] + ends, ends):
+                energies.append(float(np.add.reduce(sq[:, lo:hi].ravel())))
+        dc = float(np.add.reduce((np.abs(self.dc_coeffs) ** 2).ravel()))
+        return dc + sum(energies)
 
 
 def analyze(spec: SpectralField, part: Partition) -> BandedField:

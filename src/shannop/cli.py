@@ -132,13 +132,10 @@ def cmd_helmholtz(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    import numpy as np
-
     from .precond import (
-        band_omega,
         implicit_laplacian_precond,
-        leray_lambda,
         leray_rate_bounds,
+        leray_sampled,
         sampled_contraction,
         scalar_optimal,
     )
@@ -151,16 +148,18 @@ def cmd_rates(args) -> int:
             "--operator; write ilap(ALPHA) in --operator instead"
         )
     grid = _parse_grid(args.grid)
+    leray = operator is not None and operator.strip() == "leray"
+    if leray and grid.dim not in (2, 3):
+        return _usage_error(
+            f"leray rates need a 2D or 3D grid, got {args.grid!r}"
+        )
     part = _build_partition(grid, args.scheme, args.packet_depth)
 
     rows = []
-    if operator is not None and operator.strip() == "leray":
+    if leray:
         bounds = leray_rate_bounds(part)
-        for band, rb in zip(part.bands, bounds):
-            lam = leray_lambda(
-                band_omega(band), band.mode_wavevectors().astype(float)
-            )
-            rows.append((band.id, rb.a, rb.b, rb.rho, float(np.max(np.abs(lam))), rb.formula))
+        for rb, samp in zip(bounds, leray_sampled(part).tolist()):
+            rows.append((rb.band_id, rb.a, rb.b, rb.rho, samp, rb.formula))
     else:
         if operator is None:
             sym = ImplicitLaplacian(1e6 if args.alpha is None else args.alpha)

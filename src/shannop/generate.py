@@ -61,6 +61,8 @@ def make_field(
 ) -> RealField:
     if components < 1:
         raise StructuralError(f"components must be at least 1, got {components}")
+    if seed < 0:
+        raise StructuralError(f"seed must be a nonnegative integer, got {seed}")
     if kind == "random":
         return random_field(grid, components, seed)
     if kind == "gradient":

@@ -66,6 +66,41 @@ class GridSpec:
     def nyquist(self, axis: int) -> int:
         return -self.sizes[axis] // 2
 
+    def wavevectors(self, pos: np.ndarray, half: bool = False, effective=False):
+        """Integer wavevectors, (d, M) float, of the flat row-major
+        positions ``pos`` on the grid, or with ``half`` on the half grid;
+        with ``effective``, 0 on each axis's Nyquist plane, as
+        ``effective_axis_wavevectors`` has them.  Every size is a power of
+        two, so the axis indices come by shifts and masks, and index ix
+        maps to ix below N/2 and to ix - N from N/2 on, as
+        ``axis_wavevectors`` maps it."""
+        n = self.sizes[-1]
+        if half:
+            row = pos // (n // 2 + 1)
+            last = pos - row * (n // 2 + 1)
+        else:
+            row, last = pos >> (n.bit_length() - 1), pos
+        xi = np.empty((self.dim, len(pos)))
+        xi[-1] = ((last + n // 2) & (n - 1)) - n // 2
+        for i in range(self.dim - 2, -1, -1):
+            n = self.sizes[i]
+            xi[i] = ((row + n // 2) & (n - 1)) - n // 2
+            row >>= n.bit_length() - 1
+        if effective:
+            for i, k in enumerate(xi):
+                k[k == self.nyquist(i)] = 0.0
+        return xi
+
+
+def _axis_sum(x: np.ndarray) -> np.ndarray:
+    """The rows of the (d, M) array ``x`` added first to last, which is how
+    ``np.sum(x, axis=0)`` adds a C-contiguous one, and how ``np.sum`` adds
+    each row of an (M, d) array along axis 1, but for any M."""
+    s = x[0].copy()
+    for row in x[1:]:
+        s += row
+    return s
+
 
 def effective_axis_wavevectors(grid: GridSpec, axis: int) -> np.ndarray:
     """Wavevectors along ``axis`` with the Nyquist entry mapped to 0: the

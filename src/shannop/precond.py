@@ -16,7 +16,8 @@ constructions:
 No general minimax optimizer over matrix approximants is provided; the
 achieved contraction is certified a posteriori by ``sampled_contraction``.
 The certificate and the Richardson plan read the same per-mode
-coefficients from ``band_recurrence``.
+coefficients from ``band_recurrence``, a block of layout positions at a
+time.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import FrequencyBand, Partition, band_extrema
+from . import bands
+from .bands import FrequencyBand, Partition, band_extrema, layout_blocks
 from .errors import ArityError, NotInvertibleOnBandError
+from .grid import _axis_sum
 from .symbols import (
     Delta,
     Identity,
@@ -134,10 +137,10 @@ def rate_kantorovich(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_band_values(sym: SymbolExpr, band: FrequencyBand, mode_exact: bool):
+def _scalar_band_values(sym: SymbolExpr, part: Partition, band, mode_exact: bool):
     """Real values of a scalar symbol over a band (modes or box corners)."""
     if mode_exact:
-        K = band.mode_wavevectors().astype(float)
+        K = part.grid.wavevectors(part.perm[part.segment(band.id)]).T
     else:
         corners = np.array(np.meshgrid(*band.box, indexing="ij"))
         K = corners.reshape(band.dim, -1).T
@@ -171,7 +174,7 @@ def scalar_optimal(
         raise ArityError("scalar_optimal needs a scalar symbol")
     entries = {}
     for band in part.bands:
-        vals = _scalar_band_values(sym, band, mode_exact)
+        vals = _scalar_band_values(sym, part, band, mode_exact)
         if vals.min() <= 0 < vals.max() or vals.max() == 0:
             raise NotInvertibleOnBandError(band.id)
         sign = 1.0 if vals.max() > 0 else -1.0
@@ -258,12 +261,9 @@ def leray_band_operators(band: FrequencyBand) -> tuple[SymbolExpr, SymbolExpr]:
         terms = None
         for a in range(1, n + 1):
             for b in range(1, n + 1):
-                w2 = omega[a - 1] ** 2 if not coef_on_row else omega[b - 1] ** 2
-                if coef_on_row:
-                    factor = Product(Xi(a), XiInv(b))
-                else:
-                    factor = Product(Xi(b), XiInv(a))
-                term = Scale(float(w2), Product(Delta(a, b, n), factor))
+                i, j = (a, b) if coef_on_row else (b, a)
+                factor = Product(Delta(a, b, n), Product(Xi(i), XiInv(j)))
+                term = Scale(float(omega[j - 1] ** 2), factor)
                 terms = term if terms is None else Sum(terms, term)
         return terms
 
@@ -292,29 +292,50 @@ def leray_matrices(omega: np.ndarray, K: np.ndarray):
     return mw, lw
 
 
-def leray_lambda(omega: np.ndarray, K: np.ndarray) -> np.ndarray:
+def leray_lambda(omega: np.ndarray, K: np.ndarray, counts=None) -> np.ndarray:
     """Closed-form nonzero eigenvalue of Id - Mw - Lw at each wavevector:
-    1 - (sum xi_k^2)(sum w_k^4 / (|w|^4 xi_k^2))."""
-    omega = np.asarray(omega, dtype=float)
-    K = np.asarray(K, dtype=float)
-    wsq = np.sum(omega**2)
-    return 1.0 - np.sum(K**2, axis=1) * np.sum(
-        (omega**4)[None, :] / (wsq**2 * K**2), axis=1
-    )
+    1 - (sum xi_k^2)(sum w_k^4 / (|w|^4 xi_k^2)), for one band's scales
+    ``omega`` (d,), or one row per band with ``counts`` rows of K each."""
+    omega = np.atleast_2d(np.asarray(omega, dtype=float))
+    counts = [len(K)] if counts is None else counts
+    w4 = np.repeat((omega**4).T, counts, axis=1)
+    wsq = np.repeat(np.sum(omega**2, axis=1) ** 2, counts)
+    xsq = np.asarray(K, dtype=float).T ** 2
+    return 1.0 - _axis_sum(xsq) * _axis_sum(w4 / (wsq * xsq))
+
+
+def _band_edges(part: Partition) -> np.ndarray:
+    """The bands' box edges, (nbands, d, 2); ``band_omega`` refuses the
+    first band that touches zero frequency."""
+    edges = np.array([b.box for b in part.bands], dtype=float)
+    for i in np.flatnonzero(np.any(edges[:, :, 0] <= 0, axis=1))[:1]:
+        band_omega(part.bands[i])
+    return edges
 
 
 def leray_rate_bounds(part: Partition) -> list[RateBound]:
     """Kantorovich bounds per band from the per-axis ratios of the box
     edges to the band's scales, its lower edges: a = 1 and
-    b = max_i hi_i / lo_i."""
-    bounds = []
-    for band in part.bands:
-        lows = band_omega(band)
-        b = float(max(hi / lo for (_, hi), lo in zip(band.box, lows)))
-        bounds.append(
-            RateBound(band.id, 1.0, b, rate_kantorovich(1.0, b), FORMULA_KANTOROVICH)
-        )
-    return bounds
+    b = max_i hi_i / lo_i, read from the box edges of all bands at once."""
+    edges = _band_edges(part)
+    ratios = np.max(edges[:, :, 1] / edges[:, :, 0], axis=1).tolist()
+    return [
+        RateBound(band.id, 1.0, b, rate_kantorovich(1.0, b), FORMULA_KANTOROVICH)
+        for band, b in zip(part.bands, ratios)
+    ]
+
+
+def leray_sampled(part: Partition) -> np.ndarray:
+    """Each band's sup of |lambda| over its modes: ``leray_lambda`` once
+    per block of the layout, the band maxima merged across blocks."""
+    omega = _band_edges(part)[:, :, 0]
+    worst = np.zeros(len(part.bands))
+    for sl, first, last, counts in layout_blocks(part.offsets):
+        K = part.grid.wavevectors(part.perm[sl]).T
+        lam = np.abs(leray_lambda(omega[first:last], K, counts))
+        seg = worst[first:last]
+        np.maximum(seg, np.maximum.reduceat(lam, np.cumsum(counts) - counts), out=seg)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -326,36 +347,56 @@ def _real_if_exact(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.real) if not np.any(x.imag) else x
 
 
-def band_recurrence(sym: SymbolExpr, entry: BandEntry, K: np.ndarray):
-    """The band iteration's coefficients at the band's wavevectors K (M, d):
-    per-mode G = Id - A(k) P and the band's constant P = entry^+.  For a
-    scalar symbol with a 1x1 entry, G is one scalar per mode and P a
-    scalar; otherwise G is one matrix per mode and P one matrix.
+def band_inverses(sym: SymbolExpr, pc: BandPreconditioner, band_list) -> np.ndarray:
+    """Each listed band's P = entry^+, (nbands,) for a scalar symbol with
+    1x1 entries, else (nbands, n, n).  A finite entry whose P overflows is
+    refused by its band's id; a non-finite one is left to the certificate."""
+    E = np.array([pc.entries[b.id].matrix for b in band_list])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if sym.is_scalar and E.shape[1:] == (1, 1):
+            p = 1.0 / E[:, 0, 0]
+        else:
+            p = _real_if_exact(pseudo_inverse(E))
+    if not np.isfinite(p).all():
+        for band, e, pk in zip(band_list, E, p):
+            if np.isfinite(e).all() and not np.isfinite(pk).all():
+                raise NotInvertibleOnBandError(
+                    band.id, f"the entry {e.tolist()} on band {band.id} has no "
+                    "finite inverse")
+    return p
 
+
+def band_recurrence(sym: SymbolExpr, p: np.ndarray, K: np.ndarray, counts):
+    """Per-mode G = Id - A(k) P on a block of modes with wavevectors K
+    (d, M): ``counts[j]`` modes of band j after band j - 1's, with band
+    j's P ``p[j]`` from ``band_inverses``.  G is one scalar per mode for
+    scalar P, else one matrix per mode, and complex only if some value is.
     No band mode of any scheme lies on a Nyquist plane, so the symbol is
-    evaluated directly at K.
-    """
-    E = entry.matrix
-    a, _ = eval_many(sym, K)
-    if sym.is_scalar and E.shape == (1, 1):
-        a = _real_if_exact(a[:, 0, 0])
-        p = 1.0 / E[0, 0]
-        return 1.0 - a * p, p
+    evaluated directly at K."""
+    a, _ = eval_many(sym, K.T)
+    p = np.repeat(p, counts, axis=0)
+    if p.ndim == 1:
+        return 1.0 - _real_if_exact(a[:, 0, 0]) * p
     if sym.is_scalar:
-        a = a[:, 0, 0, None, None] * np.eye(E.shape[0])
-    p = _real_if_exact(pseudo_inverse(E))
-    return _real_if_exact(np.eye(a.shape[1]) - a @ p), p
+        a = a[:, 0, 0, None, None] * np.eye(p.shape[1])
+    return _real_if_exact(np.eye(a.shape[1]) - a @ p)
 
 
 def sampled_contraction(
     sym: SymbolExpr, pc: BandPreconditioner, band: FrequencyBand
 ) -> float:
     """Achieved contraction sup over the band's modes of ||G(k)||_2, read
-    from the same ``band_recurrence`` coefficients the solver iterates; the
-    empirical certificate for the bound."""
+    from the same ``band_recurrence`` coefficients the solver iterates, a
+    block of the band's segment at a time; the certificate for the bound."""
     if isinstance(band, tuple):
         band = pc.partition.band(band)
-    g, _ = band_recurrence(sym, pc.entries[band.id], band.mode_wavevectors())
-    if g.ndim == 1:
-        return float(np.abs(g).max())
-    return float(np.linalg.svd(g, compute_uv=False)[:, 0].max())
+    part = pc.partition
+    p = band_inverses(sym, pc, [band])
+    seg = part.segment(band.id)
+    worst = 0.0
+    for lo in range(seg.start, seg.stop, bands._BLOCK):
+        pos = part.perm[lo : min(lo + bands._BLOCK, seg.stop)]
+        g = band_recurrence(sym, p, part.grid.wavevectors(pos), [len(pos)])
+        g = np.abs(g) if g.ndim == 1 else np.linalg.svd(g, compute_uv=False)[:, 0]
+        worst = np.maximum(worst, g.max())
+    return float(worst)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import Partition
+from .bands import Partition, layout_blocks
 from .errors import (
     ArityError,
     BoundViolationError,
@@ -43,6 +43,7 @@ from .grid import (
     GridSpec,
     RealField,
     SpectralField,
+    _axis_sum,
     effective_axis_wavevectors,
     evaluate_modes,
     evaluate_on_grid,
@@ -57,6 +58,8 @@ from .precond import (
     BandPreconditioner,
     RateBound,
     _real_if_exact,
+    _band_edges,
+    band_inverses,
     band_recurrence,
     leray_rate_bounds,
     pseudo_inverse,
@@ -157,9 +160,7 @@ def estimate_rate(history, window: int | None = None) -> float:
 
 def kappa_table(grid: GridSpec) -> np.ndarray:
     """Effective wavevectors of all grid modes, (npoints, d), row-major."""
-    axes = [effective_axis_wavevectors(grid, i) for i in range(grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return grid.wavevectors(np.arange(grid.npoints), effective=True).T.copy()
 
 
 def spectral_divergence(spec: SpectralField) -> np.ndarray:
@@ -216,30 +217,12 @@ def _half_layout(part: Partition) -> _HalfLayout:
     last = last[keep]
     perm = (part.perm[keep] >> (n.bit_length() - 1)) * (h + 1)
     perm += last
-    # A band keeps the sub-box rows whose last-axis index is <= N_last/2.
-    counts = [
-        math.prod(b.shape[:-1]) * int(np.count_nonzero(b.axis_indices[-1] <= h))
-        for b in part.bands
-    ]
-    offsets = np.cumsum([0] + counts).tolist()
+    # Band i keeps the positions of its segment with last-axis index
+    # <= N_last/2, and every band keeps some.
+    counts = np.add.reduceat(keep[: part.offsets[-1]], part.offsets[:-1])
+    offsets = [0] + np.cumsum(counts).tolist()
     sc = np.flatnonzero((last == 0) | (last == h))
     return _HalfLayout(perm, offsets, sc)
-
-
-def _half_wavevectors(grid: GridSpec, pos: np.ndarray) -> np.ndarray:
-    """Integer wavevectors, (d, M) float, of the flat half-grid positions
-    ``pos``.  Every size is a power of two, so the axis indices come by
-    shifts and masks, and index ix maps to ix below N/2 and to ix - N from
-    N/2 on, as ``GridSpec.axis_wavevectors`` maps it."""
-    n = grid.sizes[-1]
-    row = pos // (n // 2 + 1)
-    xi = np.empty((grid.dim, len(pos)))
-    xi[-1] = ((pos - row * (n // 2 + 1) + n // 2) & (n - 1)) - n // 2
-    for i in range(grid.dim - 2, -1, -1):
-        n = grid.sizes[i]
-        xi[i] = ((row + n // 2) & (n - 1)) - n // 2
-        row >>= n.bit_length() - 1
-    return xi
 
 
 def _split_modes(kappa: np.ndarray, flat: np.ndarray):
@@ -376,52 +359,39 @@ def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
 
 def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
     """Per-mode G = Id - A P in the order of the half layout, and P: one
-    constant per band from ``band_recurrence`` at the wavevectors of the
-    band's segment, and on the dc set one per mode, the pseudo-inverse of A
-    under the Nyquist convention.  G is one scalar per mode for a scalar
-    symbol with 1x1 entries, else one matrix per mode; it is complex only
-    if some mode's value is.  Returns (G, band P list, dc P)."""
-    part = pc.partition
-    grid = part.grid
-    o = half.offsets
-    g = None
-    pbands = []
-
-    def put(lo, hi, gk):
-        nonlocal g
-        if g is None:
-            g = np.empty((len(half.perm),) + gk.shape[1:], gk.dtype)
-        elif np.iscomplexobj(gk) and not np.iscomplexobj(g):
-            g = g.astype(complex)
-        g[lo:hi] = gk
-
-    for band, lo, hi in zip(part.bands, o, o[1:]):
-        gk, pk = band_recurrence(
-            A, pc.entries[band.id], _half_wavevectors(grid, half.perm[lo:hi]).T
-        )
-        put(lo, hi, gk)
-        pbands.append(pk)
-    kdc = _half_wavevectors(grid, half.perm[o[-1] :]).T
+    per band (``band_inverses``), with G by ``band_recurrence`` a block at a
+    time, and on the dc set one per mode, the pseudo-inverse of A under
+    the Nyquist convention.  G is one scalar per mode for a scalar symbol
+    with 1x1 entries, else one matrix per mode; it is complex only if some
+    mode's value is.  Returns (G, band P array, dc P)."""
+    grid = pc.partition.grid
+    nb = half.offsets[-1]
+    pbands = band_inverses(A, pc, pc.partition.bands)
+    kdc = grid.wavevectors(half.perm[nb:], half=True).T
     a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
-    if g.ndim == 1:
+    if pbands.ndim == 1:
         a = _real_if_exact(a[:, 0, 0])
         pdc = np.where(a == 0, 0.0, 1.0 / np.where(a == 0, 1.0, a))
         gdc = 1.0 - a * pdc
     else:
         if A.is_scalar:
-            a = a[:, 0, 0, None, None] * np.eye(g.shape[1])
+            a = a[:, 0, 0, None, None] * np.eye(pbands.shape[1])
         pdc = _real_if_exact(pseudo_inverse(a))
         gdc = _real_if_exact(np.eye(a.shape[1]) - a @ pdc)
-    put(o[-1], len(half.perm), gdc)
+    g = np.empty((len(half.perm),) + pbands.shape[1:], gdc.dtype)
+    g[nb:] = gdc
+    for sl, first, last, counts in layout_blocks(half.offsets):
+        K = grid.wavevectors(half.perm[sl], half=True)
+        gk = band_recurrence(A, pbands[first:last], K, counts)
+        if np.iscomplexobj(gk) and not np.iscomplexobj(g):
+            g = g.astype(complex)
+        g[sl] = gk
     return g, pbands, pdc
 
 
 def _apply(p: np.ndarray, S: np.ndarray) -> None:
-    """S <- P S in place on the (n, M) values ``S``, for one scalar P, one
-    n x n matrix P, or one P per mode, (M,) or (M, n, n)."""
-    if p.ndim == 2:
-        S[:] = np.einsum("ij,jk->ik", p, S)
-    elif p.ndim == 3:
+    """S <- P S in place on (n, M) values, for one P per mode, (M,n,n) or (M,)."""
+    if p.ndim == 3:
         S[:] = np.einsum("kij,jk->ik", p, S)
     else:
         S *= p
@@ -472,10 +442,9 @@ def richardson_solve(
     S = _iterate(r, g, half.sc, scale, ref, report, cfg)
     del r, g, scale
 
-    o = half.offsets
-    for pk, lo, hi in zip(pbands, o, o[1:]):
-        _apply(pk, S[:, lo:hi])
-    _apply(pdc, S[:, o[-1] :])
+    for sl, first, last, counts in layout_blocks(half.offsets):
+        _apply(np.repeat(pbands[first:last], counts, axis=0), S[:, sl])
+    _apply(pdc, S[:, half.offsets[-1] :])
     u = np.empty((ncols,) + grid.half_sizes, dtype=complex)
     u.reshape(ncols, -1)[:, half.perm] = S
     del S, half
@@ -487,24 +456,9 @@ def richardson_solve(
 # ---------------------------------------------------------------------------
 
 
-# Band positions of the half layout per block of the Helmholtz plan: its
-# per-mode vectors xi, c, l, m and sweep 1's outputs, (d, _BLOCK) each,
-# exist one block at a time and never for the whole layout.
-_BLOCK = 8192
-
-
-def _axis_sum(x: np.ndarray) -> np.ndarray:
-    """The rows of the (d, M) array ``x`` added first to last, which is how
-    ``np.sum(x, axis=0)`` adds a C-contiguous one, but for any M."""
-    s = x[0] + x[1]
-    for row in x[2:]:
-        s += row
-    return s
-
-
 def _leray_blocks(grid: GridSpec, half: _HalfLayout, omega_sq, v0, lam=None):
-    """Sweep 1 of the Leray iteration, block by block over the band
-    positions of the half layout.
+    """Sweep 1 of the Leray iteration over ``layout_blocks`` of the half
+    layout, so its per-mode vectors exist one block at a time.
 
     Per mode, with xi its wavevector and w^2 its band's row of
     ``omega_sq`` (nbands, d): c = w^2 / xi, the eigenvalue
@@ -515,17 +469,10 @@ def _leray_blocks(grid: GridSpec, half: _HalfLayout, omega_sq, v0, lam=None):
     mv1 = v0 - lv1 - c t.  Yields (slice, xi, lambda, |c|^2, l, m, lv1,
     mv1, t) per block.
     """
-    offsets = np.asarray(half.offsets)
-    nb = half.offsets[-1]
     wsq_band = np.sum(omega_sq, axis=1)
     omega_sq = omega_sq.T
-    for lo in range(0, nb, _BLOCK):
-        hi = min(lo + _BLOCK, nb)
-        sl = slice(lo, hi)
-        first = int(np.searchsorted(offsets, lo, "right")) - 1
-        last = int(np.searchsorted(offsets, hi))
-        counts = np.diff(np.clip(offsets[first : last + 1], lo, hi))
-        xi = _half_wavevectors(grid, half.perm[sl])
+    for sl, first, last, counts in layout_blocks(half.offsets):
+        xi = grid.wavevectors(half.perm[sl], half=True)
         wsq = np.repeat(wsq_band[first:last], counts)
         c = np.repeat(omega_sq[:, first:last], counts, axis=1)
         c /= xi
@@ -552,9 +499,10 @@ def helmholtz_decompose(
 
     Each sweep applies the band's divergence-free and gradient-part
     operators Mw, Lw to the remainder and accumulates the two outputs.  The
-    residual operator Id - Mw - Lw is rank one, c (xi - |xi|^2 c)^T / |w|^2
-    with c_i = w_i^2 / xi_i, so after the first sweep the remainder is
-    c t with one complex scalar t per mode, and every later sweep is
+    residual operator Id - Mw - Lw is rank one,
+    c (xi - |xi|^2 c / |w|^2)^T / |w|^2 with c_i = w_i^2 / xi_i, so after
+    the first sweep the remainder is c t with one complex scalar t per
+    mode, and every later sweep is
     t <- lambda t with lambda the closed-form eigenvalue; its outputs are
     m t and l t with fixed per-mode vectors m, l.  The accumulated
     divergence-free part has zero spectral divergence after every sweep,
@@ -596,9 +544,7 @@ def helmholtz_decompose(
 
     # Exact dc assignment along the effective wavevectors, which are 0 on
     # each axis's Nyquist plane.
-    kdc = _half_wavevectors(grid, dc)
-    for i, k in enumerate(kdc):
-        k[k == grid.nyquist(i)] = 0.0
+    kdc = grid.wavevectors(dc, half=True, effective=True)
     div_dc, curl_dc = _split_modes(kdc, flat[:, dc])
     div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0), sc_dc) ** 2
 
@@ -612,9 +558,8 @@ def helmholtz_decompose(
     if not sweep:
         v0[:] = 0.0
 
-    # The bands' squared scales: band_omega's lower box edges, read in one
-    # pass; leray_rate_bounds has already refused a band at zero frequency.
-    omega_sq = np.array([[lo for lo, _ in b.box] for b in part.bands]) ** 2
+    # The bands' squared scales: band_omega's lower box edges.
+    omega_sq = _band_edges(part)[:, :, 0] ** 2
 
     # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
     # divergence of the accumulated part is dv1 + xm S, by linearity in S.

@@ -301,7 +301,7 @@ class TestAnalyzeSynthesize:
             scale = band.axis_scale(0)
             factor = (4.0 * scale) / (1j * k1)
             block = lifted.band_coeffs[band.id] * factor[None, :, None]
-            expected[(slice(None),) + band.selector()] = block
+            expected[(slice(None),) + np.ix_(*band.axis_indices)] = block
         expected.reshape(1, -1)[:, part.dc_indices] = lifted.dc_coeffs
         assert np.max(np.abs(direct.modes - expected)) < 1e-13
 

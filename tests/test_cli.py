@@ -194,6 +194,25 @@ class TestRates:
         assert captured.out == ""
         assert captured.err.startswith("error: --alpha")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("operator,entry", [
+        ("1e-320", "[[1e-320]]"), ("nlap*1e-310", "[[2e-310]]"),
+    ])
+    def test_overflowing_band_entry_exits_2(self, capsys, operator, entry):
+        code = run(["rates", "--operator", operator, "--grid", "8x8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"the entry {entry} on band (0, 0) has no finite inverse"
+                in captured.err)
+
+    def test_leray_on_a_1d_grid_exits_2(self, capsys):
+        code = run(["rates", "--operator", "leray", "--grid", "16"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "leray rates need a 2D or 3D grid, got '16'" in captured.err
+
     def test_leray_on_an_mra_partition_exits_2(self, capsys):
         code = run(["rates", "--operator", "leray", "--scheme", "mra",
                     "--grid", "32x32"])
@@ -353,6 +372,14 @@ class TestInputErrors:
                     components, "--out", str(out)])
         assert code == 2
         assert "components must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f.swf"
+        code = run(["gen-field", "--grid", "16x16", "--seed", "-1",
+                    "--out", str(out)])
+        assert code == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):

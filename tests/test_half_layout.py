@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import shannop as sp
 from shannop.generate import random_field
 from shannop.grid import forward_half_transform, wavevector_table
-from shannop.solver import _half_layout, _half_wavevectors, _norm
+from shannop.solver import _half_layout, _norm
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -62,7 +62,7 @@ def test_half_layout_lists_each_half_grid_position_once(part):
     # (dc rows include Nyquist planes), and the self-conjugate positions,
     # the last-axis planes 0 and N_last/2.
     wavevectors = wavevector_table(grid)[kept]
-    assert np.array_equal(_half_wavevectors(grid, half.perm).T, wavevectors)
+    assert np.array_equal(grid.wavevectors(half.perm, half=True).T, wavevectors)
     # Band i's segment holds its modes with k_last >= 0 (no band mode sits
     # on a Nyquist plane), in row-major sub-box order.
     assert len(half.offsets) == len(part.bands) + 1

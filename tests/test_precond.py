@@ -180,6 +180,32 @@ class TestLerayOperators:
         assert abs(eigs[1] - (-9 / 16)) < 1e-14
         assert abs(leray_lambda(omega, K)[0] - (-9 / 16)) < 1e-14
 
+    @pytest.mark.parametrize("sizes,depth", [((64, 64), 0), ((64, 32), 2),
+                                             ((16, 16, 16), 0), ((16, 32, 16), 1)])
+    def test_rank_one_residual_closed_form(self, sizes, depth):
+        """Id - Mw - Lw = c (xi - |xi|^2 c / |w|^2)^T / |w|^2 with
+        c_i = w_i^2 / xi_i, at random modes of random bands, relative to
+        the terms the residual is the difference of; the form without the
+        second 1/|w|^2 is far off."""
+        part = sp.refine_packet(tensorial(sizes), depth)
+        rng = np.random.default_rng(sum(sizes) + depth)
+        for i in rng.choice(len(part.bands), size=8):
+            band = part.bands[i]
+            K = band.mode_wavevectors().astype(float)
+            K = K[rng.choice(len(K), size=min(len(K), 16), replace=False)]
+            omega = band_omega(band)
+            mw, lw = leray_matrices(omega, K)
+            resid = np.eye(len(sizes)) - mw - lw
+            wsq = np.sum(omega**2)
+            c = omega**2 / K
+            ksq = np.sum(K**2, axis=1, keepdims=True)
+            want = c[:, :, None] * (K - ksq * c / wsq)[:, None, :] / wsq
+            scale = 1.0 + np.max(np.abs(mw) + np.abs(lw), axis=(1, 2))
+            err = np.max(np.abs(resid - want), axis=(1, 2))
+            assert np.all(err <= 1e-13 * scale)
+            wrong = c[:, :, None] * (K - ksq * c)[:, None, :] / wsq
+            assert np.max(np.abs(resid - wrong)) > 1e-3 * scale.max()
+
     def test_constructible_pair(self):
         band = tensorial((8, 8)).band((0, 0))
         mw, lw = sp.leray_band_operators(band)
