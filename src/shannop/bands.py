@@ -484,7 +484,8 @@ class BandedField:
         # |x|^2 a block of whole bands at a time, and per band one pairwise
         # sum in band_energy's order, so totals agree bit for bit.
         energies = []
-        for sl, _, _, counts in layout_blocks(self.partition.offsets, True):
+        blocks = layout_blocks(self.partition.offsets, whole_bands=True)
+        for sl, _, _, counts in blocks:
             sq = np.abs(self.coeffs[:, sl]) ** 2
             ends = np.cumsum(counts).tolist()
             for lo, hi in zip([0] + ends, ends):

@@ -66,7 +66,7 @@ class GridSpec:
     def nyquist(self, axis: int) -> int:
         return -self.sizes[axis] // 2
 
-    def wavevectors(self, pos: np.ndarray, half: bool = False, effective=False):
+    def wavevectors(self, pos: np.ndarray, half: bool = False, effective: bool = False):
         """Integer wavevectors, (d, M) float, of the flat row-major
         positions ``pos`` on the grid, or with ``half`` on the half grid;
         with ``effective``, 0 on each axis's Nyquist plane, as

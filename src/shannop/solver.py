@@ -502,12 +502,11 @@ def helmholtz_decompose(
     residual operator Id - Mw - Lw is rank one,
     c (xi - |xi|^2 c / |w|^2)^T / |w|^2 with c_i = w_i^2 / xi_i, so after
     the first sweep the remainder is c t with one complex scalar t per
-    mode, and every later sweep is
-    t <- lambda t with lambda the closed-form eigenvalue; its outputs are
-    m t and l t with fixed per-mode vectors m, l.  The accumulated
-    divergence-free part has zero spectral divergence after every sweep,
-    not just at convergence.  The dc set is assigned exactly up front
-    (mean to the divergence-free part).
+    mode, and every later sweep is t <- lambda t with lambda the
+    closed-form eigenvalue; its outputs are m t and l t with fixed
+    per-mode vectors m, l.  The accumulated divergence-free part has zero
+    spectral divergence after every sweep, not just at convergence.  The
+    dc set is assigned exactly up front (mean to the divergence-free part).
 
     Besides the gathered band spectrum v0, the plan keeps one value per
     band mode for each of t, lambda, |c| times the norm weight and the two
