@@ -96,8 +96,8 @@ def _axis_sum(x: np.ndarray) -> np.ndarray:
     """The rows of the (d, M) array ``x`` added first to last, which is how
     ``np.sum(x, axis=0)`` adds a C-contiguous one, and how ``np.sum`` adds
     each row of an (M, d) array along axis 1, but for any M."""
-    s = x[0].copy()
-    for row in x[1:]:
+    s = x[0] + x[1] if len(x) > 1 else x[0].copy()
+    for row in x[2:]:
         s += row
     return s
 

@@ -295,9 +295,12 @@ def leray_matrices(omega: np.ndarray, K: np.ndarray):
 def leray_lambda(omega: np.ndarray, K: np.ndarray, counts=None) -> np.ndarray:
     """Closed-form nonzero eigenvalue of Id - Mw - Lw at each wavevector:
     1 - (sum xi_k^2)(sum w_k^4 / (|w|^4 xi_k^2)), for one band's scales
-    ``omega`` (d,), or one row per band with ``counts`` rows of K each."""
-    omega = np.atleast_2d(np.asarray(omega, dtype=float))
-    counts = [len(K)] if counts is None else counts
+    ``omega`` (d,), one row of scales per wavevector (M, d), or one row per
+    band with ``counts`` rows of K each; each way gives the same values."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim == 1:
+        omega, counts = omega[None], [len(K)]
+    counts = 1 if counts is None else counts
     w4 = np.repeat((omega**4).T, counts, axis=1)
     wsq = np.repeat(np.sum(omega**2, axis=1) ** 2, counts)
     xsq = np.asarray(K, dtype=float).T ** 2

@@ -217,8 +217,7 @@ def _half_layout(part: Partition) -> _HalfLayout:
     last = last[keep]
     perm = (part.perm[keep] >> (n.bit_length() - 1)) * (h + 1)
     perm += last
-    # Band i keeps the positions of its segment with last-axis index
-    # <= N_last/2, and every band keeps some.
+    # Band i keeps its positions with last-axis index <= h: at least one.
     counts = np.add.reduceat(keep[: part.offsets[-1]], part.offsets[:-1])
     offsets = [0] + np.cumsum(counts).tolist()
     sc = np.flatnonzero((last == 0) | (last == h))

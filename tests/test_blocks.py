@@ -145,8 +145,13 @@ def test_leray_certificates_match_per_band_reference(part, block):
     expected = []
     for band, got in zip(part.bands, worst.tolist()):
         omega = band_omega(band)
-        lam = leray_lambda(omega, band.mode_wavevectors().astype(float))
+        K = band.mode_wavevectors().astype(float)
+        lam = leray_lambda(omega, K)
         assert got == float(np.max(np.abs(lam)))
+        assert np.array_equal(leray_lambda(np.tile(omega, (len(K), 1)), K), lam)
+        wsq = np.sum(omega**2)
+        old = 1.0 - np.sum(K**2, axis=1) * np.sum(omega**4 / (wsq**2 * K**2), axis=1)
+        assert np.array_equal(lam, old)
         b = float(max(hi / lo for (_, hi), lo in zip(band.box, omega)))
         expected.append(
             RateBound(band.id, 1.0, b, rate_kantorovich(1.0, b), "kantorovich")
