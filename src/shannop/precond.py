@@ -16,8 +16,7 @@ constructions:
 No general minimax optimizer over matrix approximants is provided; the
 achieved contraction is certified a posteriori by ``sampled_contraction``.
 The certificate and the Richardson plan read the same per-mode
-coefficients from ``band_recurrence``, a block of layout positions at a
-time.
+coefficients from ``band_recurrence``, block by block.
 """
 
 from __future__ import annotations

@@ -58,7 +58,6 @@ from .precond import (
     BandPreconditioner,
     RateBound,
     _real_if_exact,
-    _band_edges,
     band_inverses,
     band_recurrence,
     leray_rate_bounds,
@@ -217,9 +216,10 @@ def _half_layout(part: Partition) -> _HalfLayout:
     last = last[keep]
     perm = (part.perm[keep] >> (n.bit_length() - 1)) * (h + 1)
     perm += last
-    # Band i keeps its positions with last-axis index <= h: at least one.
-    counts = np.add.reduceat(keep[: part.offsets[-1]], part.offsets[:-1])
-    offsets = [0] + np.cumsum(counts).tolist()
+    # Count per segment (reduceat casts keep to int64); each band keeps some.
+    o = part.offsets.tolist()
+    counts = [np.count_nonzero(keep[a:b]) for a, b in zip(o, o[1:])]
+    offsets = np.cumsum([0] + counts).tolist()
     sc = np.flatnonzero((last == 0) | (last == h))
     return _HalfLayout(perm, offsets, sc)
 
@@ -556,8 +556,9 @@ def helmholtz_decompose(
     if not sweep:
         v0[:] = 0.0
 
-    # The bands' squared scales: band_omega's lower box edges.
-    omega_sq = _band_edges(part)[:, :, 0] ** 2
+    # The bands' squared scales: band_omega's lower box edges, read in one
+    # pass; leray_rate_bounds has already refused a band at zero frequency.
+    omega_sq = np.array([[lo for lo, _ in b.box] for b in part.bands]) ** 2
 
     # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
     # divergence of the accumulated part is dv1 + xm S, by linearity in S.
