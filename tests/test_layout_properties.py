@@ -1,7 +1,8 @@
 """Band projection, band energies and per-band wavevectors against
 references built per band from ``np.ix_`` and ``grid.axis_wavevectors``,
 over random 1D-3D power-of-two grids, tensorial, MRA and packet partitions
-and 1-3 components.
+(refined once or twice, and deep enough for empty and ragged pieces) and
+1-3 components.
 
 Everything here is compared bit for bit: the band layout is a reordering
 of modes, so no value it produces may differ in the last digit from the
@@ -55,10 +56,26 @@ def reference_wavevectors(band):
     return np.stack([m.ravel() for m in mesh], axis=1).astype(float)
 
 
-@SETTINGS
-@given(part=partitions)
+# Besides the partitions above: refining a refined partition, whose
+# sub-bands of different parents interleave in sorted order, and depths 3-5
+# on grids up to 32 per axis, where pieces narrower than one mode are empty
+# or hold one magnitude and MRA's first piece on a [0, 2^j) axis holds
+# k = 0, one mode fewer than the others.
+layout_partitions = st.one_of(
+    partitions.map(lambda p: build(*p)),
+    partitions.map(lambda p: sp.refine_packet(build(p[0], p[1], 1), 1)),
+    st.builds(
+        build,
+        st.integers(1, 3).flatmap(lambda dim: st.tuples(*[st.integers(2, 5)] * dim)),
+        st.sampled_from(["tensorial", "mra"]),
+        st.integers(3, 5),
+    ),
+)
+
+
+@settings(max_examples=45, deadline=None)
+@given(part=layout_partitions)
 def test_layout_is_the_band_positions_then_dc(part):
-    part = build(*part)
     flat = []
     for band in part.bands:
         mesh = np.meshgrid(*band.axis_indices, indexing="ij")
