@@ -54,30 +54,76 @@ def _fmt_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def _write_flat_indices(bands, out: np.ndarray) -> int:
-    """Write the bands' row-major grid positions into the 1-D ``out``, band
-    after band, each in row-major sub-box order; return how many.
+def _strides(sizes) -> list:
+    """Row-major strides, in elements, of a grid of the given sizes."""
+    return [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
 
-    Each position is the broadcast sum of per-axis offsets ix * stride,
-    computed once per index array that bands share within the call."""
-    sizes = bands[0].grid.sizes if bands else ()
-    d = len(sizes)
-    strides = [math.prod(sizes[i + 1 :]) for i in range(d)]
-    offsets = {}  # (axis, id of a shared index array) -> shaped ix * stride
+
+def _axis_block(pieces, stride: int):
+    """One axis of a parent band, for ``_write_layout``: its m index pieces
+    as an (m, q) int32 block of offsets ix * stride, row r piece r padded
+    to the longest length q; the (m, q) mask of the entries that are not
+    padding, or None where no piece is short; and how many indices."""
+    lengths = np.array([len(ix) for ix in pieces])
+    q = int(lengths.max())
+    block = np.zeros((len(pieces), q), dtype=np.int32)
+    for row, ix in zip(block, pieces):
+        row[: len(ix)] = ix
+    block *= stride
+    inside = None if (lengths == q).all() else np.arange(q) < lengths[:, None]
+    return block, inside, int(lengths.sum())
+
+
+def _write_layout(parents, out: np.ndarray) -> int:
+    """Write, parent after parent, the row-major grid positions of each
+    parent band's sub-boxes into the 1-D ``out``; return how many.
+
+    A parent is one ``_axis_block`` per axis, and its sub-boxes are the
+    Cartesian products of one piece per axis, in ``itertools.product``
+    order, each in row-major order.  Axis i's (m_i, q_i) block broadcast
+    over axes i and d + i of an (m_0, ..., m_{d-1}, q_0, ..., q_{d-1})
+    array adds up to the positions in exactly that order, so a parent
+    takes one pass, straight into ``out`` unless some piece is short; then
+    a mask leaves the padding out."""
     pos = 0
-    for b in bands:
-        n = b.nmodes
-        seg = out[pos : pos + n].reshape(b.shape)
-        for i, ix in enumerate(b.axis_indices):
-            key = (i, id(ix))
-            if key not in offsets:
-                offsets[key] = (ix * strides[i]).reshape((-1,) + (1,) * (d - 1 - i))
+    for axes in parents:
+        d = len(axes)
+        shape = [blk.shape[j] for j in (0, 1) for blk, _, _ in axes]
+        n = math.prod(count for _, _, count in axes)
+        ragged = any(inside is not None for _, inside, _ in axes)
+        if ragged:
+            box = np.empty(shape, out.dtype)
+        else:
+            box = out[pos : pos + n].reshape(shape)
+        mask = True
+        for i, (block, inside, _) in enumerate(axes):
+            where = [1] * (2 * d)
+            where[i], where[d + i] = block.shape
             if i == 0:
-                seg[...] = offsets[key]
+                box[...] = block.reshape(where)
             else:
-                seg += offsets[key]
+                box += block.reshape(where)
+            if inside is not None:
+                mask = mask & inside.reshape(where)
+        if ragged:
+            out[pos : pos + n] = box[np.broadcast_to(mask, shape)]
         pos += n
     return pos
+
+
+def _write_bands(bands, out: np.ndarray) -> int:
+    """``_write_layout`` of bands as parents of one piece per axis, the
+    block of an index array that bands share built once in the call."""
+    strides = _strides(bands[0].grid.sizes if bands else ())
+    blocks = {}  # (axis, id of a shared index array) -> its _axis_block
+    for b in bands:
+        for i, ix in enumerate(b.axis_indices):
+            if (i, id(ix)) not in blocks:
+                blocks[i, id(ix)] = _axis_block([ix], strides[i])
+    return _write_layout(
+        ([blocks[i, id(ix)] for i, ix in enumerate(b.axis_indices)] for b in bands),
+        out,
+    )
 
 
 _BLOCK = 8192  # positions per block of a band-major layout
@@ -93,13 +139,15 @@ def layout_blocks(offsets, whole_bands: bool = False):
     lo, end = int(offsets[0]), int(offsets[-1])
     while lo < end:
         hi = min(lo + _BLOCK, end)
-        first = int(np.searchsorted(offsets, lo, "right")) - 1
-        last = int(np.searchsorted(offsets, hi))
+        first = int(offsets.searchsorted(lo, "right")) - 1
+        last = int(offsets.searchsorted(hi))
         if whole_bands:  # lo is a band's start; end at a band's end
-            last = max(first + 1, int(np.searchsorted(offsets, hi, "right")) - 1)
+            last = max(first + 1, int(offsets.searchsorted(hi, "right")) - 1)
             hi = int(offsets[last])
-        counts = np.diff(np.clip(offsets[first : last + 1], lo, hi))
-        yield slice(lo, hi), first, last, counts
+        # Only the end bands stick out of [lo, hi).
+        edges = offsets[first : last + 1].copy()
+        edges[0], edges[-1] = lo, hi
+        yield slice(lo, hi), first, last, np.diff(edges)
         lo = hi
 
 
@@ -168,7 +216,7 @@ class FrequencyBand:
     def flat_indices(self) -> np.ndarray:
         """Row-major positions of the band's modes in the flattened grid."""
         out = np.empty(self.nmodes, dtype=np.intp)
-        _write_flat_indices([self], out)
+        _write_bands([self], out)
         return out
 
     def axis_scale(self, axis: int) -> float:
@@ -238,7 +286,7 @@ class Partition:
             )
         if self.perm is None:
             self.perm = _layout_buffer(self.grid)
-            _write_flat_indices(self.bands, self.perm)
+            _write_bands(self.bands, self.perm)
         self.perm[claimed:] = self.dc_indices
 
     def band(self, band_id) -> FrequencyBand:
@@ -292,7 +340,7 @@ def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
         bands.append(FrequencyBand(grid, band_id, box, idx))
     bands.sort(key=FrequencyBand.sort_key)
     perm = _layout_buffer(grid)
-    claimed = _write_flat_indices(bands, perm)
+    claimed = _write_bands(bands, perm)
     dc = np.flatnonzero(~_marked(perm[:claimed], grid.npoints))
     return Partition(grid, scheme, 0, bands, dc, perm=perm)
 
@@ -367,6 +415,11 @@ def refine_packet(part: Partition, depth: int) -> Partition:
     counted in the result's ``dropped_empty``.  Depth 0 returns the
     partition unchanged.  Refining by 1 twice yields the same bands as
     refining by 2 once.
+
+    The layout is written once per parent band (``_write_layout``), from
+    one block of offsets per distinct (axis, lo, hi) interval.  Sub-bands
+    of a refined partition's bands interleave across parents, so their
+    segments are then moved into sorted band order.
     """
     if depth < 0:
         raise StructuralError("packet depth must be nonnegative")
@@ -378,11 +431,13 @@ def refine_packet(part: Partition, depth: int) -> Partition:
             f"{_MAX_PACKET_DEPTH}: finer box edges are not exact in float64"
         )
     splits = 2**depth
-    mags = [np.abs(part.grid.axis_wavevectors(i)) for i in range(part.grid.dim)]
+    grid = part.grid
+    mags = [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
+    strides = _strides(grid.sizes)
     # A band's axis indices are all those with magnitude in its interval,
-    # so bands sharing an (axis, lo, hi) share its pieces.
+    # so bands sharing an (axis, lo, hi) share its pieces and their block.
     table = {}
-    bands = []
+    bands, parents = [], []
     dropped = part.dropped_empty
     for b in part.bands:
         if part.packet_depth > 0:
@@ -390,23 +445,35 @@ def refine_packet(part: Partition, depth: int) -> Partition:
         else:
             root_id, path = b.id, (0,) * b.dim
         pieces = []  # per axis: the non-empty (path entry, interval, indices)
+        blocks = []
         for i, ((lo, hi), ix, p) in enumerate(zip(b.box, b.axis_indices, path)):
             if (i, lo, hi) not in table:
-                table[i, lo, hi] = _axis_pieces(mags[i], ix, lo, hi, splits)
-            pieces.append([(p * splits + s, sub, sub_ix)
-                           for s, sub, sub_ix in table[i, lo, hi]])
+                kept = _axis_pieces(mags[i], ix, lo, hi, splits)
+                block = _axis_block([sub_ix for _, _, sub_ix in kept], strides[i])
+                table[i, lo, hi] = kept, block
+            kept, block = table[i, lo, hi]
+            pieces.append([(p * splits + s, sub, sub_ix) for s, sub, sub_ix in kept])
+            blocks.append(block)
+        parents.append(blocks)
         dropped += splits**b.dim - math.prod(len(kept) for kept in pieces)
         for combo in itertools.product(*pieces):
             new_path, box, idx = zip(*combo)
-            bands.append(FrequencyBand(part.grid, (root_id, new_path), box, idx))
+            bands.append(FrequencyBand(grid, (root_id, new_path), box, idx))
+    perm = _layout_buffer(grid)
+    claimed = _write_layout(parents, perm)
     if part.packet_depth > 0:
-        # Sub-bands of different parents interleave in path order; refined
-        # from a base partition they come out sorted already.
-        bands.sort(key=FrequencyBand.sort_key)
-    perm = _layout_buffer(part.grid)
-    _write_flat_indices(bands, perm)
+        # Sub-bands of different parents interleave in path order (refined
+        # from a base partition they come out sorted already): move each
+        # band's segment to its place in sorted band order.
+        counts = np.array([b.nmodes for b in bands])
+        starts = np.cumsum(counts) - counts
+        order = sorted(range(len(bands)), key=lambda k: bands[k].sort_key())
+        bands = [bands[k] for k in order]
+        counts = counts[order]
+        shift = starts[order] - (np.cumsum(counts) - counts)
+        perm[:claimed] = perm[np.repeat(shift, counts) + np.arange(claimed)]
     refined = Partition(
-        part.grid,
+        grid,
         part.base_scheme,
         part.packet_depth + depth,
         bands,
@@ -585,12 +652,18 @@ def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
 
 
 def dump_partition(part: Partition) -> str:
-    """Deterministic text dump: one line per band, lexicographic id order."""
+    """Deterministic text dump: one line per band, lexicographic id order.
+    Each distinct (lo, hi) interval is formatted once per call."""
+    edges = {}  # (lo, hi) -> "lo,hi"
     lines = []
-    for b in part.bands:
+    for b, n in zip(part.bands, np.diff(part.offsets).tolist()):
+        box = []
+        for lo, hi in b.box:
+            if (lo, hi) not in edges:
+                edges[lo, hi] = f"{_fmt_num(lo)},{_fmt_num(hi)}"
+            box.append(edges[lo, hi])
         ident = repr(b.id).replace(" ", "")
-        box = " ".join(f"{_fmt_num(lo)},{_fmt_num(hi)}" for lo, hi in b.box)
-        lines.append(f"band {ident} box {box} modes {b.nmodes}")
+        lines.append(f"band {ident} box {' '.join(box)} modes {n}")
     lines.append(f"dc modes {len(part.dc_indices)}")
     if part.dropped_empty:
         lines.append(f"dropped {part.dropped_empty}")

@@ -191,10 +191,28 @@ class SpectralField:
 
 
 def forward_transform(field: RealField) -> SpectralField:
-    """Unitary DFT of each component."""
-    axes = tuple(range(1, field.grid.dim + 1))
-    modes = np.fft.fftn(field.values, axes=axes, norm="ortho")
-    return SpectralField(field.grid, modes)
+    """Unitary DFT of each component: the Hermitian extension of
+    ``forward_half_transform``.
+
+    ``rfftn`` writes last-axis indices 0..N/2 straight into the output, bit
+    for bit ``forward_half_transform``'s values.  Indices N/2+1..N-1 are
+    then filled in place with the conjugates of their reflections
+    k -> -k, by one slice pair per choice of index 0 or 1..N-1 on each
+    other axis, with no temporary."""
+    grid = field.grid
+    n = grid.sizes[-1]
+    modes = np.empty((field.components,) + grid.sizes, dtype=complex)
+    axes = tuple(range(1, grid.dim + 1))
+    np.fft.rfftn(field.values, axes=axes, norm="ortho", out=modes[..., : n // 2 + 1])
+    for zero in product((True, False), repeat=grid.dim - 1):
+        dst, src = [slice(None)], [slice(None)]
+        for z, m in zip(zero, grid.sizes[:-1]):
+            dst.append(slice(0, 1) if z else slice(1, m))
+            src.append(slice(0, 1) if z else slice(m - 1, 0, -1))
+        dst.append(slice(n // 2 + 1, n))
+        src.append(slice(n // 2 - 1, 0, -1))
+        np.conjugate(modes[tuple(src)], out=modes[tuple(dst)])
+    return SpectralField(grid, modes)
 
 
 def inverse_transform(

@@ -441,8 +441,11 @@ def richardson_solve(
     S = _iterate(r, g, half.sc, scale, ref, report, cfg)
     del r, g, scale
 
-    for sl, first, last, counts in layout_blocks(half.offsets):
-        _apply(np.repeat(pbands[first:last], counts, axis=0), S[:, sl])
+    for sl, first, last, counts in layout_blocks(half.offsets, whole_bands=True):
+        if pbands.ndim == 1 and last - first == 1:
+            S[:, sl] *= pbands[first]  # a block of one band: its scalar
+        else:
+            _apply(np.repeat(pbands[first:last], counts, axis=0), S[:, sl])
     _apply(pdc, S[:, half.offsets[-1] :])
     u = np.empty((ncols,) + grid.half_sizes, dtype=complex)
     u.reshape(ncols, -1)[:, half.perm] = S

@@ -14,6 +14,7 @@ from shannop.generate import random_field
 from shannop.grid import (
     evaluate_modes,
     evaluate_on_grid,
+    forward_half_transform,
     is_hermitian,
     ksq_table,
     wavevector_table,
@@ -69,6 +70,35 @@ class TestForwardTransform:
         g = sp.GridSpec((16, 8))
         s = sp.forward_transform(random_field(g, 1, seed=1))
         assert is_hermitian(s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    exps=st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.integers(2, 5)] * d)),
+    components=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_transform_is_the_hermitian_extension_of_the_half_spectrum(
+    exps, components, seed
+):
+    grid = sp.GridSpec(tuple(2**e for e in exps))
+    f = random_field(grid, components, seed)
+    full = sp.forward_transform(f).modes
+    n = grid.sizes[-1]
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint8)
+
+    half = forward_half_transform(f)
+    assert np.array_equal(bits(full[..., : n // 2 + 1]), bits(half))
+    # reflected[..., k] is full[..., -k mod N] on every axis.
+    reflected = full
+    for ax in range(1, grid.dim + 1):
+        reflected = np.roll(np.flip(reflected, axis=ax), 1, axis=ax)
+    rest = slice(n // 2 + 1, None)
+    assert np.array_equal(bits(full[..., rest]), bits(np.conj(reflected[..., rest])))
+    ref = np.fft.fftn(f.values, axes=tuple(range(1, grid.dim + 1)), norm="ortho")
+    assert np.max(np.abs(full - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestInverseTransform:

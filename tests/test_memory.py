@@ -1,6 +1,6 @@
-"""Heap bounds, measured with tracemalloc, on both solvers and on SWF1
-writes.  tracemalloc counts numpy's data buffers, so the peaks are
-deterministic for a given input shape."""
+"""Heap bounds, measured with tracemalloc, on both solvers, the full
+forward transform and SWF1 writes.  tracemalloc counts numpy's data
+buffers, so the peaks are deterministic for a given input shape."""
 
 import tracemalloc
 
@@ -42,6 +42,14 @@ def test_richardson_heap_peak_is_bounded_by_the_input(sizes, depth):
     nbytes = v.values.nbytes
     peak = traced_peak(sp.richardson_solve, sp.ImplicitLaplacian(1e6), pc, v)
     assert peak <= 3.5 * nbytes, f"heap peak {peak / nbytes:.2f}x the input"
+
+
+def test_forward_transform_writes_its_output_and_little_else():
+    grid = sp.GridSpec((64, 64, 64))
+    field = random_field(grid, 1, seed=5)
+    nbytes = grid.npoints * 16  # the complex spectrum it returns
+    peak = traced_peak(sp.forward_transform, field)
+    assert peak <= 1.25 * nbytes, f"heap peak {peak / nbytes:.2f}x the output"
 
 
 def test_write_field_streams_the_samples(tmp_path):
