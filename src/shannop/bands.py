@@ -59,14 +59,15 @@ def _strides(sizes) -> list:
     return [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
 
 
-def _axis_block(pieces, stride: int):
+def _axis_block(pieces, stride: int, dtype=np.int32):
     """One axis of a parent band, for ``_write_layout``: its m index pieces
-    as an (m, q) int32 block of offsets ix * stride, row r piece r padded
-    to the longest length q; the (m, q) mask of the entries that are not
-    padding, or None where no piece is short; and how many indices."""
+    as an (m, q) block of offsets ix * stride, in the dtype of the layout
+    it goes into, row r piece r padded to the longest length q; the (m, q)
+    mask of the entries that are not padding, or None where no piece is
+    short; and how many indices."""
     lengths = np.array([len(ix) for ix in pieces])
     q = int(lengths.max())
-    block = np.zeros((len(pieces), q), dtype=np.int32)
+    block = np.zeros((len(pieces), q), dtype=dtype)
     for row, ix in zip(block, pieces):
         row[: len(ix)] = ix
     block *= stride
@@ -119,7 +120,7 @@ def _write_bands(bands, out: np.ndarray) -> int:
     for b in bands:
         for i, ix in enumerate(b.axis_indices):
             if (i, id(ix)) not in blocks:
-                blocks[i, id(ix)] = _axis_block([ix], strides[i])
+                blocks[i, id(ix)] = _axis_block([ix], strides[i], out.dtype)
     return _write_layout(
         ([blocks[i, id(ix)] for i, ix in enumerate(b.axis_indices)] for b in bands),
         out,

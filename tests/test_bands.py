@@ -224,6 +224,17 @@ class TestCheckDisjoint:
             part.check_disjoint()
 
 
+def test_flat_indices_of_a_band_beyond_int32_positions():
+    # No partition is built on a grid an int32 layout cannot index, but a
+    # hand-built band there still gets its positions.
+    grid = sp.GridSpec((2048, 2048, 2048))
+    ix = np.array([1, 2047])
+    band = FrequencyBand(grid, (0,), ((1.0, 2048.0),) * 3, (ix, ix, ix))
+    mesh = np.meshgrid(ix, ix, ix, indexing="ij")
+    want = np.ravel_multi_index([m.ravel() for m in mesh], grid.sizes)
+    assert np.array_equal(band.flat_indices(), want)
+
+
 class TestBandExtrema:
     def test_continuous_2d(self):
         part = sp.build_tensorial_partition(sp.GridSpec((8, 8)))
