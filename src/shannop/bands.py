@@ -598,8 +598,8 @@ def synthesize(banded: BandedField) -> SpectralField:
                     k = b.axis_wavevectors(axis).astype(float)
                     factor = _family_factor(order, k, b.axis_scale(axis))
                     block *= factor.reshape((-1,) + (1,) * (b.dim - 1 - axis))
-    out = np.zeros_like(coeffs)
-    out[:, part.perm] = coeffs
+    out = np.empty_like(coeffs)
+    out[:, part.perm] = coeffs  # perm lists every grid position once
     return SpectralField(part.grid, out.reshape((len(coeffs),) + part.grid.sizes))
 
 

@@ -88,11 +88,12 @@ def cmd_decompose(args) -> int:
     spec = forward_transform(field)
     del field  # the samples are not needed once transformed
     banded = analyze(spec, part)
-    total = spec.l2_norm() ** 2
+    norm = spec.l2_norm()
+    total = norm**2
     err = abs(banded.total_energy() - total) / max(total, 1e-300)
     recon = synthesize(banded)
     recon.modes -= spec.modes  # in place: one spectrum-sized array fewer
-    recon_err = recon.l2_norm() / max(spec.l2_norm(), 1e-300)
+    recon_err = recon.l2_norm() / max(norm, 1e-300)
     print(f"total_energy {total!r} band_energy_rel_err {err:.3e} "
           f"reconstruction_rel_err {recon_err:.3e}")
     return EXIT_OK

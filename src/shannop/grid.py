@@ -243,16 +243,29 @@ def forward_half_transform(field: RealField) -> np.ndarray:
     """Unitary DFT of each component on the half grid
     (``numpy.fft.rfftn``), shape (m, *grid.half_sizes).  The modes it
     leaves out, last-axis index above N_last/2, are the conjugates of
-    their reflections."""
-    axes = tuple(range(1, field.grid.dim + 1))
-    return np.fft.rfftn(field.values, axes=axes, norm="ortho")
+    their reflections.
+
+    ``rfftn`` writes into the output allocated here and runs its complex
+    stages over the other axes in place, so the transform allocates no
+    spectrum-sized temporary."""
+    grid = field.grid
+    modes = np.empty((field.components,) + grid.half_sizes, dtype=complex)
+    axes = tuple(range(1, grid.dim + 1))
+    return np.fft.rfftn(field.values, axes=axes, norm="ortho", out=modes)
 
 
 def inverse_half_transform(grid: GridSpec, modes: np.ndarray) -> RealField:
     """Inverse of ``forward_half_transform`` (``numpy.fft.irfftn``): the real
-    field whose spectrum is the Hermitian extension of ``modes``."""
-    axes = tuple(range(1, grid.dim + 1))
-    values = np.fft.irfftn(modes, s=grid.sizes, axes=axes, norm="ortho")
+    field whose spectrum is the Hermitian extension of ``modes``.
+
+    Overwrites ``modes``, a complex array of shape (m, *grid.half_sizes):
+    the complex stages over all axes but the last run in place in it, in
+    ``irfftn``'s order, and one ``irfft`` over the last axis writes the real
+    output, bit for bit ``irfftn``'s.  Callers pass a spectrum they no
+    longer need."""
+    for axis in range(1, grid.dim):
+        np.fft.ifft(modes, axis=axis, norm="ortho", out=modes)
+    values = np.fft.irfft(modes, n=grid.sizes[-1], axis=grid.dim, norm="ortho")
     return RealField(grid, values)
 
 

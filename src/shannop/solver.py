@@ -2,7 +2,7 @@
 split, and the exact modewise oracles they are checked against.
 
 Both solvers run on the half spectrum of a real field: ``rfftn`` once on
-entry and ``irfftn`` once on exit.  Every symbol satisfies
+entry and ``irfftn`` once on exit, each in place.  Every symbol satisfies
 M(-xi) = conj(M(xi)) and every band holds both signs of each axis
 interval, so the modes with last-axis index above N_last/2 would only
 repeat the conjugates of the others.  Both iterations are fixed per-mode
@@ -204,22 +204,27 @@ class _HalfLayout:
     """
 
     perm: np.ndarray
-    offsets: list
+    offsets: np.ndarray
     sc: np.ndarray
 
 
 def _half_layout(part: Partition) -> _HalfLayout:
     n = part.grid.sizes[-1]
     h = n // 2
-    last = part.perm & (n - 1)  # n is a power of two
-    keep = last <= h
-    last = last[keep]
-    perm = (part.perm[keep] >> (n.bit_length() - 1)) * (h + 1)
+    count = part.perm & (n - 1)  # last-axis indices; n is a power of two
+    keep = count <= h
+    # count becomes the running count of kept positions, in place: a cumsum
+    # of the bool mask would cast it to a temporary first.
+    count[:] = keep
+    np.cumsum(count, out=count)
+    offsets = np.zeros_like(part.offsets)
+    offsets[1:] = count[part.offsets[1:] - 1]  # no band is empty
+    del count
+    perm = part.perm[keep]
+    last = perm & (n - 1)
+    perm >>= n.bit_length() - 1
+    perm *= h + 1
     perm += last
-    # Count per segment (reduceat casts keep to int64); each band keeps some.
-    o = part.offsets.tolist()
-    counts = [np.count_nonzero(keep[a:b]) for a, b in zip(o, o[1:])]
-    offsets = np.cumsum([0] + counts).tolist()
     sc = np.flatnonzero((last == 0) | (last == h))
     return _HalfLayout(perm, offsets, sc)
 
@@ -414,7 +419,11 @@ def richardson_solve(
     The plan holds G per mode, P once per band and per mode only on the dc
     set.  Each large array is dropped at its last use: the spectrum once
     gathered, G after the sweep loop, and the sums S and the layout before
-    the inverse transform.
+    the inverse transform.  Both transforms run in place
+    (``forward_half_transform``, ``inverse_half_transform``), and u is
+    assembled in the memory of the spent residual, which the inverse
+    transform then overwrites, so each spectrum-sized array is allocated
+    once.
     """
     cfg = cfg or SolveConfig()
     part = pc.partition
@@ -439,7 +448,7 @@ def richardson_solve(
     ref = _norm(r, half.sc, scale)
     report = SolveReport(0, [ref], float("nan"), theoretical, False, bounds)
     S = _iterate(r, g, half.sc, scale, ref, report, cfg)
-    del r, g, scale
+    del g, scale
 
     for sl, first, last, counts in layout_blocks(half.offsets, whole_bands=True):
         if pbands.ndim == 1 and last - first == 1:
@@ -447,7 +456,11 @@ def richardson_solve(
         else:
             _apply(np.repeat(pbands[first:last], counts, axis=0), S[:, sl])
     _apply(pdc, S[:, half.offsets[-1] :])
-    u = np.empty((ncols,) + grid.half_sizes, dtype=complex)
+    # u fills the memory of the spent residual: ncols == v.components, so
+    # it holds as many values.  The gather leaves r F-ordered for several
+    # components, and ravel(order="K") takes its memory as it lies.
+    u = r.ravel(order="K").reshape((ncols,) + grid.half_sizes)
+    del r
     u.reshape(ncols, -1)[:, half.perm] = S
     del S, half
     return inverse_half_transform(grid, u), report
@@ -516,7 +529,10 @@ def helmholtz_decompose(
     accumulator S.  The d-vectors xi, c, l, m and sweep 1's outputs exist
     only block by block (``_leray_blocks``): once to fill the plan, and
     once at exit to assemble u_div = v0 - lv1 - c t_1 + m S and
-    u_curl = lv1 + l S straight into half spectra.
+    u_curl = lv1 + l S straight into half spectra.  Both transforms run in
+    place: ``forward_half_transform`` in the spectrum it returns, and
+    ``inverse_half_transform`` in those two half spectra, which are dead
+    once the last divergence entry is measured.
     """
     cfg = cfg or SolveConfig()
     d = u.grid.dim

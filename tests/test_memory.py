@@ -1,13 +1,15 @@
-"""Heap bounds, measured with tracemalloc, on both solvers, the full
-forward transform and SWF1 writes.  tracemalloc counts numpy's data
+"""Heap bounds, measured with tracemalloc, on both solvers, the full and
+half-spectrum transforms and SWF1 writes.  tracemalloc counts numpy's data
 buffers, so the peaks are deterministic for a given input shape."""
 
+import math
 import tracemalloc
 
 import pytest
 
 import shannop as sp
 from shannop.generate import random_field
+from shannop.grid import forward_half_transform, inverse_half_transform
 from shannop.io import write_field
 
 
@@ -49,6 +51,23 @@ def test_forward_transform_writes_its_output_and_little_else():
     field = random_field(grid, 1, seed=5)
     nbytes = grid.npoints * 16  # the complex spectrum it returns
     peak = traced_peak(sp.forward_transform, field)
+    assert peak <= 1.25 * nbytes, f"heap peak {peak / nbytes:.2f}x the output"
+
+
+def test_forward_half_transform_runs_its_stages_in_place():
+    grid = sp.GridSpec((64, 64, 64))
+    field = random_field(grid, 2, seed=5)
+    nbytes = 2 * math.prod(grid.half_sizes) * 16  # the half spectrum it returns
+    peak = traced_peak(forward_half_transform, field)
+    assert peak <= 1.1 * nbytes, f"heap peak {peak / nbytes:.2f}x the output"
+
+
+def test_inverse_half_transform_runs_its_stages_in_its_argument():
+    grid = sp.GridSpec((64, 64, 64))
+    modes = forward_half_transform(random_field(grid, 2, seed=6))
+    nbytes = 2 * grid.npoints * 8  # the real samples it returns
+    # RealField's finiteness check adds a bool mask, 1/8 of the samples.
+    peak = traced_peak(inverse_half_transform, grid, modes)
     assert peak <= 1.25 * nbytes, f"heap peak {peak / nbytes:.2f}x the output"
 
 
