@@ -213,17 +213,18 @@ def _half_layout(part: Partition) -> _HalfLayout:
     h = n // 2
     count = part.perm & (n - 1)  # last-axis indices; n is a power of two
     keep = count <= h
-    # count becomes the running count of kept positions, in place: a cumsum
-    # of the bool mask would cast it to a temporary first.
+    last = count[keep]
+    # Kept positions per band, summed over keep copied into count: reduceat
+    # over the bool mask itself would cast it to a temporary first.  The
+    # last band's segment ends where the dc set starts.
     count[:] = keep
-    np.cumsum(count, out=count)
-    offsets = np.zeros_like(part.offsets)
-    offsets[1:] = count[part.offsets[1:] - 1]  # no band is empty
+    per_band = np.add.reduceat(
+        count[: part.offsets[-1]], part.offsets[:-1], dtype=np.int32
+    )
     del count
-    perm = part.perm[keep]
-    last = perm & (n - 1)
-    perm >>= n.bit_length() - 1
-    perm *= h + 1
+    offsets = np.zeros_like(part.offsets)
+    np.cumsum(per_band, out=offsets[1:])
+    perm = (part.perm[keep] >> (n.bit_length() - 1)) * (h + 1)
     perm += last
     sc = np.flatnonzero((last == 0) | (last == h))
     return _HalfLayout(perm, offsets, sc)
