@@ -30,9 +30,9 @@ from .grid import (
 )
 from .io import read_field, write_field
 from .precond import (
-    BandEntry,
     BandPreconditioner,
     RateBound,
+    given_entries,
     implicit_laplacian_precond,
     leray_band_operators,
     leray_rate_bounds,

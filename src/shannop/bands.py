@@ -148,7 +148,7 @@ def layout_blocks(offsets, whole_bands: bool = False):
         # Only the end bands stick out of [lo, hi).
         edges = offsets[first : last + 1].copy()
         edges[0], edges[-1] = lo, hi
-        yield slice(lo, hi), first, last, np.diff(edges)
+        yield slice(lo, hi), first, last, edges[1:] - edges[:-1]
         lo = hi
 
 

@@ -156,11 +156,8 @@ def cmd_rates(args) -> int:
         )
     part = _build_partition(grid, args.scheme, args.packet_depth)
 
-    rows = []
     if leray:
-        bounds = leray_rate_bounds(part)
-        for rb, samp in zip(bounds, leray_sampled(part).tolist()):
-            rows.append((rb.band_id, rb.a, rb.b, rb.rho, samp, rb.formula))
+        bounds, sampled = leray_rate_bounds(part), leray_sampled(part).tolist()
     else:
         if operator is None:
             sym = ImplicitLaplacian(1e6 if args.alpha is None else args.alpha)
@@ -177,14 +174,13 @@ def cmd_rates(args) -> int:
             return _usage_error(
                 "rates supports scalar operators and 'leray'"
             )
-        for band, rb in zip(part.bands, pc.rate_bounds()):
-            samp = sampled_contraction(sym, pc, band)
-            rows.append((band.id, rb.a, rb.b, rb.rho, samp, rb.formula))
+        bounds = pc.rate_bounds()
+        sampled = [sampled_contraction(sym, pc, band) for band in part.bands]
 
     lines = ["band_id,a,b,rho_theoretical,rho_sampled,formula"]
-    for band_id, a, b, theo, samp, formula in rows:
-        ident = repr(band_id).replace(" ", "").replace(",", ";")
-        lines.append(f"{ident},{a!r},{b!r},{theo!r},{samp!r},{formula}")
+    for rb, samp in zip(bounds, sampled):
+        ident = repr(rb.band_id).replace(" ", "").replace(",", ";")
+        lines.append(f"{ident},{rb.a!r},{rb.b!r},{rb.rho!r},{samp!r},{rb.formula}")
     text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w") as fh:

@@ -1,38 +1,31 @@
 """Per-band approximation operators and their contraction-rate bounds.
 
-A band preconditioner assigns each band of a partition a constant real
-matrix approximating the target symbol on that band; dc modes are always
-solved by an exact modewise pseudo-inverse of the target.  Closed-form
-constructions:
-
-* the optimal constant for a positive scalar symbol, equalizing the relative
-  deviation at the band's extreme values;
-* the implicit-Laplacian rule (1 + alpha*w^2) with w^2 the midpoint of the
-  band's squared-frequency range;
-* the divergence-free / gradient-part operator pair used by the iterative
-  Leray projector, built from the first-order generators with the band's
-  per-axis dyadic scales baked in.
-
-No general minimax optimizer over matrix approximants is provided; the
-achieved contraction is certified a posteriori by ``sampled_contraction``.
-The certificate and the Richardson plan read the same per-mode
-coefficients from ``band_recurrence``, block by block.
+A band preconditioner holds one constant real matrix per band of a
+partition, approximating the target symbol there, and each band's
+contraction bound, built together; dc modes are always solved by an exact
+modewise pseudo-inverse of the target.  Constructions: the optimal
+constant for a scalar symbol of constant sign; the implicit-Laplacian
+midpoint rule (1 + alpha*w^2); given entries (no minimax optimizer over
+matrix approximants is provided), bounded by their sampled sups; and the
+Leray divergence-free / gradient-part operator pair, with the band's
+per-axis scales baked in.  The certificates read the per-mode coefficients
+the Richardson plan iterates (``band_recurrence``) and take every band
+maximum in one blocked loop.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bands
 from .bands import FrequencyBand, Partition, band_extrema, layout_blocks
 from .errors import ArityError, NotInvertibleOnBandError
 from .grid import _axis_sum
 from .symbols import (
     Delta,
     Identity,
+    ImplicitLaplacian,
     Product,
     Scale,
     Sum,
@@ -60,54 +53,29 @@ class RateBound:
 
 
 @dataclass
-class BandEntry:
-    """Approximation operator on one band: a constant matrix."""
-
-    matrix: np.ndarray
-    stats: dict | None = None
-
-
-@dataclass
 class BandPreconditioner:
-    """One entry per band of a partition, approximating ``target``."""
+    """One constant entry per band of a partition, approximating ``target``:
+    ``entries`` is (nbands, n, n) and ``bounds`` one ``RateBound`` per band,
+    both in the order of ``partition.bands`` and built together."""
 
     partition: Partition
     target: SymbolExpr
-    entries: dict  # band id -> BandEntry
-    kind: str
-    mode_exact: bool
-
-    def entry(self, band_id) -> BandEntry:
-        return self.entries[band_id]
+    entries: np.ndarray
+    bounds: list
 
     def rate_bounds(self) -> list[RateBound]:
-        """Per-band contraction bounds consistent with how the entries were
-        built (same extrema flavor)."""
-        bounds = []
-        for band in self.partition.bands:
-            st = self.entries[band.id].stats or {}
-            if self.kind == "implicit-laplacian":
-                a, b = st["a"], st["b"]
-                rho = rate_implicit_laplacian(st["alpha"], a, b)
-                bounds.append(RateBound(band.id, a, b, rho, FORMULA_ILAP))
-            elif self.kind == "scalar-optimal":
-                m, M = st["m"], st["M"]
-                rho = (M - m) / (M + m) if M + m > 0 else 0.0
-                bounds.append(RateBound(band.id, m, M, rho, FORMULA_SAMPLED))
-            else:
-                rho = sampled_contraction(self.target, self, band)
-                a, b, _ = band_extrema(band, self.mode_exact)
-                bounds.append(RateBound(band.id, a, b, rho, FORMULA_SAMPLED))
-        return bounds
+        """The per-band contraction bounds stored with the entries."""
+        return self.bounds
 
     def with_scaled_entry(self, band_id, factor: float) -> "BandPreconditioner":
-        """Copy with one band's constant entry scaled (perturbation probe)."""
-        entries = dict(self.entries)
-        old = entries[band_id]
-        entries[band_id] = BandEntry(matrix=old.matrix * factor, stats=old.stats)
-        return BandPreconditioner(
-            self.partition, self.target, entries, "custom", self.mode_exact
-        )
+        """Copy with one band's constant entry scaled (perturbation probe);
+        that band's bound becomes its sampled sup, the others are kept."""
+        i = self.partition._index[band_id]
+        pc = replace(self, entries=self.entries.copy(), bounds=list(self.bounds))
+        pc.entries[i] *= factor
+        rho = float(_sampled(pc.target, pc, range(i, i + 1))[0])
+        pc.bounds[i] = replace(pc.bounds[i], rho=rho, formula=FORMULA_SAMPLED)
+        return pc
 
 
 # ---------------------------------------------------------------------------
@@ -171,53 +139,72 @@ def scalar_optimal(
     """
     if sym.shape != (1, 1):
         raise ArityError("scalar_optimal needs a scalar symbol")
-    entries = {}
+    omegas, bounds = [], []
     for band in part.bands:
         vals = _scalar_band_values(sym, part, band, mode_exact)
         if vals.min() <= 0 < vals.max() or vals.max() == 0:
             raise NotInvertibleOnBandError(band.id)
-        sign = 1.0 if vals.max() > 0 else -1.0
-        mags = np.abs(vals)
-        m, M = float(mags.min()), float(mags.max())
-        if m == 0:
-            raise NotInvertibleOnBandError(band.id)
-        omega = sign * 0.5 * (m + M)
-        entries[band.id] = BandEntry(
-            matrix=np.array([[omega]]), stats={"m": m, "M": M, "omega": omega}
-        )
-    return BandPreconditioner(part, sym, entries, "scalar-optimal", mode_exact)
+        m, M = float(np.abs(vals).min()), float(np.abs(vals).max())
+        omegas.append(np.copysign(0.5 * (m + M), vals.max()))
+        bounds.append(RateBound(band.id, m, M, (M - m) / (M + m), FORMULA_SAMPLED))
+    return BandPreconditioner(part, sym, np.reshape(omegas, (-1, 1, 1)), bounds)
 
 
 def implicit_laplacian_precond(
     alpha: float, part: Partition, mode_exact: bool = False
 ) -> BandPreconditioner:
-    """Constant (1 + alpha*w^2) per band with w^2 = (a^2 + b^2)/2.
+    """Constant (1 + alpha*w^2) per band with w^2 = (a^2 + b^2)/2, and the
+    band's ``rate_implicit_laplacian``, for all bands at once.
 
     By default the extrema come from the continuous band box, which
     reproduces the closed-form limit rates; mode-exact extrema give a
     slightly tighter constant for the discrete modes actually present.
     """
-    from .symbols import ImplicitLaplacian
-
     sym = ImplicitLaplacian(alpha)
-    entries = {}
-    for band in part.bands:
-        a, b, _ = band_extrema(band, mode_exact)
-        # alpha*(a^2 + b^2) bounds the entry, the rate formula and the
-        # symbol at every band mode, so if it is finite none of them is inf.
-        if not math.isfinite(alpha * (a * a + b * b)):
-            raise ArityError(
-                f"alpha {alpha!r} is too large: 1 + alpha*|k|^2 overflows "
-                f"on band {band.id}"
-            )
-        omega_sq = 0.5 * (a * a + b * b)
-        entries[band.id] = BandEntry(
-            matrix=np.array([[1.0 + alpha * omega_sq]]),
-            stats={"a": a, "b": b, "alpha": alpha, "omega_sq": omega_sq},
+    a, b = _corner_norms(part, mode_exact)
+    with np.errstate(over="ignore"):  # refused by band below
+        s = alpha * (a * a + b * b)
+    # s bounds the entry, the rate formula and the symbol at every band
+    # mode, so if it is finite none of them is inf.
+    for i in np.flatnonzero(~np.isfinite(s))[:1]:
+        raise ArityError(
+            f"alpha {alpha!r} is too large: 1 + alpha*|k|^2 overflows "
+            f"on band {part.bands[i].id}"
         )
-    return BandPreconditioner(
-        part, sym, entries, "implicit-laplacian", mode_exact
-    )
+    entries = 1.0 + alpha * (0.5 * (a * a + b * b))
+    rho = alpha * (b * b - a * a) / (2.0 + s)
+    bounds = _band_bounds(part, a, b, rho, FORMULA_ILAP)
+    return BandPreconditioner(part, sym, entries.reshape(-1, 1, 1), bounds)
+
+
+def given_entries(sym: SymbolExpr, part: Partition, entries) -> BandPreconditioner:
+    """The constant ``entries`` (nbands, n, n), in the order of
+    ``part.bands``, approximating ``sym``; each band's bound is its sampled
+    sup (``sampled_contraction``), with a, b the norms of its box corners."""
+    pc = BandPreconditioner(part, sym, np.asarray(entries, dtype=float), [])
+    a, b = _corner_norms(part)
+    rho = _sampled(sym, pc, range(len(part.bands)))
+    pc.bounds = _band_bounds(part, a, b, rho, FORMULA_SAMPLED)
+    return pc
+
+
+def _corner_norms(part: Partition, mode_exact: bool = False):
+    """``band_extrema``'s a and b for all bands at once, the norms of the
+    low and high corners of the box, or of the modes' per-axis extreme |k|."""
+    if mode_exact:
+        edges = [band_extrema(band, True)[2] for band in part.bands]
+    else:
+        edges = [band.box for band in part.bands]
+    sq = np.array(edges, dtype=float).T ** 2  # (2, d, nbands)
+    return np.sqrt(_axis_sum(sq[0])), np.sqrt(_axis_sum(sq[1]))
+
+
+def _band_bounds(part: Partition, a, b, rho, formula: str) -> list[RateBound]:
+    """One ``RateBound`` per band from per-band arrays, as Python floats."""
+    return [
+        RateBound(band.id, *abr, formula)
+        for band, *abr in zip(part.bands, a.tolist(), b.tolist(), rho.tolist())
+    ]
 
 
 def band_omega(band: FrequencyBand) -> np.ndarray:
@@ -294,21 +281,19 @@ def leray_matrices(omega: np.ndarray, K: np.ndarray):
 def leray_lambda(omega: np.ndarray, K: np.ndarray, counts=None) -> np.ndarray:
     """Closed-form nonzero eigenvalue of Id - Mw - Lw at each wavevector:
     1 - (sum xi_k^2)(sum w_k^4 / (|w|^4 xi_k^2)), for one band's scales
-    ``omega`` (d,), one row of scales per wavevector (M, d), or one row per
-    band with ``counts`` rows of K each; each way gives the same values."""
+    ``omega`` (d,), or one row per band with ``counts`` rows of K each;
+    both ways give the same values."""
     omega = np.asarray(omega, dtype=float)
     if omega.ndim == 1:
         omega, counts = omega[None], [len(K)]
-    counts = 1 if counts is None else counts
     w4 = np.repeat((omega**4).T, counts, axis=1)
     wsq = np.repeat(np.sum(omega**2, axis=1) ** 2, counts)
     xsq = np.asarray(K, dtype=float).T ** 2
     return 1.0 - _axis_sum(xsq) * _axis_sum(w4 / (wsq * xsq))
 
 
-def _band_edges(part: Partition) -> np.ndarray:
-    """The bands' box edges, (nbands, d, 2); ``band_omega`` refuses the
-    first band that touches zero frequency."""
+def _leray_edges(part: Partition) -> np.ndarray:
+    """The bands' box edges, (nbands, d, 2), refusing a band at zero frequency."""
     edges = np.array([b.box for b in part.bands], dtype=float)
     for i in np.flatnonzero(np.any(edges[:, :, 0] <= 0, axis=1))[:1]:
         band_omega(part.bands[i])
@@ -319,7 +304,7 @@ def leray_rate_bounds(part: Partition) -> list[RateBound]:
     """Kantorovich bounds per band from the per-axis ratios of the box
     edges to the band's scales, its lower edges: a = 1 and
     b = max_i hi_i / lo_i, read from the box edges of all bands at once."""
-    edges = _band_edges(part)
+    edges = _leray_edges(part)
     ratios = np.max(edges[:, :, 1] / edges[:, :, 0], axis=1).tolist()
     return [
         RateBound(band.id, 1.0, b, rate_kantorovich(1.0, b), FORMULA_KANTOROVICH)
@@ -328,16 +313,13 @@ def leray_rate_bounds(part: Partition) -> list[RateBound]:
 
 
 def leray_sampled(part: Partition) -> np.ndarray:
-    """Each band's sup of |lambda| over its modes: ``leray_lambda`` once
-    per block of the layout, the band maxima merged across blocks."""
-    omega = _band_edges(part)[:, :, 0]
-    worst = np.zeros(len(part.bands))
-    for sl, first, last, counts in layout_blocks(part.offsets):
-        K = part.grid.wavevectors(part.perm[sl]).T
-        lam = np.abs(leray_lambda(omega[first:last], K, counts))
-        seg = worst[first:last]
-        np.maximum(seg, np.maximum.reduceat(lam, np.cumsum(counts) - counts), out=seg)
-    return worst
+    """Each band's sup over its modes of |``leray_lambda``|."""
+    omega = _leray_edges(part)[:, :, 0]
+
+    def lam(K, first, last, counts):
+        return np.abs(leray_lambda(omega[first:last], K.T, counts))
+
+    return _band_maxima(part, range(len(part.bands)), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +331,22 @@ def _real_if_exact(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.real) if not np.any(x.imag) else x
 
 
-def band_inverses(sym: SymbolExpr, pc: BandPreconditioner, band_list) -> np.ndarray:
-    """Each listed band's P = entry^+, (nbands,) for a scalar symbol with
+def band_inverses(sym: SymbolExpr, pc: BandPreconditioner, bands: range) -> np.ndarray:
+    """P = entry^+ for a range of bands, (nbands,) for a scalar symbol with
     1x1 entries, else (nbands, n, n).  A finite entry whose P overflows is
     refused by its band's id; a non-finite one is left to the certificate."""
-    E = np.array([pc.entries[b.id].matrix for b in band_list])
+    E = pc.entries[bands.start : bands.stop]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if sym.is_scalar and E.shape[1:] == (1, 1):
             p = 1.0 / E[:, 0, 0]
         else:
             p = _real_if_exact(pseudo_inverse(E))
     if not np.isfinite(p).all():
-        for band, e, pk in zip(band_list, E, p):
+        for i, e, pk in zip(bands, E, p):
             if np.isfinite(e).all() and not np.isfinite(pk).all():
+                band_id = pc.partition.bands[i].id
                 raise NotInvertibleOnBandError(
-                    band.id, f"the entry {e.tolist()} on band {band.id} has no "
+                    band_id, f"the entry {e.tolist()} on band {band_id} has no "
                     "finite inverse")
     return p
 
@@ -384,21 +367,36 @@ def band_recurrence(sym: SymbolExpr, p: np.ndarray, K: np.ndarray, counts):
     return _real_if_exact(np.eye(a.shape[1]) - a @ p)
 
 
+def _band_maxima(part: Partition, bands: range, values) -> np.ndarray:
+    """Each band's maximum over its modes of ``values(K, first, last, counts)``
+    for the range ``bands``, called per ``layout_blocks`` block with its
+    wavevectors K (d, M), ``counts[j]`` of them in band ``bands[first + j]``."""
+    worst = np.zeros(len(bands))
+    for sl, first, last, counts in layout_blocks(
+        part.offsets[bands.start : bands.stop + 1]
+    ):
+        v = values(part.grid.wavevectors(part.perm[sl]), first, last, counts)
+        seg = worst[first:last]
+        np.maximum(seg, np.maximum.reduceat(v, np.cumsum(counts) - counts), out=seg)
+    return worst
+
+
+def _sampled(sym: SymbolExpr, pc: BandPreconditioner, bands: range) -> np.ndarray:
+    """The sup over each band's modes of ||G(k)||_2, for the range ``bands``."""
+    p = band_inverses(sym, pc, bands)
+
+    def norms(K, first, last, counts):
+        g = band_recurrence(sym, p[first:last], K, counts)
+        return np.abs(g) if g.ndim == 1 else np.linalg.svd(g, compute_uv=False)[:, 0]
+
+    return _band_maxima(pc.partition, bands, norms)
+
+
 def sampled_contraction(
     sym: SymbolExpr, pc: BandPreconditioner, band: FrequencyBand
 ) -> float:
     """Achieved contraction sup over the band's modes of ||G(k)||_2, read
     from the same ``band_recurrence`` coefficients the solver iterates, a
     block of the band's segment at a time; the certificate for the bound."""
-    if isinstance(band, tuple):
-        band = pc.partition.band(band)
-    part = pc.partition
-    p = band_inverses(sym, pc, [band])
-    seg = part.segment(band.id)
-    worst = 0.0
-    for lo in range(seg.start, seg.stop, bands._BLOCK):
-        pos = part.perm[lo : min(lo + bands._BLOCK, seg.stop)]
-        g = band_recurrence(sym, p, part.grid.wavevectors(pos), [len(pos)])
-        g = np.abs(g) if g.ndim == 1 else np.linalg.svd(g, compute_uv=False)[:, 0]
-        worst = np.maximum(worst, g.max())
-    return float(worst)
+    i = pc.partition._index[band.id]
+    return float(_sampled(sym, pc, range(i, i + 1))[0])

@@ -57,6 +57,7 @@ from .grid import (
 from .precond import (
     BandPreconditioner,
     RateBound,
+    _leray_edges,
     _real_if_exact,
     band_inverses,
     band_recurrence,
@@ -96,7 +97,7 @@ class SolveReport:
     fitted_rate: float
     theoretical_rate: float
     converged: bool
-    per_band_rates: list | None = None
+    per_band_rates: list
     divergence_history: list | None = None
 
     def ratios(self) -> list:
@@ -106,27 +107,29 @@ class SolveReport:
         ]
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite float is written as null."""
         payload = {
             "iterations": self.iterations,
             "converged": self.converged,
-            "fitted_rate": self.fitted_rate,
-            "theoretical_rate": self.theoretical_rate,
-            "residuals": list(self.residual_history),
+            "fitted_rate": _finite(self.fitted_rate),
+            "theoretical_rate": _finite(self.theoretical_rate),
+            "residuals": [_finite(x) for x in self.residual_history],
         }
         if self.divergence_history is not None:
-            payload["divergence_residuals"] = list(self.divergence_history)
-        if self.per_band_rates is not None:
-            payload["per_band"] = [
-                {
-                    "band": repr(rb.band_id).replace(" ", ""),
-                    "a": rb.a,
-                    "b": rb.b,
-                    "rho": rb.rho,
-                    "formula": rb.formula,
-                }
-                for rb in self.per_band_rates
+            payload["divergence_residuals"] = [
+                _finite(x) for x in self.divergence_history
             ]
-        return json.dumps(payload, indent=2)
+        payload["per_band"] = [
+            {
+                "band": repr(rb.band_id).replace(" ", ""),
+                "a": _finite(rb.a),
+                "b": _finite(rb.b),
+                "rho": _finite(rb.rho),
+                "formula": rb.formula,
+            }
+            for rb in self.per_band_rates
+        ]
+        return json.dumps(payload, indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = ["iter,residual,ratio"]
@@ -135,6 +138,11 @@ class SolveReport:
             ratio = "" if i == 0 or h[i - 1] == 0 else repr(r / h[i - 1])
             lines.append(f"{i},{r!r},{ratio}")
         return "\n".join(lines) + "\n"
+
+
+def _finite(x: float):
+    """``x``, or None, which JSON writes as null, if it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 def estimate_rate(history, window: int | None = None) -> float:
@@ -306,9 +314,7 @@ def _check_bounds(bounds: list[RateBound], strict: bool) -> float:
     def key(rb):
         return rb.rho if math.isfinite(rb.rho) else math.inf
 
-    worst = max(bounds, key=key, default=None)
-    if worst is None:
-        return 0.0
+    worst = max(bounds, key=key)
     if strict and key(worst) >= 1.0:
         raise BoundViolationError(worst.band_id, worst.rho)
     return worst.rho
@@ -371,7 +377,7 @@ def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
     mode's value is.  Returns (G, band P array, dc P)."""
     grid = pc.partition.grid
     nb = half.offsets[-1]
-    pbands = band_inverses(A, pc, pc.partition.bands)
+    pbands = band_inverses(A, pc, range(len(pc.partition.bands)))
     kdc = grid.wavevectors(half.perm[nb:], half=True).T
     a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
     if pbands.ndim == 1:
@@ -576,9 +582,8 @@ def helmholtz_decompose(
     if not sweep:
         v0[:] = 0.0
 
-    # The bands' squared scales: band_omega's lower box edges, read in one
-    # pass; leray_rate_bounds has already refused a band at zero frequency.
-    omega_sq = np.array([[lo for lo, _ in b.box] for b in part.bands]) ** 2
+    # The bands' squared scales, band_omega's lower box edges.
+    omega_sq = _leray_edges(part)[:, :, 0] ** 2
 
     # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
     # divergence of the accumulated part is dv1 + xm S, by linearity in S.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import shannop as sp
 from shannop.grid import evaluate_on_grid
-from shannop.precond import BandEntry, BandPreconditioner
+from shannop.precond import given_entries
 from shannop.solver import _half_layout, _richardson_plan
 
 
@@ -37,14 +37,12 @@ def diagonal_ilap_pair(part, alphas=(10.0, 1e3)):
         sp.Product(sp.Delta(1, 1, 2), sp.ImplicitLaplacian(alphas[0])),
         sp.Product(sp.Delta(2, 2, 2), sp.ImplicitLaplacian(alphas[1])),
     )
-    entries = {}
+    entries = []
     for band in part.bands:
         a, b, _ = sp.band_extrema(band, mode_exact=False)
         omega_sq = 0.5 * (a * a + b * b)
-        entries[band.id] = BandEntry(
-            matrix=np.diag([1.0 + alpha * omega_sq for alpha in alphas])
-        )
-    return sym, BandPreconditioner(part, sym, entries, "custom", False)
+        entries.append(np.diag([1.0 + alpha * omega_sq for alpha in alphas]))
+    return sym, given_entries(sym, part, entries)
 
 
 schemes = st.sampled_from(["tensorial", "mra"])

@@ -4,7 +4,8 @@ packet partitions, with blocks of a few positions so that they cut bands.
 
 Blocking changes no per-mode operation: the Richardson plan, the sampled
 and Leray certificates, the Leray rate bounds and the band energies must
-equal what one band at a time gives, to the last bit.
+equal what one band at a time gives, to the last bit.  So must the
+preconditioner records: entries and bounds built for all bands at once.
 """
 
 from unittest import mock
@@ -17,12 +18,11 @@ import shannop as sp
 from shannop import bands
 from shannop.grid import evaluate_modes, wavevector_table
 from shannop.precond import (
-    BandEntry,
-    BandPreconditioner,
     RateBound,
     band_inverses,
     band_omega,
     band_recurrence,
+    given_entries,
     leray_lambda,
     leray_rate_bounds,
     leray_sampled,
@@ -55,12 +55,12 @@ def diagonal_pair(part, alphas=(10.0, 1e3)):
         sp.Product(sp.Delta(1, 1, 2), sp.ImplicitLaplacian(alphas[0])),
         sp.Product(sp.Delta(2, 2, 2), sp.ImplicitLaplacian(alphas[1])),
     )
-    entries = {}
+    entries = []
     for band in part.bands:
         a, b, _ = sp.band_extrema(band, mode_exact=False)
         w2 = 0.5 * (a * a + b * b)
-        entries[band.id] = BandEntry(np.diag([1.0 + al * w2 for al in alphas]))
-    return sym, BandPreconditioner(part, sym, entries, "custom", False)
+        entries.append(np.diag([1.0 + al * w2 for al in alphas]))
+    return sym, given_entries(sym, part, entries)
 
 
 def full_positions(perm, grid):
@@ -104,7 +104,7 @@ def test_plan_matches_per_band_reference(part, block, matrix):
         g, p, pdc = _richardson_plan(sym, pc, half)
     o = half.offsets
     for j, (band, lo, hi) in enumerate(zip(part.bands, o, o[1:])):
-        pk = band_inverses(sym, pc, [band])
+        pk = band_inverses(sym, pc, range(j, j + 1))
         assert np.array_equal(p[j : j + 1], pk)
         K = grid.wavevectors(half.perm[lo:hi], half=True)
         assert np.array_equal(g[lo:hi], band_recurrence(sym, pk, K, [hi - lo]))
@@ -131,9 +131,9 @@ def test_sampled_contraction_matches_per_band_reference(part, block, alpha):
     pc = sp.implicit_laplacian_precond(alpha, part)
     with mock.patch.object(bands, "_BLOCK", block):
         got = [sp.sampled_contraction(sym, pc, band) for band in part.bands]
-    for band, rho in zip(part.bands, got):
+    for band, rho, entry in zip(part.bands, got, pc.entries):
         a, _ = eval_many(sym, band.mode_wavevectors().astype(float))
-        p = 1.0 / pc.entries[band.id].matrix[0, 0]
+        p = 1.0 / entry[0, 0]
         assert rho == float(np.abs(1.0 - a[:, 0, 0].real * p).max())
 
 
@@ -148,7 +148,8 @@ def test_leray_certificates_match_per_band_reference(part, block):
         K = band.mode_wavevectors().astype(float)
         lam = leray_lambda(omega, K)
         assert got == float(np.max(np.abs(lam)))
-        assert np.array_equal(leray_lambda(np.tile(omega, (len(K), 1)), K), lam)
+        ones = np.ones(len(K), dtype=int)
+        assert np.array_equal(leray_lambda(np.tile(omega, (len(K), 1)), K, ones), lam)
         wsq = np.sum(omega**2)
         old = 1.0 - np.sum(K**2, axis=1) * np.sum(omega**4 / (wsq**2 * K**2), axis=1)
         assert np.array_equal(lam, old)
@@ -173,3 +174,54 @@ def test_total_energy_matches_per_band_reference(part, block, components, seed):
         total = banded.total_energy()
     energies = [banded.band_energy(band.id) for band in part.bands]
     assert total == banded.dc_energy() + sum(energies)
+
+
+@SETTINGS
+@given(part=partitions(), alpha=st.sampled_from([0.0, 1.0, 1e4, 1e6]),
+       mode_exact=st.booleans())
+def test_implicit_laplacian_record_matches_per_band_formulas(part, alpha, mode_exact):
+    pc = sp.implicit_laplacian_precond(alpha, part, mode_exact)
+    assert pc.entries.shape == (len(part.bands), 1, 1)
+    for band, entry, rb in zip(part.bands, pc.entries, pc.rate_bounds(), strict=True):
+        a, b, _ = sp.band_extrema(band, mode_exact)
+        rho = sp.rate_implicit_laplacian(alpha, a, b)
+        assert rb == RateBound(band.id, a, b, rho, "implicit-laplacian")
+        assert type(rb.rho) is float
+        assert entry[0, 0] == 1.0 + alpha * (0.5 * (a * a + b * b))
+
+
+@SETTINGS
+@given(part=partitions(), block=blocks, matrix=st.booleans())
+def test_given_entries_bounds_are_the_sampled_sups(part, block, matrix):
+    with mock.patch.object(bands, "_BLOCK", block):
+        if matrix:
+            sym, pc = diagonal_pair(part)
+        else:
+            sym = sp.ImplicitLaplacian(1e4)
+            entries = sp.implicit_laplacian_precond(1e4, part).entries
+            pc = given_entries(sym, part, entries)
+    expected = []
+    for band in part.bands:
+        a, b, _ = sp.band_extrema(band, mode_exact=False)
+        rho = sp.sampled_contraction(sym, pc, band)
+        expected.append(RateBound(band.id, a, b, rho, "sampled-sup"))
+    assert pc.rate_bounds() == expected
+
+
+@SETTINGS
+@given(part=partitions(), data=st.data(), factor=st.sampled_from([0.5, 1.01, -1.0]))
+def test_scaled_entry_changes_only_its_band(part, data, factor):
+    sym = sp.ImplicitLaplacian(1e4)
+    pc = sp.implicit_laplacian_precond(1e4, part)
+    entries, before = pc.entries.copy(), list(pc.rate_bounds())
+    i = data.draw(st.integers(0, len(part.bands) - 1))
+    band = part.bands[i]
+    scaled = pc.with_scaled_entry(band.id, factor)
+    assert np.array_equal(pc.entries, entries) and pc.rate_bounds() == before
+    want = entries.copy()
+    want[i] *= factor
+    assert np.array_equal(scaled.entries, want)
+    after = scaled.rate_bounds()
+    assert after[:i] + after[i + 1 :] == before[:i] + before[i + 1 :]
+    rho = sp.sampled_contraction(sym, scaled, band)
+    assert after[i] == RateBound(band.id, before[i].a, before[i].b, rho, "sampled-sup")

@@ -17,6 +17,15 @@ from shannop.errors import ArityError, BoundViolationError, DivergenceError
 from shannop.solver import spectral_divergence
 
 
+def strict_json(text: str):
+    """Parse RFC 8259 JSON, refusing the NaN and Infinity extensions."""
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -71,8 +80,9 @@ class TestSolveIlap:
         assert code == 0
         v, u = sp.read_field(vpath), sp.read_field(upath)
         assert (u - v).l2_norm() <= 1e-12 * v.l2_norm()
-        report = json.loads(rpath.read_text())
+        report = strict_json(rpath.read_text())
         assert report["iterations"] == 1 and report["converged"]
+        assert report["fitted_rate"] is None  # fewer than three residuals
 
     def test_large_alpha_rate(self, tmp_path):
         vpath, rpath = tmp_path / "v.swf", tmp_path / "r.json"

@@ -26,22 +26,22 @@ class TestScalarOptimal:
     def test_constant_symbol(self):
         part = tensorial((16, 16))
         pc = sp.scalar_optimal(sp.Const([[3.0]]), part)
-        for band in part.bands:
-            assert abs(pc.entry(band.id).matrix[0, 0] - 3.0) < 1e-15
+        for entry in pc.entries:
+            assert abs(entry[0, 0] - 3.0) < 1e-15
 
     def test_mode_exact_quadratic(self):
         part = tensorial((16,))
         pc = sp.scalar_optimal(sp.NegLaplacian(), part, mode_exact=True)
-        entry = pc.entry((2,))  # modes 4..7: values 16..49
-        assert abs(entry.matrix[0, 0] - 0.5 * (16 + 49)) < 1e-12
+        entry = pc.entries[2]  # band (2,), modes 4..7: values 16..49
+        assert abs(entry[0, 0] - 0.5 * (16 + 49)) < 1e-12
         rho = sp.sampled_contraction(sp.NegLaplacian(), pc, part.band((2,)))
         assert abs(rho - (49 - 16) / (49 + 16)) < 1e-13
 
     def test_continuous_corners(self):
         part = tensorial((16,))
         pc = sp.scalar_optimal(sp.NegLaplacian(), part, mode_exact=False)
-        entry = pc.entry((2,))  # box [4,8): values 16..64
-        assert abs(entry.matrix[0, 0] - 0.5 * (16 + 64)) < 1e-12
+        entry = pc.entries[2]  # band (2,), box [4,8): values 16..64
+        assert abs(entry[0, 0] - 0.5 * (16 + 64)) < 1e-12
 
     def test_agrees_with_laplacian_rule(self):
         part = tensorial((16, 16))
@@ -50,16 +50,13 @@ class TestScalarOptimal:
             sp.ImplicitLaplacian(alpha), part, mode_exact=False
         )
         pc_rule = sp.implicit_laplacian_precond(alpha, part, mode_exact=False)
-        for band in part.bands:
-            assert abs(
-                pc_scalar.entry(band.id).matrix[0, 0]
-                - pc_rule.entry(band.id).matrix[0, 0]
-            ) < 1e-12
+        for e_scalar, e_rule in zip(pc_scalar.entries, pc_rule.entries):
+            assert abs(e_scalar[0, 0] - e_rule[0, 0]) < 1e-12
 
     def test_negative_symbol_keeps_sign(self):
         part = tensorial((16,))
         pc = sp.scalar_optimal(sp.Scale(-1.0, sp.NegLaplacian()), part)
-        assert pc.entry((2,)).matrix[0, 0] < 0
+        assert pc.entries[2][0, 0] < 0  # band (2,)
 
     def test_sign_change_rejected(self):
         part = tensorial((16,))
@@ -85,14 +82,14 @@ class TestImplicitLaplacianPrecond:
     def test_alpha_zero_identity(self):
         part = tensorial((16, 16))
         pc = sp.implicit_laplacian_precond(0.0, part)
-        for band in part.bands:
-            assert pc.entry(band.id).matrix[0, 0] == 1.0
+        for entry in pc.entries:
+            assert entry[0, 0] == 1.0
 
     def test_midpoint_rule(self):
         part = tensorial((8, 8))
         pc = sp.implicit_laplacian_precond(1.0, part)
         # Band box [1,2)^2: a^2=2, b^2=8, omega^2=5.
-        assert abs(pc.entry((0, 0)).matrix[0, 0] - 6.0) < 1e-14
+        assert abs(pc.entries[0][0, 0] - 6.0) < 1e-14  # band (0, 0)
 
     def test_rate_bounds_match_formula(self):
         part = tensorial((32, 32))
@@ -273,8 +270,7 @@ class TestSampledContraction:
         band = part.band((0, 1))
         mw_sym, lw_sym = sp.leray_band_operators(band)
         bundle = sp.Sum(mw_sym, lw_sym)
-        entries = {b.id: sp.BandEntry(matrix=np.eye(2)) for b in part.bands}
-        pc = sp.BandPreconditioner(part, bundle, entries, "custom", True)
+        pc = sp.given_entries(bundle, part, [np.eye(2)] * len(part.bands))
         rho = sp.sampled_contraction(bundle, pc, band)
         # Independent path: explicit matrices and a direct svd.
         K = band.mode_wavevectors().astype(float)

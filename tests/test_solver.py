@@ -14,7 +14,7 @@ from shannop.errors import (
     UnsupportedSchemeError,
 )
 from shannop.generate import gradient_field, random_field, solenoidal_field
-from shannop.precond import BandEntry, BandPreconditioner, sampled_contraction
+from shannop.precond import given_entries, sampled_contraction
 from shannop.solver import kappa_table, spectral_divergence
 
 
@@ -214,14 +214,12 @@ class TestRichardson:
             sp.Product(sp.Delta(1, 1, 2), sp.ImplicitLaplacian(alphas[0])),
             sp.Product(sp.Delta(2, 2, 2), sp.ImplicitLaplacian(alphas[1])),
         )
-        entries = {}
+        entries = []
         for band in part.bands:
             a, b, _ = sp.band_extrema(band, mode_exact=False)
             omega_sq = 0.5 * (a * a + b * b)
-            entries[band.id] = BandEntry(
-                matrix=np.diag([1.0 + alpha * omega_sq for alpha in alphas])
-            )
-        pc = BandPreconditioner(part, sym, entries, "custom", False)
+            entries.append(np.diag([1.0 + alpha * omega_sq for alpha in alphas]))
+        pc = given_entries(sym, part, entries)
         v = random_field(grid, 2, seed=25)
         cfg = sp.SolveConfig(tol=1e-10)
         u, rep = sp.richardson_solve(sym, pc, v, cfg)
@@ -261,9 +259,9 @@ class TestNonFinite:
     @staticmethod
     def nan_preconditioner(part):
         pc = sp.implicit_laplacian_precond(100.0, part)
-        entries = dict(pc.entries)
-        entries[part.bands[0].id] = BandEntry(matrix=np.array([[np.nan]]))
-        return BandPreconditioner(part, pc.target, entries, "custom", False)
+        entries = pc.entries.copy()
+        entries[0] = np.nan
+        return given_entries(pc.target, part, entries)
 
     def test_nan_entry_refused_under_strict(self):
         part = tensorial((16, 16))
