@@ -32,6 +32,7 @@ from .io import read_field, write_field
 from .precond import (
     BandPreconditioner,
     RateBound,
+    RateBounds,
     given_entries,
     implicit_laplacian_precond,
     leray_band_operators,

@@ -14,10 +14,12 @@ not claimed by any band (the zero mode, axis-zero planes in the tensorial
 scheme, Nyquist planes) live in the partition's dc set, which solvers
 treat by exact modewise operations.
 
-Each partition lays its modes out once, band-major (``Partition.perm``):
-band projection is one gather into that layout and synthesis one scatter
-out of it.  Both are zero-phase: a band restriction simply copies mode
-coefficients, so synthesize(analyze(s)) == s bit for bit.
+A partition is arrays that its builder writes once: the sorted band ids,
+their box edges, and the band-major layout of its modes (``Partition.perm``)
+with each band's offset into it; ``FrequencyBand`` objects are built from
+them only on request.  Band projection is one gather into the layout and
+synthesis one scatter out of it.  Both are zero-phase: a band restriction
+simply copies mode coefficients, so synthesize(analyze(s)) == s bit for bit.
 Synthesis of a derived family multiplies each band coefficient by an exact
 per-mode spectral factor, making differentiation by coefficient scaling an
 identity in exact arithmetic.
@@ -64,7 +66,7 @@ def _axis_block(pieces, stride: int, dtype=np.int32):
     as an (m, q) block of offsets ix * stride, in the dtype of the layout
     it goes into, row r piece r padded to the longest length q; the (m, q)
     mask of the entries that are not padding, or None where no piece is
-    short; and how many indices."""
+    short; and the (m,) piece lengths."""
     lengths = np.array([len(ix) for ix in pieces])
     q = int(lengths.max())
     block = np.zeros((len(pieces), q), dtype=dtype)
@@ -72,7 +74,7 @@ def _axis_block(pieces, stride: int, dtype=np.int32):
         row[: len(ix)] = ix
     block *= stride
     inside = None if (lengths == q).all() else np.arange(q) < lengths[:, None]
-    return block, inside, int(lengths.sum())
+    return block, inside, lengths
 
 
 def _write_layout(parents, out: np.ndarray) -> int:
@@ -90,7 +92,7 @@ def _write_layout(parents, out: np.ndarray) -> int:
     for axes in parents:
         d = len(axes)
         shape = [blk.shape[j] for j in (0, 1) for blk, _, _ in axes]
-        n = math.prod(count for _, _, count in axes)
+        n = math.prod(int(lengths.sum()) for _, _, lengths in axes)
         ragged = any(inside is not None for _, inside, _ in axes)
         if ragged:
             box = np.empty(shape, out.dtype)
@@ -110,21 +112,6 @@ def _write_layout(parents, out: np.ndarray) -> int:
             out[pos : pos + n] = box[np.broadcast_to(mask, shape)]
         pos += n
     return pos
-
-
-def _write_bands(bands, out: np.ndarray) -> int:
-    """``_write_layout`` of bands as parents of one piece per axis, the
-    block of an index array that bands share built once in the call."""
-    strides = _strides(bands[0].grid.sizes if bands else ())
-    blocks = {}  # (axis, id of a shared index array) -> its _axis_block
-    for b in bands:
-        for i, ix in enumerate(b.axis_indices):
-            if (i, id(ix)) not in blocks:
-                blocks[i, id(ix)] = _axis_block([ix], strides[i], out.dtype)
-    return _write_layout(
-        ([blocks[i, id(ix)] for i, ix in enumerate(b.axis_indices)] for b in bands),
-        out,
-    )
 
 
 _BLOCK = 8192  # positions per block of a band-major layout
@@ -204,20 +191,11 @@ class FrequencyBand:
         n = self.grid.sizes[axis]
         return np.where(ix < n // 2, ix, ix - n)
 
-    def mode_wavevectors(self) -> np.ndarray:
-        """Materialize the band's modes as an (nmodes, d) integer array,
-        rows in row-major sub-box order.  It is stored axis by axis, so
-        each column is contiguous for the per-axis sums symbols take."""
-        d = self.dim
-        out = np.empty((d,) + self.shape, dtype=np.int64)
-        for i in range(d):
-            out[i] = self.axis_wavevectors(i).reshape((-1,) + (1,) * (d - 1 - i))
-        return out.reshape(d, -1).T
-
     def flat_indices(self) -> np.ndarray:
         """Row-major positions of the band's modes in the flattened grid."""
         out = np.empty(self.nmodes, dtype=np.intp)
-        _write_bands([self], out)
+        pairs = zip(self.axis_indices, _strides(self.grid.sizes))
+        _write_layout([[_axis_block([ix], s, out.dtype) for ix, s in pairs]], out)
         return out
 
     def axis_scale(self, axis: int) -> float:
@@ -229,7 +207,7 @@ class FrequencyBand:
         lo = self.box[axis][0]
         if lo <= 0:
             raise StructuralError("axis touches zero frequency; no dyadic scale")
-        return float(2.0 ** math.floor(math.log2(lo)))
+        return math.ldexp(1.0, math.frexp(lo)[1] - 1)
 
 
 def band_extrema(band: FrequencyBand, mode_exact: bool = True):
@@ -254,44 +232,58 @@ def band_extrema(band: FrequencyBand, mode_exact: bool = True):
 
 @dataclass(eq=False)
 class Partition:
-    """A disjoint cover of all grid modes by bands plus a dc set.
+    """A disjoint cover of all grid modes by bands plus a dc set, held as
+    arrays that the builder writes once.
 
-    ``perm`` is the band-major layout: the flat grid positions of the band
-    modes, band by sorted id and each band in row-major sub-box order,
-    then the dc set.  Band i occupies ``perm[offsets[i]:offsets[i + 1]]``
-    and the dc set ``perm[offsets[-1]:]``.  A builder that already wrote
-    the band part passes it in, with the bands in sorted order; otherwise
-    the bands are sorted and it is written from them.
+    ``ids`` lists the band ids in sorted order and ``edges`` (nbands, d, 2)
+    holds their boxes, (lo, hi) per axis.  ``perm`` is the band-major
+    layout: the flat grid positions of the band modes, band by band and
+    each band in row-major sub-box order, then the dc set.  Band i occupies
+    ``perm[offsets[i]:offsets[i + 1]]`` and the dc set ``perm[offsets[-1]:]``.
+    ``FrequencyBand`` objects are built only on request (``band``, ``bands``).
     """
 
     grid: GridSpec
     base_scheme: str  # "tensorial" | "mra"
     packet_depth: int
-    bands: list
-    dc_indices: np.ndarray
+    ids: list = field(repr=False)
+    edges: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    perm: np.ndarray = field(repr=False)
     dropped_empty: int = 0
-    perm: np.ndarray | None = field(default=None, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.perm is None:
-            self.bands = sorted(self.bands, key=FrequencyBand.sort_key)
-        self._index = {b.id: i for i, b in enumerate(self.bands)}
-        self.offsets = np.cumsum([0] + [b.nmodes for b in self.bands])
-        claimed = int(self.offsets[-1])
-        if claimed + len(self.dc_indices) != self.grid.npoints:
-            raise PartitionConsistencyError(
-                f"bands + dc cover {claimed + len(self.dc_indices)} of "
-                f"{self.grid.npoints} modes"
-            )
-        if self.perm is None:
-            self.perm = _layout_buffer(self.grid)
-            _write_bands(self.bands, self.perm)
-        self.perm[claimed:] = self.dc_indices
+        self._index = {band_id: i for i, band_id in enumerate(self.ids)}
+
+    @property
+    def dc_indices(self) -> np.ndarray:
+        """Flat grid positions of the dc set: a view of the end of ``perm``."""
+        return self.perm[self.offsets[-1] :]
+
+    @property
+    def bands(self) -> list:
+        """Every band as a ``FrequencyBand``, in ``ids`` order, built anew on
+        each access."""
+        return self._bands(range(len(self.ids)))
 
     def band(self, band_id) -> FrequencyBand:
-        return self.bands[self._index[band_id]]
+        return self._bands([self._index[band_id]])[0]
+
+    def _bands(self, rows) -> list:
+        """The bands ``rows`` as ``FrequencyBand``s, each distinct (axis, lo,
+        hi) interval resolved once per call to one read-only index array."""
+        mags = [np.abs(self.grid.axis_wavevectors(i)) for i in range(self.grid.dim)]
+        table, bands = {}, []
+        for r in rows:
+            box = tuple(map(tuple, self.edges[r].tolist()))
+            for i, (lo, hi) in enumerate(box):
+                if (i, lo, hi) not in table:
+                    table[i, lo, hi] = np.flatnonzero((mags[i] >= lo) & (mags[i] < hi))
+                    table[i, lo, hi].flags.writeable = False
+            idx = tuple(table[i, lo, hi] for i, (lo, hi) in enumerate(box))
+            bands.append(FrequencyBand(self.grid, self.ids[r], box, idx))
+        return bands
 
     def segment(self, band_id) -> slice:
         """Positions of the band's modes in ``perm``."""
@@ -322,28 +314,35 @@ class Partition:
 def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
     """Bands from (id, box) pairs; every mode no band holds goes to dc.
 
-    Each distinct (axis, lo, hi) interval is resolved once per build, so
-    bands sharing it share its index array, which is made read-only.  The
-    band layout is written first and the dc set is what it leaves out.
-    Interval indices are unique, so an overlap leaves more band and dc
-    modes than grid modes, which the partition's mode count rejects.
+    The bands are sorted by id and their layout is written first, each
+    distinct (axis, lo, hi) interval resolved once per build into one
+    ``_axis_block``; the dc set is what the layout leaves out.  Interval
+    indices are unique, so an overlap leaves more band and dc modes than
+    grid modes, which the mode count rejects.
     """
+    boxes = sorted(boxes, key=lambda item: _flatten(item[0]))
     mags = [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
-    table = {}
-    bands = []
-    for band_id, box in boxes:
+    strides = _strides(grid.sizes)
+    blocks = {}  # (axis, lo, hi) -> the _axis_block of its indices
+    parents = []
+    for _, box in boxes:
         for i, (lo, hi) in enumerate(box):
-            if (i, lo, hi) not in table:
+            if (i, lo, hi) not in blocks:
                 ix = np.flatnonzero((mags[i] >= lo) & (mags[i] < hi))
-                ix.flags.writeable = False
-                table[i, lo, hi] = ix
-        idx = tuple(table[i, lo, hi] for i, (lo, hi) in enumerate(box))
-        bands.append(FrequencyBand(grid, band_id, box, idx))
-    bands.sort(key=FrequencyBand.sort_key)
+                blocks[i, lo, hi] = _axis_block([ix], strides[i])
+        parents.append([blocks[i, lo, hi] for i, (lo, hi) in enumerate(box)])
+    counts = [math.prod(int(n[0]) for _, _, n in axes) for axes in parents]
     perm = _layout_buffer(grid)
-    claimed = _write_bands(bands, perm)
+    claimed = _write_layout(parents, perm)
     dc = np.flatnonzero(~_marked(perm[:claimed], grid.npoints))
-    return Partition(grid, scheme, 0, bands, dc, perm=perm)
+    if claimed + len(dc) != grid.npoints:
+        raise PartitionConsistencyError(
+            f"bands + dc cover {claimed + len(dc)} of {grid.npoints} modes"
+        )
+    perm[claimed:] = dc
+    ids = [band_id for band_id, _ in boxes]
+    edges = np.array([box for _, box in boxes], dtype=float)
+    return Partition(grid, scheme, 0, ids, edges, np.cumsum([0] + counts), perm)
 
 
 def build_tensorial_partition(grid: GridSpec) -> Partition:
@@ -383,27 +382,24 @@ def build_mra_partition(grid: GridSpec) -> Partition:
 _MAX_PACKET_DEPTH = 52
 
 
-def _axis_pieces(mag: np.ndarray, ix: np.ndarray, lo: float, hi: float, splits: int):
+def _axis_pieces(mag: np.ndarray, lo: float, hi: float, splits: int):
     """The non-empty pieces of [lo, hi) cut into ``splits`` equal parts, for
-    the axis indices ``ix`` with magnitudes ``mag[ix]`` in it: (piece
-    number, interval, read-only indices) each, in piece order, the indices
-    in their order in ``ix``.
+    the axis positions whose magnitudes ``mag`` lie in it: their piece
+    numbers, their (m, 2) intervals and their index arrays, in piece order,
+    each ascending.
 
-    Widths are dyadic, so each piece number floor((|k| - lo) / width) is
-    exact; a stable sort groups the indices by piece.
+    Widths are dyadic, so each piece number floor((|k| - lo) / width) and
+    each interval edge is exact; a stable sort groups the indices by piece.
     """
+    ix = np.flatnonzero((mag >= lo) & (mag < hi))
     width = (hi - lo) / splits
     piece = np.floor((mag[ix] - lo) / width)
     order = np.argsort(piece, kind="stable")
     piece, ix = piece[order], ix[order]
-    ix.flags.writeable = False
     starts = np.flatnonzero(np.diff(piece, prepend=-1.0))
-    return [
-        (s, (lo + s * width, lo + (s + 1) * width), sub_ix)
-        for s, sub_ix in zip(
-            piece[starts].astype(int).tolist(), np.split(ix, starts[1:])
-        )
-    ]
+    s = piece[starts]
+    intervals = np.stack([lo + s * width, lo + (s + 1) * width], axis=1)
+    return s.astype(int), intervals, np.split(ix, starts[1:])
 
 
 def refine_packet(part: Partition, depth: int) -> Partition:
@@ -418,9 +414,11 @@ def refine_packet(part: Partition, depth: int) -> Partition:
     refining by 2 once.
 
     The layout is written once per parent band (``_write_layout``), from
-    one block of offsets per distinct (axis, lo, hi) interval.  Sub-bands
-    of a refined partition's bands interleave across parents, so their
-    segments are then moved into sorted band order.
+    one block of offsets per distinct (axis, lo, hi) interval, and the
+    parent's sub-band edges and mode counts by one broadcast of its
+    per-axis piece intervals and lengths, in the same order.  Sub-bands of
+    a refined partition's bands interleave across parents, so their ids,
+    edges and segments are then moved into sorted band order.
     """
     if depth < 0:
         raise StructuralError("packet depth must be nonnegative")
@@ -433,54 +431,54 @@ def refine_packet(part: Partition, depth: int) -> Partition:
         )
     splits = 2**depth
     grid = part.grid
-    mags = [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
+    d = grid.dim
+    mags = [np.abs(grid.axis_wavevectors(i)) for i in range(d)]
     strides = _strides(grid.sizes)
     # A band's axis indices are all those with magnitude in its interval,
     # so bands sharing an (axis, lo, hi) share its pieces and their block.
-    table = {}
-    bands, parents = [], []
+    table = {}  # (axis, lo, hi) -> piece numbers, intervals, _axis_block
+    ids, edges, counts, parents = [], [], [], []
     dropped = part.dropped_empty
-    for b in part.bands:
-        if part.packet_depth > 0:
-            root_id, path = b.id
-        else:
-            root_id, path = b.id, (0,) * b.dim
-        pieces = []  # per axis: the non-empty (path entry, interval, indices)
-        blocks = []
-        for i, ((lo, hi), ix, p) in enumerate(zip(b.box, b.axis_indices, path)):
+    for band_id, box in zip(part.ids, part.edges.tolist()):
+        root_id, path = band_id if part.packet_depth else (band_id, (0,) * d)
+        axes = []
+        for i, (lo, hi) in enumerate(box):
             if (i, lo, hi) not in table:
-                kept = _axis_pieces(mags[i], ix, lo, hi, splits)
-                block = _axis_block([sub_ix for _, _, sub_ix in kept], strides[i])
-                table[i, lo, hi] = kept, block
-            kept, block = table[i, lo, hi]
-            pieces.append([(p * splits + s, sub, sub_ix) for s, sub, sub_ix in kept])
-            blocks.append(block)
-        parents.append(blocks)
-        dropped += splits**b.dim - math.prod(len(kept) for kept in pieces)
-        for combo in itertools.product(*pieces):
-            new_path, box, idx = zip(*combo)
-            bands.append(FrequencyBand(grid, (root_id, new_path), box, idx))
+                s, intervals, pieces = _axis_pieces(mags[i], lo, hi, splits)
+                table[i, lo, hi] = s, intervals, _axis_block(pieces, strides[i])
+            axes.append(table[i, lo, hi])
+        shape = [len(s) for s, _, _ in axes]
+        sub_edges = np.empty(shape + [d, 2])
+        sub_counts = np.ones(shape, dtype=np.int64)
+        for i, (_, intervals, (_, _, lengths)) in enumerate(axes):
+            where = [1] * d
+            where[i] = shape[i]
+            sub_edges[..., i, :] = intervals.reshape(where + [2])
+            sub_counts *= lengths.reshape(where)
+        paths = [(p * splits + s).tolist() for p, (s, _, _) in zip(path, axes)]
+        ids += [(root_id, sub) for sub in itertools.product(*paths)]
+        edges.append(sub_edges.reshape(-1, d, 2))
+        counts.append(sub_counts.ravel())
+        parents.append([block for _, _, block in axes])
+        dropped += splits**d - math.prod(shape)
+    edges, counts = np.concatenate(edges), np.concatenate(counts)
     perm = _layout_buffer(grid)
     claimed = _write_layout(parents, perm)
     if part.packet_depth > 0:
         # Sub-bands of different parents interleave in path order (refined
         # from a base partition they come out sorted already): move each
         # band's segment to its place in sorted band order.
-        counts = np.array([b.nmodes for b in bands])
+        order = sorted(range(len(ids)), key=lambda k: _flatten(ids[k]))
+        ids, edges = [ids[k] for k in order], edges[order]
         starts = np.cumsum(counts) - counts
-        order = sorted(range(len(bands)), key=lambda k: bands[k].sort_key())
-        bands = [bands[k] for k in order]
         counts = counts[order]
         shift = starts[order] - (np.cumsum(counts) - counts)
         perm[:claimed] = perm[np.repeat(shift, counts) + np.arange(claimed)]
+    perm[claimed:] = part.dc_indices
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     refined = Partition(
-        grid,
-        part.base_scheme,
-        part.packet_depth + depth,
-        bands,
-        part.dc_indices,
-        dropped,
-        perm=perm,
+        grid, part.base_scheme, part.packet_depth + depth, ids, edges, offsets,
+        perm, dropped,
     )
     refined.check_disjoint()
     return refined
@@ -514,10 +512,10 @@ class _BandViews(Mapping):
         return self.coeffs[:, self.partition.segment(band_id)].reshape(shape)
 
     def __iter__(self):
-        return (b.id for b in self.partition.bands)
+        return iter(self.partition.ids)
 
     def __len__(self) -> int:
-        return len(self.partition.bands)
+        return len(self.partition.ids)
 
 
 @dataclass
@@ -589,18 +587,24 @@ def synthesize(banded: BandedField) -> SpectralField:
     part = banded.partition
     coeffs = banded.coeffs
     if any(banded.family.nu):
+        nb = part.offsets[-1]
         coeffs = coeffs.copy()
-        views = _BandViews(part, coeffs)
-        for b in part.bands:
-            block = views[b.id]
-            for axis, order in enumerate(banded.family.nu):
-                if order:
-                    k = b.axis_wavevectors(axis).astype(float)
-                    factor = _family_factor(order, k, b.axis_scale(axis))
-                    block *= factor.reshape((-1,) + (1,) * (b.dim - 1 - axis))
+        K = part.grid.wavevectors(part.perm[:nb])
+        for axis, order in enumerate(banded.family.nu):
+            if order:
+                scale = np.repeat(_axis_scales(part, axis), np.diff(part.offsets))
+                coeffs[:, :nb] *= _family_factor(order, K[axis], scale)
     out = np.empty_like(coeffs)
     out[:, part.perm] = coeffs  # perm lists every grid position once
     return SpectralField(part.grid, out.reshape((len(coeffs),) + part.grid.sizes))
+
+
+def _axis_scales(part: Partition, axis: int) -> np.ndarray:
+    """``FrequencyBand.axis_scale`` of every band on ``axis`` (0-based)."""
+    lo = part.edges[:, axis, 0]
+    if np.any(lo <= 0):
+        raise StructuralError("axis touches zero frequency; no dyadic scale")
+    return np.ldexp(1.0, np.frexp(lo)[1] - 1)
 
 
 def _lemarie_setup(banded: BandedField, axis: int, op: str, step: int):
@@ -613,9 +617,7 @@ def _lemarie_setup(banded: BandedField, axis: int, op: str, step: int):
     if not 1 <= axis <= part.grid.dim:
         raise ArityError(f"axis {axis} out of range for dimension {part.grid.dim}")
     ax = axis - 1
-    scale = np.repeat(
-        [4.0 * b.axis_scale(ax) for b in part.bands], np.diff(part.offsets)
-    )
+    scale = np.repeat(4.0 * _axis_scales(part, ax), np.diff(part.offsets))
     ix = np.unravel_index(part.dc_indices, part.grid.sizes)[ax]
     nu = list(banded.family.nu)
     nu[ax] += step
@@ -657,13 +659,14 @@ def dump_partition(part: Partition) -> str:
     Each distinct (lo, hi) interval is formatted once per call."""
     edges = {}  # (lo, hi) -> "lo,hi"
     lines = []
-    for b, n in zip(part.bands, np.diff(part.offsets).tolist()):
+    counts = np.diff(part.offsets).tolist()
+    for band_id, intervals, n in zip(part.ids, part.edges.tolist(), counts):
         box = []
-        for lo, hi in b.box:
+        for lo, hi in intervals:
             if (lo, hi) not in edges:
                 edges[lo, hi] = f"{_fmt_num(lo)},{_fmt_num(hi)}"
             box.append(edges[lo, hi])
-        ident = repr(b.id).replace(" ", "")
+        ident = repr(band_id).replace(" ", "")
         lines.append(f"band {ident} box {' '.join(box)} modes {n}")
     lines.append(f"dc modes {len(part.dc_indices)}")
     if part.dropped_empty:

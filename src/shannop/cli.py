@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage, file-format or file-access error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 EXIT_OK = 0
@@ -55,8 +56,10 @@ def _solve_exit(report, tol: float) -> int:
     if report.converged:
         return EXIT_OK
     h = report.residual_history
-    print(f"error: not converged after {report.iterations} sweeps "
-          f"(residual {h[-1] / h[0]:.3e} > tol {tol!r})", file=sys.stderr)
+    detail = (f"residual {h[-1] / h[0]:.3e} > tol {tol!r}" if 0 < h[0] < math.inf
+              else f"absolute residual {h[-1]:.3e}; the initial residual is {h[0]!r}")
+    print(f"error: not converged after {report.iterations} sweeps ({detail})",
+          file=sys.stderr)
     return EXIT_DIVERGED
 
 

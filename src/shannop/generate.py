@@ -39,7 +39,7 @@ def corner_mode_field(grid: GridSpec, components: int = 1) -> RealField:
     band-constant operator.
     """
     part = build_tensorial_partition(grid)
-    band = part.bands[-1]
+    band = part.band(part.ids[-1])
     lo_corner = [int(min(np.abs(band.axis_wavevectors(i)))) for i in range(grid.dim)]
     hi_corner = [int(max(np.abs(band.axis_wavevectors(i)))) for i in range(grid.dim)]
     modes = np.zeros((components,) + grid.sizes, dtype=complex)

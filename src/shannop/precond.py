@@ -1,9 +1,11 @@
 """Per-band approximation operators and their contraction-rate bounds.
 
 A band preconditioner holds one constant real matrix per band of a
-partition, approximating the target symbol there, and each band's
-contraction bound, built together; dc modes are always solved by an exact
-modewise pseudo-inverse of the target.  Constructions: the optimal
+partition, approximating the target symbol there, and the bands'
+contraction bounds, built together as one ``RateBounds`` record of arrays;
+``RateBound`` objects, one per band, are built only on request
+(``rate_bounds()``, ``leray_rate_bounds``).  dc modes are always solved by
+an exact modewise pseudo-inverse of the target.  Constructions: the optimal
 constant for a scalar symbol of constant sign; the implicit-Laplacian
 midpoint rule (1 + alpha*w^2); given entries (no minimax optimizer over
 matrix approximants is provided), bounded by their sampled sups; and the
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import FrequencyBand, Partition, band_extrema, layout_blocks
+from .bands import FrequencyBand, Partition, layout_blocks
 from .errors import ArityError, NotInvertibleOnBandError
 from .grid import _axis_sum
 from .symbols import (
@@ -53,28 +55,55 @@ class RateBound:
 
 
 @dataclass
+class RateBounds:
+    """Every band's contraction bound, in band order: the band ``ids``,
+    float64 arrays ``a``, ``b`` and ``rho``, and one ``formula`` per band."""
+
+    ids: list
+    a: np.ndarray
+    b: np.ndarray
+    rho: np.ndarray
+    formula: list
+
+    def rows(self):
+        """(band id, a, b, rho, formula) per band, as Python values."""
+        arrays = (self.a.tolist(), self.b.tolist(), self.rho.tolist())
+        return zip(self.ids, *arrays, self.formula)
+
+    def tolist(self) -> list[RateBound]:
+        return [RateBound(*row) for row in self.rows()]
+
+
+def _rate_bounds(part: Partition, a, b, rho, formula: str) -> RateBounds:
+    return RateBounds(part.ids, a, b, rho, [formula] * len(part.ids))
+
+
+@dataclass
 class BandPreconditioner:
     """One constant entry per band of a partition, approximating ``target``:
-    ``entries`` is (nbands, n, n) and ``bounds`` one ``RateBound`` per band,
-    both in the order of ``partition.bands`` and built together."""
+    ``entries`` is (nbands, n, n) and ``bounds`` the bands' ``RateBounds``,
+    both in the order of ``partition.ids`` and built together."""
 
     partition: Partition
     target: SymbolExpr
     entries: np.ndarray
-    bounds: list
+    bounds: RateBounds
 
     def rate_bounds(self) -> list[RateBound]:
-        """The per-band contraction bounds stored with the entries."""
-        return self.bounds
+        """The per-band contraction bounds stored with the entries, as
+        ``RateBound``s built on each call."""
+        return self.bounds.tolist()
 
     def with_scaled_entry(self, band_id, factor: float) -> "BandPreconditioner":
         """Copy with one band's constant entry scaled (perturbation probe);
         that band's bound becomes its sampled sup, the others are kept."""
         i = self.partition._index[band_id]
-        pc = replace(self, entries=self.entries.copy(), bounds=list(self.bounds))
+        pc = replace(self, entries=self.entries.copy())
         pc.entries[i] *= factor
-        rho = float(_sampled(pc.target, pc, range(i, i + 1))[0])
-        pc.bounds[i] = replace(pc.bounds[i], rho=rho, formula=FORMULA_SAMPLED)
+        rho, formula = self.bounds.rho.copy(), list(self.bounds.formula)
+        rho[i] = _sampled(pc.target, pc, range(i, i + 1))[0]
+        formula[i] = FORMULA_SAMPLED
+        pc.bounds = replace(self.bounds, rho=rho, formula=formula)
         return pc
 
 
@@ -104,24 +133,25 @@ def rate_kantorovich(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_band_values(sym: SymbolExpr, part: Partition, band, mode_exact: bool):
-    """Real values of a scalar symbol over a band (modes or box corners)."""
+def _scalar_band_values(sym: SymbolExpr, part: Partition, i: int, mode_exact: bool):
+    """Real values of a scalar symbol over band i (modes or box corners)."""
+    band_id = part.ids[i]
     if mode_exact:
-        K = part.grid.wavevectors(part.perm[part.segment(band.id)]).T
+        K = part.grid.wavevectors(part.perm[part.offsets[i] : part.offsets[i + 1]]).T
     else:
-        corners = np.array(np.meshgrid(*band.box, indexing="ij"))
-        K = corners.reshape(band.dim, -1).T
+        corners = np.array(np.meshgrid(*part.edges[i], indexing="ij"))
+        K = corners.reshape(part.grid.dim, -1).T
     with np.errstate(over="ignore", invalid="ignore"):  # reported by band below
         values, _ = eval_many(sym, K)
     flat = values[:, 0, 0]
     if not np.all(np.isfinite(flat)):
         raise NotInvertibleOnBandError(
-            band.id, f"symbol is not finite on band {band.id}"
+            band_id, f"symbol is not finite on band {band_id}"
         )
     scale = max(np.max(np.abs(flat)), 1e-300)
     if np.max(np.abs(flat.imag)) > 1e-12 * scale:
         raise NotInvertibleOnBandError(
-            band.id, f"symbol is not real on band {band.id}"
+            band_id, f"symbol is not real on band {band_id}"
         )
     return flat.real
 
@@ -139,14 +169,16 @@ def scalar_optimal(
     """
     if sym.shape != (1, 1):
         raise ArityError("scalar_optimal needs a scalar symbol")
-    omegas, bounds = [], []
-    for band in part.bands:
-        vals = _scalar_band_values(sym, part, band, mode_exact)
+    omegas, extrema = [], []
+    for i, band_id in enumerate(part.ids):
+        vals = _scalar_band_values(sym, part, i, mode_exact)
         if vals.min() <= 0 < vals.max() or vals.max() == 0:
-            raise NotInvertibleOnBandError(band.id)
+            raise NotInvertibleOnBandError(band_id)
         m, M = float(np.abs(vals).min()), float(np.abs(vals).max())
         omegas.append(np.copysign(0.5 * (m + M), vals.max()))
-        bounds.append(RateBound(band.id, m, M, (M - m) / (M + m), FORMULA_SAMPLED))
+        extrema.append((m, M))
+    m, M = np.array(extrema).T
+    bounds = _rate_bounds(part, m, M, (M - m) / (M + m), FORMULA_SAMPLED)
     return BandPreconditioner(part, sym, np.reshape(omegas, (-1, 1, 1)), bounds)
 
 
@@ -169,42 +201,36 @@ def implicit_laplacian_precond(
     for i in np.flatnonzero(~np.isfinite(s))[:1]:
         raise ArityError(
             f"alpha {alpha!r} is too large: 1 + alpha*|k|^2 overflows "
-            f"on band {part.bands[i].id}"
+            f"on band {part.ids[i]}"
         )
     entries = 1.0 + alpha * (0.5 * (a * a + b * b))
     rho = alpha * (b * b - a * a) / (2.0 + s)
-    bounds = _band_bounds(part, a, b, rho, FORMULA_ILAP)
+    bounds = _rate_bounds(part, a, b, rho, FORMULA_ILAP)
     return BandPreconditioner(part, sym, entries.reshape(-1, 1, 1), bounds)
 
 
 def given_entries(sym: SymbolExpr, part: Partition, entries) -> BandPreconditioner:
     """The constant ``entries`` (nbands, n, n), in the order of
-    ``part.bands``, approximating ``sym``; each band's bound is its sampled
+    ``part.ids``, approximating ``sym``; each band's bound is its sampled
     sup (``sampled_contraction``), with a, b the norms of its box corners."""
-    pc = BandPreconditioner(part, sym, np.asarray(entries, dtype=float), [])
+    pc = BandPreconditioner(part, sym, np.asarray(entries, dtype=float), None)
     a, b = _corner_norms(part)
-    rho = _sampled(sym, pc, range(len(part.bands)))
-    pc.bounds = _band_bounds(part, a, b, rho, FORMULA_SAMPLED)
+    rho = _sampled(sym, pc, range(len(part.ids)))
+    pc.bounds = _rate_bounds(part, a, b, rho, FORMULA_SAMPLED)
     return pc
 
 
 def _corner_norms(part: Partition, mode_exact: bool = False):
-    """``band_extrema``'s a and b for all bands at once, the norms of the
-    low and high corners of the box, or of the modes' per-axis extreme |k|."""
+    """``band_extrema``'s a and b for all bands at once: the norms of the
+    low and high corners of the box, or of the modes' per-axis extreme |k|.
+    Every axis interval holds every integer magnitude it spans, so those
+    are ceil(lo) and ceil(hi) - 1."""
+    edges = part.edges
     if mode_exact:
-        edges = [band_extrema(band, True)[2] for band in part.bands]
-    else:
-        edges = [band.box for band in part.bands]
-    sq = np.array(edges, dtype=float).T ** 2  # (2, d, nbands)
+        edges = np.ceil(edges)
+        edges[:, :, 1] -= 1.0
+    sq = edges.T ** 2  # (2, d, nbands)
     return np.sqrt(_axis_sum(sq[0])), np.sqrt(_axis_sum(sq[1]))
-
-
-def _band_bounds(part: Partition, a, b, rho, formula: str) -> list[RateBound]:
-    """One ``RateBound`` per band from per-band arrays, as Python floats."""
-    return [
-        RateBound(band.id, *abr, formula)
-        for band, *abr in zip(part.bands, a.tolist(), b.tolist(), rho.tolist())
-    ]
 
 
 def band_omega(band: FrequencyBand) -> np.ndarray:
@@ -214,13 +240,7 @@ def band_omega(band: FrequencyBand) -> np.ndarray:
     packet sub-bands keep their own (finer) lower edges, which is what
     tightens the Leray rate under refinement.
     """
-    lows = np.array([lo for lo, _ in band.box], dtype=float)
-    if np.any(lows <= 0):
-        raise ArityError(
-            f"band {band.id} touches zero frequency; Leray operators need a "
-            f"tensorial band"
-        )
-    return lows
+    return _leray_omega(np.array([band.box], dtype=float), [band.id])[0]
 
 
 def leray_band_operators(band: FrequencyBand) -> tuple[SymbolExpr, SymbolExpr]:
@@ -292,34 +312,40 @@ def leray_lambda(omega: np.ndarray, K: np.ndarray, counts=None) -> np.ndarray:
     return 1.0 - _axis_sum(xsq) * _axis_sum(w4 / (wsq * xsq))
 
 
-def _leray_edges(part: Partition) -> np.ndarray:
-    """The bands' box edges, (nbands, d, 2), refusing a band at zero frequency."""
-    edges = np.array([b.box for b in part.bands], dtype=float)
-    for i in np.flatnonzero(np.any(edges[:, :, 0] <= 0, axis=1))[:1]:
-        band_omega(part.bands[i])
-    return edges
+def _leray_omega(edges: np.ndarray, ids) -> np.ndarray:
+    """``band_omega`` of the bands ``ids`` with boxes ``edges`` (nbands, d, 2)."""
+    omega = edges[:, :, 0]
+    for i in np.flatnonzero(np.any(omega <= 0, axis=1))[:1]:
+        raise ArityError(
+            f"band {ids[i]} touches zero frequency; Leray operators need a "
+            f"tensorial band"
+        )
+    return omega
+
+
+def _leray_bounds(part: Partition) -> RateBounds:
+    """Kantorovich bounds per band from the per-axis ratios of the box
+    edges to the band's scales, its lower edges: a = 1 and
+    b = max_i hi_i / lo_i, read from the box edges of all bands at once.
+    With a = 1, rho = 0.25 (1/b + b)^2 - 1 equals ``rate_kantorovich``."""
+    b = np.max(part.edges[:, :, 1] / _leray_omega(part.edges, part.ids), axis=1)
+    rho = 0.25 * (1.0 / b + b) ** 2 - 1.0
+    return _rate_bounds(part, np.ones_like(b), b, rho, FORMULA_KANTOROVICH)
 
 
 def leray_rate_bounds(part: Partition) -> list[RateBound]:
-    """Kantorovich bounds per band from the per-axis ratios of the box
-    edges to the band's scales, its lower edges: a = 1 and
-    b = max_i hi_i / lo_i, read from the box edges of all bands at once."""
-    edges = _leray_edges(part)
-    ratios = np.max(edges[:, :, 1] / edges[:, :, 0], axis=1).tolist()
-    return [
-        RateBound(band.id, 1.0, b, rate_kantorovich(1.0, b), FORMULA_KANTOROVICH)
-        for band, b in zip(part.bands, ratios)
-    ]
+    """``_leray_bounds`` as one ``RateBound`` per band."""
+    return _leray_bounds(part).tolist()
 
 
 def leray_sampled(part: Partition) -> np.ndarray:
     """Each band's sup over its modes of |``leray_lambda``|."""
-    omega = _leray_edges(part)[:, :, 0]
+    omega = _leray_omega(part.edges, part.ids)
 
     def lam(K, first, last, counts):
         return np.abs(leray_lambda(omega[first:last], K.T, counts))
 
-    return _band_maxima(part, range(len(part.bands)), lam)
+    return _band_maxima(part, range(len(part.ids)), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +370,7 @@ def band_inverses(sym: SymbolExpr, pc: BandPreconditioner, bands: range) -> np.n
     if not np.isfinite(p).all():
         for i, e, pk in zip(bands, E, p):
             if np.isfinite(e).all() and not np.isfinite(pk).all():
-                band_id = pc.partition.bands[i].id
+                band_id = pc.partition.ids[i]
                 raise NotInvertibleOnBandError(
                     band_id, f"the entry {e.tolist()} on band {band_id} has no "
                     "finite inverse")

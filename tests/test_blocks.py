@@ -31,6 +31,8 @@ from shannop.precond import (
 from shannop.solver import _half_layout, _real_if_exact, _richardson_plan
 from shannop.symbols import eval_many
 
+from conftest import reference_wavevectors
+
 SETTINGS = settings(max_examples=25, deadline=None)
 
 blocks = st.sampled_from([1, 3, 7, 13, 33])
@@ -132,7 +134,7 @@ def test_sampled_contraction_matches_per_band_reference(part, block, alpha):
     with mock.patch.object(bands, "_BLOCK", block):
         got = [sp.sampled_contraction(sym, pc, band) for band in part.bands]
     for band, rho, entry in zip(part.bands, got, pc.entries):
-        a, _ = eval_many(sym, band.mode_wavevectors().astype(float))
+        a, _ = eval_many(sym, reference_wavevectors(band))
         p = 1.0 / entry[0, 0]
         assert rho == float(np.abs(1.0 - a[:, 0, 0].real * p).max())
 
@@ -145,7 +147,7 @@ def test_leray_certificates_match_per_band_reference(part, block):
     expected = []
     for band, got in zip(part.bands, worst.tolist()):
         omega = band_omega(band)
-        K = band.mode_wavevectors().astype(float)
+        K = reference_wavevectors(band)
         lam = leray_lambda(omega, K)
         assert got == float(np.max(np.abs(lam)))
         ones = np.ones(len(K), dtype=int)

@@ -249,6 +249,18 @@ class TestSweepCap:
         assert err.startswith("error: not converged after 3 sweeps (residual ")
         assert "> tol 1e-300)" in err
 
+    def test_zero_initial_residual_exits_with_one_message(self, tmp_path, capsys):
+        # A constant field has no band modes, so the first residual is 0,
+        # and its 1e200 values overflow the reference norm: no sweep can
+        # stop it, and the stop message has no relative residual to print.
+        path = tmp_path / "c.swf"
+        grid = sp.GridSpec((16, 16))
+        sp.write_field(sp.RealField(grid, np.full((2, 16, 16), 1e200)), path)
+        code = run(["helmholtz", "--in", str(path)])
+        assert code in (0, 3)
+        lines = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("error: ") for line in lines) == (code == 3)
+
 
 class TestExitCodeMapping:
     def test_divergence_maps_to_3(self, monkeypatch, tmp_path):

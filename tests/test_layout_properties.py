@@ -17,6 +17,8 @@ import shannop as sp
 from shannop.precond import band_omega, leray_lambda
 from shannop.symbols import eval_many
 
+from conftest import reference_wavevectors
+
 SETTINGS = settings(max_examples=30, deadline=None)
 
 partitions = st.tuples(
@@ -45,15 +47,6 @@ def random_spectrum(grid, components, seed):
 
 def bits(x):
     return np.ascontiguousarray(x).view(np.uint8)
-
-
-def reference_wavevectors(band):
-    """(nmodes, d) band modes from whole-axis wavevectors and meshgrid."""
-    axes = [
-        band.grid.axis_wavevectors(i)[ix] for i, ix in enumerate(band.axis_indices)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1).astype(float)
 
 
 # Besides the partitions above: refining a refined partition, whose
@@ -130,12 +123,13 @@ def test_certificates_match_meshgrid_reference(part, alpha):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
         K = reference_wavevectors(band)
-        assert np.array_equal(band.mode_wavevectors(), K.astype(np.int64))
+        modes = part.grid.wavevectors(part.perm[part.segment(band.id)]).T
+        assert np.array_equal(modes, K)
         a, _ = eval_many(sym, K)
         p = 1.0 / entry[0, 0]
         want = float(np.abs(1.0 - a[:, 0, 0].real * p).max())
         assert sp.sampled_contraction(sym, pc, band) == want
         if part.base_scheme == "tensorial":
-            lam = leray_lambda(band_omega(band), band.mode_wavevectors().astype(float))
+            lam = leray_lambda(band_omega(band), modes)
             want = float(np.max(np.abs(leray_lambda(band_omega(band), K))))
             assert float(np.max(np.abs(lam))) == want

@@ -17,6 +17,8 @@ from shannop.precond import (
 )
 from shannop.symbols import eval_many
 
+from conftest import reference_wavevectors
+
 
 def tensorial(sizes):
     return sp.build_tensorial_partition(sp.GridSpec(sizes))
@@ -137,7 +139,7 @@ class TestLerayOperators:
         part = tensorial((16, 16))
         band = part.band((1, 2))
         mw_sym, lw_sym = sp.leray_band_operators(band)
-        K = band.mode_wavevectors().astype(float)
+        K = reference_wavevectors(band)
         mw_tree, _ = eval_many(mw_sym, K)
         lw_tree, _ = eval_many(lw_sym, K)
         mw_fast, lw_fast = leray_matrices(band_omega(band), K)
@@ -147,7 +149,7 @@ class TestLerayOperators:
     def test_row_annihilation(self):
         part = tensorial((32, 32))
         for band in part.bands:
-            K = band.mode_wavevectors().astype(float)
+            K = reference_wavevectors(band)
             mw, _ = leray_matrices(band_omega(band), K)
             rows = np.einsum("ki,kij->kj", K, mw)
             assert np.max(np.abs(rows)) < 1e-12
@@ -155,7 +157,7 @@ class TestLerayOperators:
     def test_gradient_form(self):
         part = tensorial((16, 16))
         band = part.band((0, 1))
-        K = band.mode_wavevectors().astype(float)
+        K = reference_wavevectors(band)
         _, lw = leray_matrices(band_omega(band), K)
         rng = np.random.default_rng(0)
         v = rng.standard_normal((K.shape[0], 2)) + 1j * rng.standard_normal(
@@ -188,7 +190,7 @@ class TestLerayOperators:
         rng = np.random.default_rng(sum(sizes) + depth)
         for i in rng.choice(len(part.bands), size=8):
             band = part.bands[i]
-            K = band.mode_wavevectors().astype(float)
+            K = reference_wavevectors(band)
             K = K[rng.choice(len(K), size=min(len(K), 16), replace=False)]
             omega = band_omega(band)
             mw, lw = leray_matrices(omega, K)
@@ -273,7 +275,7 @@ class TestSampledContraction:
         pc = sp.given_entries(bundle, part, [np.eye(2)] * len(part.bands))
         rho = sp.sampled_contraction(bundle, pc, band)
         # Independent path: explicit matrices and a direct svd.
-        K = band.mode_wavevectors().astype(float)
+        K = reference_wavevectors(band)
         mw, lw = leray_matrices(band_omega(band), K)
         sv = np.linalg.svd(np.eye(2) - mw - lw, compute_uv=False)
         assert abs(rho - sv[:, 0].max()) < 1e-12
