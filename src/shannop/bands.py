@@ -207,7 +207,7 @@ class FrequencyBand:
         lo = self.box[axis][0]
         if lo <= 0:
             raise StructuralError("axis touches zero frequency; no dyadic scale")
-        return math.ldexp(1.0, math.frexp(lo)[1] - 1)
+        return float(2.0 ** math.floor(math.log2(lo)))
 
 
 def band_extrema(band: FrequencyBand, mode_exact: bool = True):
@@ -604,7 +604,7 @@ def _axis_scales(part: Partition, axis: int) -> np.ndarray:
     lo = part.edges[:, axis, 0]
     if np.any(lo <= 0):
         raise StructuralError("axis touches zero frequency; no dyadic scale")
-    return np.ldexp(1.0, np.frexp(lo)[1] - 1)
+    return 2.0 ** np.floor(np.log2(lo))
 
 
 def _lemarie_setup(banded: BandedField, axis: int, op: str, step: int):
