@@ -182,9 +182,6 @@ class FrequencyBand:
     def nmodes(self) -> int:
         return math.prod(self.shape)
 
-    def sort_key(self) -> tuple:
-        return _flatten(self.id)
-
     def axis_wavevectors(self, axis: int) -> np.ndarray:
         """Integer wavevectors of the band's positions along ``axis``."""
         ix = self.axis_indices[axis]

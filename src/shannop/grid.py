@@ -361,23 +361,28 @@ def apply_modewise(
     A scalar symbol broadcasts over the components.  Under the SKIP policy
     singular modes pass through unchanged (square symbols only).
     """
-    n, m = expr.shape
+    m = expr.shape[1]
     if not expr.is_scalar and m != spec.components:
         raise ArityError(
             f"symbol takes {m} components but field has {spec.components}"
         )
     values, skipped = evaluate_on_grid(expr, spec.grid, policy)
     flat = spec.flat()
-    if expr.is_scalar:
-        out = values[:, 0, 0][None, :] * flat
-        ncomp = spec.components
-    else:
-        out = np.einsum("kij,jk->ik", values, flat)
-        ncomp = n
+    out = _apply(values, flat.copy())
     if skipped.any():
-        if ncomp != spec.components:
+        if len(out) != spec.components:
             raise ArityError(
                 "SKIP policy needs a square symbol to leave modes untouched"
             )
         out[:, skipped] = flat[:, skipped]
-    return SpectralField(spec.grid, out.reshape((ncomp,) + spec.grid.sizes))
+    return SpectralField(spec.grid, out.reshape((len(out),) + spec.grid.sizes))
+
+
+def _apply(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P x per mode on values x (n, M), for one P per mode: a scalar's,
+    (M,) or (M, 1, 1), multiplies every component of x in place; a matrix's,
+    (M, m, n), gives a new (m, M) array."""
+    if p.ndim == 3 and p.shape[1:] != (1, 1):
+        return np.einsum("kij,jk->ik", p, x)
+    x *= p.reshape(len(p))
+    return x

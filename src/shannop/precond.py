@@ -10,9 +10,10 @@ constant for a scalar symbol of constant sign; the implicit-Laplacian
 midpoint rule (1 + alpha*w^2); given entries (no minimax optimizer over
 matrix approximants is provided), bounded by their sampled sups; and the
 Leray divergence-free / gradient-part operator pair, with the band's
-per-axis scales baked in.  The certificates read the per-mode coefficients
-the Richardson plan iterates (``band_recurrence``) and take every band
-maximum in one blocked loop.
+per-axis scales baked in.  Entries have their symbol's shape: one 1x1
+entry per band for a scalar symbol, one n x m entry for an n x m one.  The
+certificates read the per-mode coefficients the Richardson plan iterates
+(``band_recurrence``) and take every band maximum in one blocked loop.
 """
 
 from __future__ import annotations
@@ -81,13 +82,22 @@ def _rate_bounds(part: Partition, a, b, rho, formula: str) -> RateBounds:
 @dataclass
 class BandPreconditioner:
     """One constant entry per band of a partition, approximating ``target``:
-    ``entries`` is (nbands, n, n) and ``bounds`` the bands' ``RateBounds``,
-    both in the order of ``partition.ids`` and built together."""
+    ``entries`` is (nbands,) + ``target.shape`` and ``bounds`` the bands'
+    ``RateBounds``, both in the order of ``partition.ids`` and built
+    together."""
 
     partition: Partition
     target: SymbolExpr
     entries: np.ndarray
     bounds: RateBounds
+
+    def __post_init__(self):
+        want = (len(self.partition.ids),) + tuple(self.target.shape)
+        if np.shape(self.entries) != want:
+            raise ArityError(
+                f"entries of shape {np.shape(self.entries)} do not match "
+                f"{want}: one entry of the symbol's shape per band"
+            )
 
     def rate_bounds(self) -> list[RateBound]:
         """The per-band contraction bounds stored with the entries, as
@@ -210,9 +220,10 @@ def implicit_laplacian_precond(
 
 
 def given_entries(sym: SymbolExpr, part: Partition, entries) -> BandPreconditioner:
-    """The constant ``entries`` (nbands, n, n), in the order of
-    ``part.ids``, approximating ``sym``; each band's bound is its sampled
-    sup (``sampled_contraction``), with a, b the norms of its box corners."""
+    """The constant ``entries``, one of ``sym``'s shape per band in the
+    order of ``part.ids`` (1x1 for a scalar symbol), approximating ``sym``;
+    each band's bound is its sampled sup (``sampled_contraction``), with
+    a, b the norms of its box corners."""
     pc = BandPreconditioner(part, sym, np.asarray(entries, dtype=float), None)
     a, b = _corner_norms(part)
     rho = _sampled(sym, pc, range(len(part.ids)))
@@ -357,16 +368,33 @@ def _real_if_exact(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.real) if not np.any(x.imag) else x
 
 
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """Per-mode pseudo-inverse of symbol values ``a`` (M, n, m): for a
+    scalar symbol one scalar per mode, 0 where ``a`` is, else (M, m, n);
+    real if every value is."""
+    if a.shape[1:] == (1, 1):
+        a = _real_if_exact(a[:, 0, 0])
+        return np.where(a == 0, 0.0, 1.0 / np.where(a == 0, 1.0, a))
+    return _real_if_exact(pseudo_inverse(a))
+
+
+def _recurrence(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-mode G = Id - A P from symbol values ``a`` (M, n, m) and one P
+    per mode: one scalar G per mode for scalar P (M,), else one matrix;
+    complex only if some value is."""
+    if p.ndim == 1:
+        return 1.0 - _real_if_exact(a[:, 0, 0]) * p
+    return _real_if_exact(np.eye(a.shape[1]) - a @ p)
+
+
 def band_inverses(sym: SymbolExpr, pc: BandPreconditioner, bands: range) -> np.ndarray:
-    """P = entry^+ for a range of bands, (nbands,) for a scalar symbol with
-    1x1 entries, else (nbands, n, n).  A finite entry whose P overflows is
-    refused by its band's id; a non-finite one is left to the certificate."""
+    """P = entry^+ for a range of bands, (nbands,) for a scalar symbol,
+    else (nbands, m, n).  A finite entry whose P overflows, such as a zero
+    scalar, is refused by its band's id; a non-finite one is left to the
+    certificate."""
     E = pc.entries[bands.start : bands.stop]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if sym.is_scalar and E.shape[1:] == (1, 1):
-            p = 1.0 / E[:, 0, 0]
-        else:
-            p = _real_if_exact(pseudo_inverse(E))
+        p = 1.0 / E[:, 0, 0] if sym.is_scalar else _pinv(E)
     if not np.isfinite(p).all():
         for i, e, pk in zip(bands, E, p):
             if np.isfinite(e).all() and not np.isfinite(pk).all():
@@ -378,19 +406,13 @@ def band_inverses(sym: SymbolExpr, pc: BandPreconditioner, bands: range) -> np.n
 
 
 def band_recurrence(sym: SymbolExpr, p: np.ndarray, K: np.ndarray, counts):
-    """Per-mode G = Id - A(k) P on a block of modes with wavevectors K
-    (d, M): ``counts[j]`` modes of band j after band j - 1's, with band
-    j's P ``p[j]`` from ``band_inverses``.  G is one scalar per mode for
-    scalar P, else one matrix per mode, and complex only if some value is.
-    No band mode of any scheme lies on a Nyquist plane, so the symbol is
-    evaluated directly at K."""
+    """Per-mode G = Id - A(k) P (``_recurrence``) on a block of modes with
+    wavevectors K (d, M): ``counts[j]`` modes of band j after band j - 1's,
+    with band j's P ``p[j]`` from ``band_inverses``.  No band mode of any
+    scheme lies on a Nyquist plane, so the symbol is evaluated directly at
+    K."""
     a, _ = eval_many(sym, K.T)
-    p = np.repeat(p, counts, axis=0)
-    if p.ndim == 1:
-        return 1.0 - _real_if_exact(a[:, 0, 0]) * p
-    if sym.is_scalar:
-        a = a[:, 0, 0, None, None] * np.eye(p.shape[1])
-    return _real_if_exact(np.eye(a.shape[1]) - a @ p)
+    return _recurrence(a, np.repeat(p, counts, axis=0))
 
 
 def _band_maxima(part: Partition, bands: range, values) -> np.ndarray:

@@ -43,6 +43,7 @@ from .grid import (
     GridSpec,
     RealField,
     SpectralField,
+    _apply,
     _axis_sum,
     effective_axis_wavevectors,
     evaluate_modes,
@@ -59,10 +60,11 @@ from .precond import (
     RateBounds,
     _leray_bounds,
     _leray_omega,
-    _real_if_exact,
+    _pinv,
+    _real_if_exact,  # noqa: F401 (re-exported)
+    _recurrence,
     band_inverses,
     band_recurrence,
-    pseudo_inverse,
 )
 from .symbols import SingularModePolicy, SymbolExpr
 
@@ -260,25 +262,14 @@ def exact_solve(
     policy: str = SingularModePolicy.ZERO,
 ) -> RealField:
     """Modewise pseudo-inverse solution of A u = v (the solver oracle)."""
-    spec = forward_transform(v)
+    if not A.is_scalar and A.shape[0] != v.components:
+        raise ArityError(
+            f"symbol produces {A.shape[0]} components, field has {v.components}"
+        )
     vals, _ = evaluate_on_grid(A, v.grid, policy)
-    flat = spec.flat()
-    if A.is_scalar:
-        s = vals[:, 0, 0]
-        inv = np.where(s == 0, 0.0, 1.0 / np.where(s == 0, 1.0, s))
-        out = inv[None, :] * flat
-        ncomp = v.components
-    else:
-        if A.shape[0] != v.components:
-            raise ArityError(
-                f"symbol produces {A.shape[0]} components, field has "
-                f"{v.components}"
-            )
-        pinv = pseudo_inverse(vals)
-        out = np.einsum("kij,jk->ik", pinv, flat)
-        ncomp = A.shape[1]
+    out = _apply(_pinv(vals), forward_transform(v).flat())
     return inverse_transform(
-        SpectralField(v.grid, out.reshape((ncomp,) + v.grid.sizes)), check=False
+        SpectralField(v.grid, out.reshape((len(out),) + v.grid.sizes)), check=False
     )
 
 
@@ -355,10 +346,7 @@ def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
             break
         report.iterations += 1
         S += r
-        if g.ndim == 1:
-            r *= g
-        else:
-            r = np.einsum("kij,jk->ik", g, r)
+        r = _apply(g, r)
         history.append(_norm(r, sc, scale))
         if observe is not None:
             observe(S)
@@ -370,23 +358,17 @@ def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
     """Per-mode G = Id - A P in the order of the half layout, and P: one
     per band (``band_inverses``), with G by ``band_recurrence`` a block at a
     time, and on the dc set one per mode, the pseudo-inverse of A under
-    the Nyquist convention.  G is one scalar per mode for a scalar symbol
-    with 1x1 entries, else one matrix per mode; it is complex only if some
-    mode's value is.  Returns (G, band P array, dc P)."""
+    the Nyquist convention (``_pinv``), with G by the same ``_recurrence``.
+    G is one scalar per mode for a scalar symbol, else one matrix per mode;
+    it is complex only if some mode's value is.  Returns (G, band P array,
+    dc P)."""
     grid = pc.partition.grid
     nb = half.offsets[-1]
     pbands = band_inverses(A, pc, range(len(pc.partition.ids)))
     kdc = grid.wavevectors(half.perm[nb:], half=True).T
     a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
-    if pbands.ndim == 1:
-        a = _real_if_exact(a[:, 0, 0])
-        pdc = np.where(a == 0, 0.0, 1.0 / np.where(a == 0, 1.0, a))
-        gdc = 1.0 - a * pdc
-    else:
-        if A.is_scalar:
-            a = a[:, 0, 0, None, None] * np.eye(pbands.shape[1])
-        pdc = _real_if_exact(pseudo_inverse(a))
-        gdc = _real_if_exact(np.eye(a.shape[1]) - a @ pdc)
+    pdc = _pinv(a)
+    gdc = _recurrence(a, pdc)
     g = np.empty((len(half.perm),) + pbands.shape[1:], gdc.dtype)
     g[nb:] = gdc
     for sl, first, last, counts in layout_blocks(half.offsets):
@@ -396,14 +378,6 @@ def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
             g = g.astype(complex)
         g[sl] = gk
     return g, pbands, pdc
-
-
-def _apply(p: np.ndarray, S: np.ndarray) -> None:
-    """S <- P S in place on (n, M) values, for one P per mode, (M,n,n) or (M,)."""
-    if p.ndim == 3:
-        S[:] = np.einsum("kij,jk->ik", p, S)
-    else:
-        S *= p
 
 
 def richardson_solve(
@@ -455,12 +429,10 @@ def richardson_solve(
     S = _iterate(r, g, half.sc, scale, ref, report, cfg)
     del g, scale
 
-    for sl, first, last, counts in layout_blocks(half.offsets, whole_bands=True):
-        if pbands.ndim == 1 and last - first == 1:
-            S[:, sl] *= pbands[first]  # a block of one band: its scalar
-        else:
-            _apply(np.repeat(pbands[first:last], counts, axis=0), S[:, sl])
-    _apply(pdc, S[:, half.offsets[-1] :])
+    for sl, first, last, counts in layout_blocks(half.offsets):
+        S[:, sl] = _apply(np.repeat(pbands[first:last], counts, axis=0), S[:, sl])
+    dc = slice(half.offsets[-1], None)
+    S[:, dc] = _apply(pdc, S[:, dc])
     # u fills the memory of the spent residual: ncols == v.components, so
     # it holds as many values.  The gather leaves r F-ordered for several
     # components, and ravel(order="K") takes its memory as it lies.

@@ -350,8 +350,12 @@ def eval_many(
     Returns ``(values, skipped)`` where values has shape (M, n, m) and
     ``skipped`` marks modes left for the caller to handle (nonempty only
     under the SKIP policy).  Under ZERO, singular modes hold zero matrices;
-    under ERROR a SingularModeError is raised.
+    under ERROR a SingularModeError is raised.  Any other policy raises
+    ValueError before anything is evaluated.
     """
+    if policy not in (SingularModePolicy.ZERO, SingularModePolicy.SKIP,
+                      SingularModePolicy.ERROR):
+        raise ValueError(f"unknown singular-mode policy {policy!r}")
     K = np.atleast_2d(np.asarray(K, dtype=float))
     if K.shape[1] < expr.min_dim():
         raise ArityError(
@@ -368,9 +372,7 @@ def eval_many(
     if policy == SingularModePolicy.SKIP:
         values[mask] = 0.0
         return values, mask
-    if policy == SingularModePolicy.ERROR:
-        raise SingularModeError(K[np.argmax(mask)])
-    raise ValueError(f"unknown singular-mode policy {policy!r}")
+    raise SingularModeError(K[np.argmax(mask)])
 
 
 def eval_symbol(

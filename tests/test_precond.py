@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import shannop as sp
 from shannop.errors import ArityError, NotInvertibleOnBandError
+from shannop.generate import random_field
 from shannop.precond import (
+    BandPreconditioner,
     RateBound,
     band_omega,
     leray_lambda,
@@ -296,3 +298,67 @@ class TestSampledContraction:
                     sym, pc.with_scaled_entry(band.id, factor), band
                 )
                 assert base <= worse + 1e-12
+
+
+class TestEntriesShape:
+    """Entries have their symbol's shape: (nbands,) + ``target.shape``."""
+
+    def test_matrix_entries_for_a_scalar_symbol(self):
+        part = tensorial((16, 16))
+        sym = sp.ImplicitLaplacian(10.0)
+        entries = sp.implicit_laplacian_precond(10.0, part).entries * np.eye(2)
+        with pytest.raises(ArityError):
+            pc = sp.given_entries(sym, part, entries)
+            sp.richardson_solve(sym, pc, random_field(part.grid, 1, seed=3))
+
+    def test_scalar_entries_for_a_matrix_symbol(self):
+        part = tensorial((16, 16))
+        sym = sp.Product(sp.Identity(2), sp.ImplicitLaplacian(10.0))
+        entries = sp.implicit_laplacian_precond(10.0, part).entries
+        with pytest.raises(ArityError):
+            sp.given_entries(sym, part, entries)
+
+    def test_every_construction_checks(self):
+        pc = sp.implicit_laplacian_precond(10.0, tensorial((16, 16)))
+        with pytest.raises(ArityError):
+            BandPreconditioner(pc.partition, pc.target, pc.entries[1:], pc.bounds)
+        with pytest.raises(ArityError):
+            BandPreconditioner(
+                pc.partition, sp.Identity(2), pc.entries, pc.bounds
+            )
+
+
+@st.composite
+def diagonal_cases(draw):
+    """A partition of a 1D-3D grid, a component count n, alpha and a seed."""
+    dim = draw(st.integers(1, 3))
+    scheme = draw(st.sampled_from(["tensorial", "mra"]))
+    if scheme == "mra":
+        sizes = (2 ** draw(st.integers(2, 4)),) * dim
+        part = sp.build_mra_partition(sp.GridSpec(sizes))
+    else:
+        sizes = tuple(2 ** draw(st.integers(2, 4)) for _ in range(dim))
+        part = sp.build_tensorial_partition(sp.GridSpec(sizes))
+    part = sp.refine_packet(part, draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 3))
+    alpha = 10.0 ** draw(st.floats(-2.0, 6.0))
+    return part, n, alpha, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=diagonal_cases())
+def test_diagonal_matrix_symbol_solves_like_its_scalar(case):
+    """Id_n times a scalar symbol, with entries e Id_n, runs the matrix plan,
+    the matrix dc pseudo-inverse and the matrix apply; on an n-component
+    field it must give the scalar symbol's solve with entries e, bit for
+    bit."""
+    part, n, alpha, seed = case
+    scalar = sp.ImplicitLaplacian(alpha)
+    matrix = sp.Product(sp.Identity(n), scalar)
+    e = sp.implicit_laplacian_precond(alpha, part).entries
+    v = random_field(part.grid, n, seed=seed)
+    u_s, rep_s = sp.richardson_solve(scalar, sp.given_entries(scalar, part, e), v)
+    pc = sp.given_entries(matrix, part, e * np.eye(n))
+    u_m, rep_m = sp.richardson_solve(matrix, pc, v)
+    assert rep_m.residual_history == rep_s.residual_history
+    assert np.array_equal(u_m.values, u_s.values)

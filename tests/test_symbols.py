@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import shannop as sp
 from shannop.errors import ArityError, SingularModeError, SymbolParseError
+from shannop.generate import random_field
 from shannop.symbols import SingularModePolicy, eval_many, eval_symbol
 
 
@@ -86,6 +87,14 @@ class TestSingularPolicies:
     def test_nonsingular_mode_unaffected(self):
         m = eval_symbol(sp.XiInv(1), (2, 0), SingularModePolicy.ERROR)
         assert abs(m[0, 0] - 1 / 2j) < 1e-15
+
+    def test_unknown_policy_refused_before_evaluating(self):
+        # No mode is singular, so no policy would ever be applied.
+        with pytest.raises(ValueError, match="bogus"):
+            eval_many(sp.XiInv(1), np.array([[1.0, 0.0], [2.0, 3.0]]), "bogus")
+        v = random_field(sp.GridSpec((8, 8)), 1, seed=1)
+        with pytest.raises(ValueError, match="bogus"):
+            sp.exact_solve(sp.ImplicitLaplacian(1.0), v, policy="bogus")
 
 
 class TestPseudoInverse:
