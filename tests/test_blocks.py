@@ -31,24 +31,11 @@ from shannop.precond import (
 from shannop.solver import _half_layout, _real_if_exact, _richardson_plan
 from shannop.symbols import eval_many
 
-from conftest import reference_wavevectors
+from conftest import partitions, reference_wavevectors
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
 blocks = st.sampled_from([1, 3, 7, 13, 33])
-
-
-@st.composite
-def partitions(draw, min_dim=1, schemes=("tensorial", "mra")):
-    dim = draw(st.integers(min_dim, 3))
-    scheme = draw(st.sampled_from(schemes))
-    if scheme == "mra":
-        sizes = (2 ** draw(st.integers(2, 4)),) * dim
-        part = sp.build_mra_partition(sp.GridSpec(sizes))
-    else:
-        sizes = tuple(2 ** draw(st.integers(2, 4)) for _ in range(dim))
-        part = sp.build_tensorial_partition(sp.GridSpec(sizes))
-    return sp.refine_packet(part, draw(st.integers(0, 2)))
 
 
 def diagonal_pair(part, alphas=(10.0, 1e3)):

@@ -19,7 +19,7 @@ from shannop.precond import (
 )
 from shannop.symbols import eval_many
 
-from conftest import reference_wavevectors
+from conftest import partitions, reference_wavevectors
 
 
 def tensorial(sizes):
@@ -328,31 +328,18 @@ class TestEntriesShape:
             )
 
 
-@st.composite
-def diagonal_cases(draw):
-    """A partition of a 1D-3D grid, a component count n, alpha and a seed."""
-    dim = draw(st.integers(1, 3))
-    scheme = draw(st.sampled_from(["tensorial", "mra"]))
-    if scheme == "mra":
-        sizes = (2 ** draw(st.integers(2, 4)),) * dim
-        part = sp.build_mra_partition(sp.GridSpec(sizes))
-    else:
-        sizes = tuple(2 ** draw(st.integers(2, 4)) for _ in range(dim))
-        part = sp.build_tensorial_partition(sp.GridSpec(sizes))
-    part = sp.refine_packet(part, draw(st.integers(0, 2)))
-    n = draw(st.integers(1, 3))
-    alpha = 10.0 ** draw(st.floats(-2.0, 6.0))
-    return part, n, alpha, draw(st.integers(0, 2**16))
-
-
 @settings(max_examples=30, deadline=None)
-@given(case=diagonal_cases())
-def test_diagonal_matrix_symbol_solves_like_its_scalar(case):
+@given(
+    part=partitions(),
+    n=st.integers(1, 3),
+    alpha=st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**16),
+)
+def test_diagonal_matrix_symbol_solves_like_its_scalar(part, n, alpha, seed):
     """Id_n times a scalar symbol, with entries e Id_n, runs the matrix plan,
     the matrix dc pseudo-inverse and the matrix apply; on an n-component
     field it must give the scalar symbol's solve with entries e, bit for
     bit."""
-    part, n, alpha, seed = case
     scalar = sp.ImplicitLaplacian(alpha)
     matrix = sp.Product(sp.Identity(n), scalar)
     e = sp.implicit_laplacian_precond(alpha, part).entries
