@@ -309,15 +309,15 @@ class Partition:
 
 
 def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
-    """Bands from (id, box) pairs; every mode no band holds goes to dc.
+    """Bands from (id, box) pairs in sorted id order; every mode no band
+    holds goes to dc.
 
-    The bands are sorted by id and their layout is written first, each
-    distinct (axis, lo, hi) interval resolved once per build into one
-    ``_axis_block``; the dc set is what the layout leaves out.  Interval
-    indices are unique, so an overlap leaves more band and dc modes than
-    grid modes, which the mode count rejects.
+    The bands' layout is written first, each distinct (axis, lo, hi)
+    interval resolved once per build into one ``_axis_block``; the dc set is
+    what the layout leaves out.  Interval indices are unique, so an overlap
+    leaves more band and dc modes than grid modes, which the mode count
+    rejects.
     """
-    boxes = sorted(boxes, key=lambda item: _flatten(item[0]))
     mags = [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
     strides = _strides(grid.sizes)
     blocks = {}  # (axis, lo, hi) -> the _axis_block of its indices
@@ -346,10 +346,10 @@ def build_tensorial_partition(grid: GridSpec) -> Partition:
     """Anisotropic splitting: per-axis dyadic octaves, indexed by a level
     tuple.  Axis magnitudes 0 and the Nyquist magnitude go to dc."""
     level_counts = [int(math.log2(n)) - 1 for n in grid.sizes]
-    boxes = (
+    boxes = [  # np.ndindex order is sorted order
         (j, tuple((float(2**ji), float(2 ** (ji + 1))) for ji in j))
         for j in np.ndindex(*level_counts)
-    )
+    ]
     return _base_partition(grid, "tensorial", boxes)
 
 
@@ -361,7 +361,7 @@ def build_mra_partition(grid: GridSpec) -> Partition:
             f"MRA partitions need an isotropic grid, got sizes {grid.sizes}"
         )
     levels = int(math.log2(grid.sizes[0])) - 1
-    boxes = (
+    boxes = [  # sorted (level, type) order
         ((j, eps), tuple(
             (float(2**j), float(2 ** (j + 1))) if e else (0.0, float(2**j))
             for e in eps
@@ -369,7 +369,7 @@ def build_mra_partition(grid: GridSpec) -> Partition:
         for j in range(levels)
         for eps in np.ndindex(*([2] * grid.dim))
         if any(eps)
-    )
+    ]
     return _base_partition(grid, "mra", boxes)
 
 

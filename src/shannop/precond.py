@@ -13,7 +13,9 @@ Leray divergence-free / gradient-part operator pair, with the band's
 per-axis scales baked in.  Entries have their symbol's shape: one 1x1
 entry per band for a scalar symbol, one n x m entry for an n x m one.  The
 certificates read the per-mode coefficients the Richardson plan iterates
-(``band_recurrence``) and take every band maximum in one blocked loop.
+(``band_recurrence``) and take every band maximum, and ``scalar_optimal``
+its extrema, in one blocked loop.  The certificates bound and the Helmholtz
+sweep runs one Leray eigenvalue, ``leray_lambda``.
 """
 
 from __future__ import annotations
@@ -143,29 +145,6 @@ def rate_kantorovich(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_band_values(sym: SymbolExpr, part: Partition, i: int, mode_exact: bool):
-    """Real values of a scalar symbol over band i (modes or box corners)."""
-    band_id = part.ids[i]
-    if mode_exact:
-        K = part.grid.wavevectors(part.perm[part.offsets[i] : part.offsets[i + 1]]).T
-    else:
-        corners = np.array(np.meshgrid(*part.edges[i], indexing="ij"))
-        K = corners.reshape(part.grid.dim, -1).T
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by band below
-        values, _ = eval_many(sym, K)
-    flat = values[:, 0, 0]
-    if not np.all(np.isfinite(flat)):
-        raise NotInvertibleOnBandError(
-            band_id, f"symbol is not finite on band {band_id}"
-        )
-    scale = max(np.max(np.abs(flat)), 1e-300)
-    if np.max(np.abs(flat.imag)) > 1e-12 * scale:
-        raise NotInvertibleOnBandError(
-            band_id, f"symbol is not real on band {band_id}"
-        )
-    return flat.real
-
-
 def scalar_optimal(
     sym: SymbolExpr, part: Partition, mode_exact: bool = True
 ) -> BandPreconditioner:
@@ -174,22 +153,42 @@ def scalar_optimal(
     The constant w = (m + M)/2, with m, M the extreme magnitudes of the
     symbol on the band, minimizes the contraction sup |1 - p/w| by
     equalizing the deviation at both ends, achieving (M - m)/(M + m).
-    Box-corner extrema (mode_exact=False) are only valid for coordinatewise
-    monotone symbols.
+    The extrema run over the band's modes in the blocked band loop, or with
+    mode_exact=False over all bands' box corners at once, which is only
+    valid for coordinatewise monotone symbols.  The first band on which the
+    symbol is not finite, not real or not of one sign is refused.
     """
     if sym.shape != (1, 1):
         raise ArityError("scalar_optimal needs a scalar symbol")
-    omegas, extrema = [], []
-    for i, band_id in enumerate(part.ids):
-        vals = _scalar_band_values(sym, part, i, mode_exact)
-        if vals.min() <= 0 < vals.max() or vals.max() == 0:
-            raise NotInvertibleOnBandError(band_id)
-        m, M = float(np.abs(vals).min()), float(np.abs(vals).max())
-        omegas.append(np.copysign(0.5 * (m + M), vals.max()))
-        extrema.append((m, M))
-    m, M = np.array(extrema).T
+
+    def extremes(K):
+        # Rows whose maxima give max and min of the real part, max and min
+        # of its magnitude, and the largest |value| and |imaginary part|.
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by band below
+            a = eval_many(sym, K)[0][:, 0, 0]
+        re = np.abs(a.real)
+        return np.stack([a.real, -a.real, re, -re, np.abs(a), np.abs(a.imag)])
+
+    if mode_exact:
+        rows = _band_maxima(part, range(len(part.ids)), lambda K, *_: extremes(K.T))
+    else:
+        d = part.grid.dim
+        corners = part.edges[:, np.arange(d), list(np.ndindex(*[2] * d))]
+        rows = extremes(corners.reshape(-1, d))
+        rows = rows.reshape(len(rows), len(part.ids), -1).max(axis=2)
+    hi, lo, M, m, mag, im = rows
+    lo, m = -lo, -m
+    finite = np.isfinite(M) & np.isfinite(im)
+    real = ~(im > 1e-12 * np.maximum(mag, 1e-300))
+    refused = ~(finite & real) | (lo <= 0) & (0 < hi) | (hi == 0)
+    for i in np.flatnonzero(refused)[:1]:
+        why = "finite" if not finite[i] else "real" if not real[i] else "invertible"
+        raise NotInvertibleOnBandError(
+            part.ids[i], f"symbol is not {why} on band {part.ids[i]}"
+        )
+    entries = np.copysign(0.5 * (m + M), hi)
     bounds = _rate_bounds(part, m, M, (M - m) / (M + m), FORMULA_SAMPLED)
-    return BandPreconditioner(part, sym, np.reshape(omegas, (-1, 1, 1)), bounds)
+    return BandPreconditioner(part, sym, entries.reshape(-1, 1, 1), bounds)
 
 
 def implicit_laplacian_precond(
@@ -418,14 +417,18 @@ def band_recurrence(sym: SymbolExpr, p: np.ndarray, K: np.ndarray, counts):
 def _band_maxima(part: Partition, bands: range, values) -> np.ndarray:
     """Each band's maximum over its modes of ``values(K, first, last, counts)``
     for the range ``bands``, called per ``layout_blocks`` block with its
-    wavevectors K (d, M), ``counts[j]`` of them in band ``bands[first + j]``."""
-    worst = np.zeros(len(bands))
+    wavevectors K (d, M), ``counts[j]`` of them in band ``bands[first + j]``:
+    one value per mode (M,), or k rows (k, M) for (k, nbands) maxima."""
+    worst = None
     for sl, first, last, counts in layout_blocks(
         part.offsets[bands.start : bands.stop + 1]
     ):
         v = values(part.grid.wavevectors(part.perm[sl]), first, last, counts)
-        seg = worst[first:last]
-        np.maximum(seg, np.maximum.reduceat(v, np.cumsum(counts) - counts), out=seg)
+        if worst is None:
+            worst = np.full(v.shape[:-1] + (len(bands),), -np.inf)
+        seg = worst[..., first:last]
+        starts = np.cumsum(counts) - counts
+        np.maximum(seg, np.maximum.reduceat(v, starts, axis=-1), out=seg)
     return worst
 
 

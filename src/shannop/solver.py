@@ -65,6 +65,7 @@ from .precond import (
     _recurrence,
     band_inverses,
     band_recurrence,
+    leray_lambda,
 )
 from .symbols import SingularModePolicy, SymbolExpr
 
@@ -448,21 +449,21 @@ def richardson_solve(
 # ---------------------------------------------------------------------------
 
 
-def _leray_blocks(grid: GridSpec, half: _HalfLayout, omega_sq, v0, lam=None):
+def _leray_blocks(grid: GridSpec, half: _HalfLayout, omega, v0, lam=None):
     """Sweep 1 of the Leray iteration over ``layout_blocks`` of the half
     layout, so its per-mode vectors exist one block at a time.
 
-    Per mode, with xi its wavevector and w^2 its band's row of
-    ``omega_sq`` (nbands, d): c = w^2 / xi, the eigenvalue
-    lambda = 1 - |xi|^2 |c|^2 / |w|^4 (read from ``lam`` when given), the
-    output vectors l = xi |c|^2 / |w|^2 and m = c (1 - lambda) - l; and on
-    the band-major spectrum ``v0`` (d, M) lv1 = xi (c.v0) / |w|^2, the
-    remainder coefficient t = xi.(v0 - lv1) / |w|^2 and
-    mv1 = v0 - lv1 - c t.  Yields (slice, xi, lambda, |c|^2, l, m, lv1,
-    mv1, t) per block.
+    Per mode, with xi its wavevector and w its band's row of the scales
+    ``omega`` (nbands, d): c = w^2 / xi, the eigenvalue lambda
+    (``leray_lambda``, the form the certificates bound, or read from
+    ``lam`` when given), the output vectors l = xi |c|^2 / |w|^2 and
+    m = c (1 - lambda) - l; and on the band-major spectrum ``v0`` (d, M)
+    lv1 = xi (c.v0) / |w|^2, the remainder coefficient
+    t = xi.(v0 - lv1) / |w|^2 and mv1 = v0 - lv1 - c t.  Yields (slice,
+    xi, lambda, |c|^2, l, m, lv1, mv1, t) per block.
     """
-    wsq_band = np.sum(omega_sq, axis=1)
-    omega_sq = omega_sq.T
+    omega_sq = (omega**2).T
+    wsq_band = _axis_sum(omega_sq)
     for sl, first, last, counts in layout_blocks(half.offsets):
         xi = grid.wavevectors(half.perm[sl], half=True)
         wsq = np.repeat(wsq_band[first:last], counts)
@@ -470,7 +471,7 @@ def _leray_blocks(grid: GridSpec, half: _HalfLayout, omega_sq, v0, lam=None):
         c /= xi
         csq = _axis_sum(c**2)
         if lam is None:
-            lam_b = 1.0 - _axis_sum(xi**2) * csq / wsq**2
+            lam_b = leray_lambda(omega[first:last], xi.T, counts)
         else:
             lam_b = lam[sl]
         l = xi * (csq / wsq)
@@ -552,8 +553,8 @@ def helmholtz_decompose(
     if not sweep:
         v0[:] = 0.0
 
-    # The bands' squared scales, band_omega's lower box edges.
-    omega_sq = _leray_omega(part.edges, part.ids) ** 2
+    # The bands' scales, band_omega's lower box edges.
+    omega = _leray_omega(part.edges, part.ids)
 
     # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
     # divergence of the accumulated part is dv1 + xm S, by linearity in S.
@@ -563,7 +564,7 @@ def helmholtz_decompose(
     dv1 = np.empty(nb, dtype=complex)
     xm = np.empty(nb)
     for sl, xi, lam_b, csq, _, m, _, mv1, t_b in _leray_blocks(
-        grid, half, omega_sq, v0
+        grid, half, omega, v0
     ):
         lam[sl] = lam_b
         tscale[sl] = np.sqrt(csq) if sb is None else np.sqrt(csq) * sb[sl]
@@ -591,7 +592,7 @@ def helmholtz_decompose(
     ucurl = np.empty_like(udiv)
     fdiv, fcurl = udiv.reshape(d, -1), ucurl.reshape(d, -1)
     for sl, _, _, _, l, m, lv1, mv1, _ in _leray_blocks(
-        grid, half, omega_sq, v0, lam
+        grid, half, omega, v0, lam
     ):
         mv1 += m * S[sl]
         lv1 += l * S[sl]

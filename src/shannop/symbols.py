@@ -212,9 +212,7 @@ class Product(SymbolExpr):
 
     def _eval(self, K):
         va, vb = self.a._eval(K), self.b._eval(K)
-        if self.a.is_scalar:
-            return va * vb
-        if self.b.is_scalar:
+        if self.a.is_scalar or self.b.is_scalar:
             return va * vb
         return va @ vb
 
@@ -366,13 +364,10 @@ def eval_many(
     mask = expr._singular(K)
     if not mask.any():
         return values, mask
-    if policy == SingularModePolicy.ZERO:
-        values[mask] = 0.0
-        return values, np.zeros_like(mask)
-    if policy == SingularModePolicy.SKIP:
-        values[mask] = 0.0
-        return values, mask
-    raise SingularModeError(K[np.argmax(mask)])
+    if policy == SingularModePolicy.ERROR:
+        raise SingularModeError(K[np.argmax(mask)])
+    values[mask] = 0.0
+    return values, mask if policy == SingularModePolicy.SKIP else np.zeros_like(mask)
 
 
 def eval_symbol(
@@ -511,34 +506,54 @@ class _Tokenizer:
         self.pos += 1
 
 
+# Parentheses, unary minus and each link of a '+', '-' or '*' chain add one
+# level; evaluation recurses per level, so this keeps clear of Python's limit.
+_MAX_DEPTH = 256
+
+
 def parse_symbol(text: str, dim: int) -> SymbolExpr:
     """Parse the tiny symbol grammar: names, real scalars, '+', '-', '*'
-    and parentheses.  ``dim`` fixes the size of the dimension-dependent
-    built-ins (grad, div, leray, delta)."""
+    and parentheses, nested at most ``_MAX_DEPTH`` levels deep.  ``dim``
+    fixes the size of the dimension-dependent built-ins (grad, div, leray,
+    delta)."""
     tok = _Tokenizer(text)
-    expr = _parse_sum(tok, dim)
+    expr, _ = _parse_sum(tok, dim, 0)
     if tok.peek() is not None:
         raise SymbolParseError("trailing input", tok.pos)
     return expr
 
 
-def _parse_sum(tok, dim):
-    left = _parse_term(tok, dim)
+def _nest(level, height, pos):
+    """``height``, refused at ``pos`` if ``level`` + ``height`` > _MAX_DEPTH."""
+    if level + height > _MAX_DEPTH:
+        raise SymbolParseError(f"expression nested deeper than {_MAX_DEPTH} levels", pos)
+    return height
+
+
+def _parse_sum(tok, dim, level):
+    """Terms joined by '+' and '-' under ``level`` levels, and their height
+    in levels; the term and atom parsers return the same pair."""
+    left, height = _parse_term(tok, dim, level)
     while tok.peek() in ("+", "-"):
-        op = tok.peek()
+        op, pos = tok.peek(), tok.pos
         tok.pos += 1
-        right = _parse_term(tok, dim)
-        left = Sum(left, Scale(-1.0, right)) if op == "-" else Sum(left, right)
-    return left
+        right, h = _parse_term(tok, dim, level)
+        if op == "-":
+            right, h = Scale(-1.0, right), h + 1
+        left = Sum(left, right)
+        height = _nest(level, max(height, h) + 1, pos)
+    return left, height
 
 
-def _parse_term(tok, dim):
-    left = _parse_atom(tok, dim)
+def _parse_term(tok, dim, level):
+    left, height = _parse_atom(tok, dim, level)
     while tok.peek() == "*":
+        pos = tok.pos
         tok.pos += 1
-        right = _parse_atom(tok, dim)
+        right, h = _parse_atom(tok, dim, level)
         left = _combine(left, right, tok.pos)
-    return left
+        height = _nest(level, max(height, h) + 1, pos)
+    return left, height
 
 
 def _combine(a, b, pos):
@@ -548,20 +563,21 @@ def _combine(a, b, pos):
         raise SymbolParseError(str(exc), pos) from None
 
 
-def _parse_atom(tok, dim):
+def _parse_atom(tok, dim, level):
     c = tok.peek()
     if c is None:
         raise SymbolParseError("unexpected end of input", tok.pos)
-    if c == "(":
+    if c in "(-":
+        _nest(level, 2, tok.pos)
         tok.pos += 1
-        inner = _parse_sum(tok, dim)
+        if c == "-":
+            inner, height = _parse_atom(tok, dim, level + 1)
+            return Scale(-1.0, inner), height + 1
+        inner, height = _parse_sum(tok, dim, level + 1)
         tok.expect(")")
-        return inner
+        return inner, height + 1
     if c.isdigit() or c == ".":
-        return Const(np.array([[tok.take_number()]]))
-    if c == "-":
-        tok.pos += 1
-        return Scale(-1.0, _parse_atom(tok, dim))
+        return Const(np.array([[tok.take_number()]])), 1
     if c.isalpha():
         start = tok.pos
         name = tok.take_name()
@@ -586,7 +602,7 @@ def _parse_atom(tok, dim):
             raise SymbolParseError(
                 f"{name} takes {_BUILTIN_ARITY[name]} argument(s)", start
             )
-        return _build(name, args, positions, dim, start)
+        return _build(name, args, positions, dim, start), 1
     raise SymbolParseError(f"unexpected character {c!r}", tok.pos)
 
 

@@ -3,9 +3,11 @@ bit for bit, over random 1D-3D power-of-two grids, tensorial, MRA and
 packet partitions, with blocks of a few positions so that they cut bands.
 
 Blocking changes no per-mode operation: the Richardson plan, the sampled
-and Leray certificates, the Leray rate bounds and the band energies must
-equal what one band at a time gives, to the last bit.  So must the
-preconditioner records: entries and bounds built for all bands at once.
+and Leray certificates, the Leray rate bounds, the Helmholtz plan's
+eigenvalues and the band energies must equal what one band at a time
+gives, to the last bit.  So must the preconditioner records: entries and
+bounds built for all bands at once, and the optimal scalar constants and
+their refusals.
 """
 
 from unittest import mock
@@ -28,7 +30,13 @@ from shannop.precond import (
     leray_sampled,
     rate_kantorovich,
 )
-from shannop.solver import _half_layout, _real_if_exact, _richardson_plan
+from shannop.errors import NotInvertibleOnBandError
+from shannop.solver import (
+    _half_layout,
+    _leray_blocks,
+    _real_if_exact,
+    _richardson_plan,
+)
 from shannop.symbols import eval_many
 
 from conftest import partitions, reference_wavevectors
@@ -147,6 +155,67 @@ def test_leray_certificates_match_per_band_reference(part, block):
             RateBound(band.id, 1.0, b, rate_kantorovich(1.0, b), "kantorovich")
         )
     assert leray_rate_bounds(part) == expected
+
+
+@SETTINGS
+@given(part=partitions(min_dim=2, schemes=("tensorial",)), block=blocks)
+def test_helmholtz_plan_runs_leray_lambda(part, block):
+    grid = part.grid
+    half = _half_layout(part)
+    o = half.offsets
+    omega = np.array([band_omega(band) for band in part.bands])
+    lam = np.empty(o[-1])
+    v0 = np.zeros((grid.dim, o[-1]), dtype=complex)
+    with mock.patch.object(bands, "_BLOCK", block):
+        for sl, _, lam_b, *_ in _leray_blocks(grid, half, omega, v0):
+            lam[sl] = lam_b
+    for band, lo, hi in zip(part.bands, o, o[1:]):
+        K = grid.wavevectors(half.perm[lo:hi], half=True).T
+        assert np.array_equal(lam[lo:hi], leray_lambda(band_omega(band), K))
+
+
+def scalar_optimal_reference(sym, part, mode_exact):
+    """``scalar_optimal`` one band at a time: its (entries, bounds) from the
+    symbol's values at the band's modes or box corners, or the message of
+    the first band's refusal."""
+    entries, bounds = [], []
+    for band, box in zip(part.bands, part.edges):
+        if mode_exact:
+            K = reference_wavevectors(band)
+        else:
+            K = np.array(np.meshgrid(*box, indexing="ij")).reshape(part.grid.dim, -1).T
+        v = eval_many(sym, K)[0][:, 0, 0]
+        if not np.all(np.isfinite(v)):
+            return f"symbol is not finite on band {band.id}"
+        if np.max(np.abs(v.imag)) > 1e-12 * max(np.max(np.abs(v)), 1e-300):
+            return f"symbol is not real on band {band.id}"
+        re = v.real
+        if re.min() <= 0 < re.max() or re.max() == 0:
+            return str(NotInvertibleOnBandError(band.id))
+        m, M = float(np.abs(re).min()), float(np.abs(re).max())
+        entries.append(np.copysign(0.5 * (m + M), re.max()))
+        bounds.append(RateBound(band.id, m, M, (M - m) / (M + m), "sampled-sup"))
+    return np.reshape(entries, (-1, 1, 1)), bounds
+
+
+@SETTINGS
+@given(part=partitions(), block=st.integers(1, 33), mode_exact=st.booleans(),
+       operator=st.sampled_from([
+           "nlap", "nlap + 2", "ilap(1e3)", "-(nlap + 1)", "xi(1) * xi(1)",
+           "xi(1)", "nlap - 5", "xiinv(1) * xiinv(1)",
+       ]))
+def test_scalar_optimal_matches_per_band_reference(part, block, mode_exact, operator):
+    sym = sp.parse_symbol(operator, part.grid.dim)
+    want = scalar_optimal_reference(sym, part, mode_exact)
+    with mock.patch.object(bands, "_BLOCK", block):
+        try:
+            pc = sp.scalar_optimal(sym, part, mode_exact)
+        except NotInvertibleOnBandError as exc:
+            assert str(exc) == want
+            return
+    entries, bounds = want
+    assert np.array_equal(pc.entries, entries)
+    assert pc.rate_bounds() == bounds
 
 
 @SETTINGS

@@ -174,6 +174,32 @@ class TestRates:
                     "--csv", str(tmp_path / "r.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("operator,position", [
+        (" + ".join(["id"] * 3000), 3 + 5 * 255),  # the 256th '+'
+        ("(" * 400 + "id" + ")" * 400, 255),  # the 256th '('
+        ("-" * 300 + "id", 255),
+    ], ids=["sum", "parentheses", "minus"])
+    def test_too_deeply_nested_operator_exits_2(self, capsys, operator, position):
+        code = run(["rates", f"--operator={operator}", "--grid", "8x8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: expression nested deeper than 256 levels "
+            f"(at position {position})"
+        ]
+
+    @pytest.mark.parametrize("operator", [
+        " + ".join(["id"] * 256),
+        "(" * 255 + "id" + ")" * 255,
+        "-" * 254 + "(nlap)",
+        " * ".join(["nlap"] * 128) + " - " + " - ".join(["id"] * 128),
+    ], ids=["sum", "parentheses", "minus", "product-difference"])
+    def test_operator_nested_at_the_bound_exits_0(self, capsys, operator):
+        code = run(["rates", f"--operator={operator}", "--grid", "8x8"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("band_id,")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("operator,message", [
         ("1e999", "non-finite number (at position 0)"),

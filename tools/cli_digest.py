@@ -12,8 +12,9 @@ The list: ``gen-field`` of all four kinds; ``decompose`` dumps and stdout
 at 64^3, packet depths 0-3, tensorial and MRA; ``solve-ilap`` outputs and
 reports at 128^3, depths 0-3, and one MRA solve at 64^3; ``helmholtz``
 outputs and reports at 512^2, depths 0 and 3, and one 3-component 64^3
-split; the ``rates`` CSVs of the certify-128cube workload and one of
-``--operator "nlap + 2"``; and ``verify --suite all``.  The largest
+split; the ``rates`` CSVs of the certify-128cube workload, one of
+``--operator "nlap + 2"`` and one of ``--operator nlap`` on MRA packet
+bands at depth 2; and ``verify --suite all``.  The largest
 commands (128^3 solves) peak near 0.5 GiB; the whole list took 18 s on a
 2-vCPU VM, one command at a time.
 """
@@ -69,6 +70,8 @@ def commands():
         ("rates-leray-p1", ["--operator", "leray", "--packet-depth", "1"]),
         ("rates-ilap-mra", ["--alpha", "1e6", "--scheme", "mra"]),
         ("rates-nlap2", ["--operator", "nlap + 2"]),
+        ("rates-nlap-mra-p2", ["--operator", "nlap", "--scheme", "mra",
+                               "--packet-depth", "2"]),
     ]
     for name, extra in rates:
         argv = ["rates", "--grid", "128x128x128", *extra, "--csv", f"{name}.csv"]
