@@ -61,7 +61,6 @@ from .precond import (
     _leray_bounds,
     _leray_omega,
     _pinv,
-    _real_if_exact,  # noqa: F401 (re-exported)
     _recurrence,
     band_inverses,
     band_recurrence,

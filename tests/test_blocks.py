@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 import shannop as sp
 from shannop import bands
+from shannop.errors import NotInvertibleOnBandError
 from shannop.grid import evaluate_modes, wavevector_table
 from shannop.precond import (
     RateBound,
+    _real_if_exact,
     band_inverses,
     band_omega,
     band_recurrence,
@@ -30,13 +32,7 @@ from shannop.precond import (
     leray_sampled,
     rate_kantorovich,
 )
-from shannop.errors import NotInvertibleOnBandError
-from shannop.solver import (
-    _half_layout,
-    _leray_blocks,
-    _real_if_exact,
-    _richardson_plan,
-)
+from shannop.solver import _half_layout, _leray_blocks, _richardson_plan
 from shannop.symbols import eval_many
 
 from conftest import partitions, reference_wavevectors
