@@ -430,9 +430,7 @@ def is_constructible(expr: SymbolExpr, dim: int | None = None) -> bool:
 
 
 def _constructible(expr: SymbolExpr, d: int) -> bool:
-    if isinstance(expr, (Const, Xi, XiInv, Delta)):
-        return True
-    if isinstance(expr, NegLaplacian):
+    if isinstance(expr, (Const, Xi, XiInv, Delta, NegLaplacian)):
         return True
     if isinstance(expr, (ImplicitLaplacian, LerayP)):
         return d <= 2
@@ -508,6 +506,7 @@ class _Tokenizer:
 
 # Parentheses, unary minus and each link of a '+', '-' or '*' chain add one
 # level; evaluation recurses per level, so this keeps clear of Python's limit.
+# Each parser below takes its enclosing levels and returns (expr, height).
 _MAX_DEPTH = 256
 
 
@@ -531,8 +530,6 @@ def _nest(level, height, pos):
 
 
 def _parse_sum(tok, dim, level):
-    """Terms joined by '+' and '-' under ``level`` levels, and their height
-    in levels; the term and atom parsers return the same pair."""
     left, height = _parse_term(tok, dim, level)
     while tok.peek() in ("+", "-"):
         op, pos = tok.peek(), tok.pos
@@ -602,11 +599,11 @@ def _parse_atom(tok, dim, level):
             raise SymbolParseError(
                 f"{name} takes {_BUILTIN_ARITY[name]} argument(s)", start
             )
-        return _build(name, args, positions, dim, start), 1
+        return _build(name, args, positions, dim), 1
     raise SymbolParseError(f"unexpected character {c!r}", tok.pos)
 
 
-def _build(name, args, positions, dim, pos):
+def _build(name, args, positions, dim):
     def axis(i):
         if args[i] != int(args[i]):
             raise SymbolParseError(
@@ -630,6 +627,4 @@ def _build(name, args, positions, dim, pos):
         return Gradient(dim)
     if name == "div":
         return Divergence(dim)
-    if name == "leray":
-        return LerayP(dim)
-    raise SymbolParseError(f"unknown symbol {name!r}", pos)
+    return LerayP(dim)  # "leray": _parse_atom passes only _BUILTIN_ARITY names

@@ -177,7 +177,7 @@ class TestRates:
     @pytest.mark.parametrize("operator,position", [
         (" + ".join(["id"] * 3000), 3 + 5 * 255),  # the 256th '+'
         ("(" * 400 + "id" + ")" * 400, 255),  # the 256th '('
-        ("-" * 300 + "id", 255),
+        ("-" * 300 + "id", 255),  # the 256th '-'
     ], ids=["sum", "parentheses", "minus"])
     def test_too_deeply_nested_operator_exits_2(self, capsys, operator, position):
         code = run(["rates", f"--operator={operator}", "--grid", "8x8"])
