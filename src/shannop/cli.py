@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-field, decompose, solve-ilap, helmholtz, rates, verify.
-Exit codes: 0 success, 2 usage, file-format or file-access error,
-3 divergence, 4 refusal because a contraction bound is >= 1.
+Exit codes: 0 success, 2 usage, file-format or file-access error, or out
+of memory, 3 divergence, 4 refusal because a contraction bound is >= 1.
 """
 
 from __future__ import annotations
@@ -390,6 +390,11 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except (ShannopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

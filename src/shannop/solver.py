@@ -11,11 +11,15 @@ partition's band-major layout (``Partition.perm``: sorted band ids, then
 the dc set) cut to the half grid, one gather of the spectrum into it, and
 per-mode coefficients in the same order.  One sweep loop, ``_iterate``,
 then runs ``S += r; r = g r`` on contiguous arrays, and one scatter
-assembles the output on exit.  Residuals are full-spectrum norms: a
-half-spectrum value counts twice, for its mode and the mode's reflection,
-except on the self-conjugate planes k_last = 0 and k_last = -N_last/2,
-which count once.  Every reduction runs in a fixed order and without BLAS,
-so reports are bit-reproducible for identical inputs at any thread count.
+assembles the output on exit.  The Helmholtz split runs it on real
+per-mode state: after sweep 1 each mode's remainder is one fixed complex
+vector times a real power of its eigenvalue, so r and S are real, and the
+complex outputs are formed once, at exit.  Residuals are full-spectrum
+norms: a half-spectrum value counts twice, for its mode and the mode's
+reflection, except on the self-conjugate planes k_last = 0 and
+k_last = -N_last/2, which count once.  Every reduction runs in a fixed
+order and without BLAS, so reports are bit-reproducible for identical
+inputs at any thread count.
 
 The exact oracles stay on full complex spectra, an independent yardstick
 for the solvers.  The dc set (zero mode, axis-zero planes, Nyquist planes)
@@ -493,23 +497,35 @@ def helmholtz_decompose(
     operators Mw, Lw to the remainder and accumulates the two outputs.  The
     residual operator Id - Mw - Lw is rank one,
     c (xi - |xi|^2 c / |w|^2)^T / |w|^2 with c_i = w_i^2 / xi_i, so after
-    the first sweep the remainder is c t with one complex scalar t per
-    mode, and every later sweep is t <- lambda t with lambda the
-    closed-form eigenvalue; its outputs are m t and l t with fixed
-    per-mode vectors m, l.  The accumulated divergence-free part has zero
-    spectral divergence after every sweep, not just at convergence.  The
-    dc set is assigned exactly up front (mean to the divergence-free part).
+    the first sweep the remainder is c t_1 with one complex scalar t_1 per
+    mode, and every later sweep multiplies it by the closed-form
+    eigenvalue lambda: after sweep n it is c t_1 pi with the real
+    pi = lambda^(n - 1), and the sum of the remainders is c t_1 sigma with
+    sigma = 1 + lambda + ... + lambda^(n - 2).  The sweeps therefore run
+    ``sigma += pi; pi *= lambda`` on real arrays, and the outputs are
+    u_div = v0 - lv1 - c t_1 + m t_1 sigma and u_curl = lv1 + l t_1 sigma
+    with fixed per-mode vectors m, l.  The accumulated divergence-free part
+    has zero spectral divergence after every sweep, not just at
+    convergence.  The dc set is assigned exactly up front (mean to the
+    divergence-free part).
 
-    Besides the gathered band spectrum v0, the plan keeps one value per
-    band mode for each of t, lambda, |c| times the norm weight and the two
-    roundoff terms of the divergence entry, and the sweep loop adds the
-    accumulator S.  The d-vectors xi, c, l, m and sweep 1's outputs exist
-    only block by block (``_leray_blocks``): once to fill the plan, and
-    once at exit to assemble u_div = v0 - lv1 - c t_1 + m S and
-    u_curl = lv1 + l S straight into half spectra.  Both transforms run in
-    place: ``forward_half_transform`` in the spectrum it returns, and
-    ``inverse_half_transform`` in those two half spectra, which are dead
-    once the last divergence entry is measured.
+    The residual is the norm of a pi with the real weights
+    a = |c| |t_1| times the norm weight.  The divergence entry of a sweep
+    is the norm of xi.mv1 + (xi.m) t_1 sigma, a quadratic form in the real
+    sigma: per mode A + 2 B sigma + C sigma^2 with A = |xi.mv1|^2,
+    B = Re(conj(xi.mv1) (xi.m) t_1) and C = |(xi.m) t_1|^2, each weighted
+    as ``_norm`` weights a mode.  Both terms are roundoff, so the form is
+    summed in a fixed order and a sum that rounds below zero reads 0.
+
+    Besides the gathered band spectrum v0, the plan keeps lambda and one
+    real array of rows a, B, C, pi and a buffer, plus the sum of A; the
+    sweep loop adds sigma.  The d-vectors xi, c, l, m and sweep 1's
+    outputs exist only block by block (``_leray_blocks``): once to fill
+    the plan, and once at exit to assemble both outputs, with the
+    recomputed t_1 times sigma, straight into half spectra.  Both
+    transforms run in place: ``forward_half_transform`` in the spectrum it
+    returns, and ``inverse_half_transform`` in those two half spectra,
+    which are dead once the last divergence entry is measured.
     """
     cfg = cfg or SolveConfig()
     d = u.grid.dim
@@ -555,34 +571,45 @@ def helmholtz_decompose(
     # The bands' scales, band_omega's lower box edges.
     omega = _leray_omega(part.edges, part.ids)
 
-    # The plan, block by block.  Sweep 1 leaves the remainder c t, and the
-    # divergence of the accumulated part is dv1 + xm S, by linearity in S.
+    # The plan, block by block, with A in the buffer until it is summed.
     lam = np.empty(nb)
-    tscale = np.empty(nb)
-    t = np.empty(nb, dtype=complex)
-    dv1 = np.empty(nb, dtype=complex)
-    xm = np.empty(nb)
-    for sl, xi, lam_b, csq, _, m, _, mv1, t_b in _leray_blocks(
+    state = np.empty((5, nb))
+    a, pi, buf, B, C = state
+    for sl, xi, lam_b, csq, _, m, _, mv1, t in _leray_blocks(
         grid, half, omega, v0
     ):
         lam[sl] = lam_b
-        tscale[sl] = np.sqrt(csq) if sb is None else np.sqrt(csq) * sb[sl]
-        t[sl] = t_b
-        dv1[sl] = _axis_sum(xi * mv1)
-        xm[sl] = _axis_sum(xi * m)
+        np.multiply(np.sqrt(csq), np.abs(t), out=a[sl])
+        if sb is not None:
+            a[sl] *= sb[sl]
+        dv = _axis_sum(xi * mv1)
+        t *= _axis_sum(xi * m)
+        buf[sl] = dv.real**2 + dv.imag**2
+        B[sl] = dv.real * t.real + dv.imag * t.imag
+        C[sl] = t.real**2 + t.imag**2
     del sb
+    # Each mode's weight in the norm, 2 or 1 at self-conjugate positions,
+    # and B's factor 2, folded in by exact scalings.
+    state[2:] *= 2.0
+    state[2:, sc] *= 0.5
+    B *= 2.0
+    A_sum = float(np.einsum("i->", buf))
+    pi[:] = 1.0
 
-    def observe(S):
-        report.divergence_history.append(
-            math.sqrt(_norm(dv1 + xm * S, sc) ** 2 + div_dc_sq)
-        )
+    def observe(sigma):
+        sq = A_sum
+        if sigma is not None:
+            np.multiply(C, sigma, out=buf)
+            np.add(buf, B, out=buf)
+            sq += float(np.einsum("i,i->", buf, sigma))
+        report.divergence_history.append(math.sqrt(max(sq, 0.0) + div_dc_sq))
 
     if sweep:
         report.iterations = 1
-        report.residual_history.append(_norm(t, sc, tscale))
-        observe(0.0)
-    S = _iterate(t, lam, sc, tscale, ref, report, cfg, observe)
-    del t, tscale, dv1, xm
+        report.residual_history.append(_norm(pi, sc, a))
+        observe(None)
+    sigma = _iterate(pi, lam, sc, a, ref, report, cfg, observe)
+    del state, a, pi, buf, B, C
 
     # The outputs, block by block into half spectra.  The last divergence
     # entry is measured on u_div, without the factor i, which leaves the
@@ -590,16 +617,17 @@ def helmholtz_decompose(
     udiv = np.empty((d,) + grid.half_sizes, dtype=complex)
     ucurl = np.empty_like(udiv)
     fdiv, fcurl = udiv.reshape(d, -1), ucurl.reshape(d, -1)
-    for sl, _, _, _, l, m, lv1, mv1, _ in _leray_blocks(
+    for sl, _, _, _, l, m, lv1, mv1, t in _leray_blocks(
         grid, half, omega, v0, lam
     ):
-        mv1 += m * S[sl]
-        lv1 += l * S[sl]
+        t *= sigma[sl]
+        mv1 += m * t
+        lv1 += l * t
         fdiv[:, perm[sl]] = mv1
         fcurl[:, perm[sl]] = lv1
     fdiv[:, dc] = div_dc
     fcurl[:, dc] = curl_dc
-    del v0, S, lam, fdiv, fcurl
+    del v0, sigma, lam, fdiv, fcurl
     if report.divergence_history:
         kappa = [effective_axis_wavevectors(grid, i) for i in range(d)]
         kappa[-1] = kappa[-1][: grid.half_sizes[-1]]

@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import ArityError, SingularModeError, SymbolParseError
 
+# Evaluation recurses once per level of an expression tree, so no tree,
+# built in Python or parsed, is higher than this; it keeps clear of Python's
+# recursion limit.
+_MAX_DEPTH = 256
+
 
 class SingularModePolicy:
     """What to do at modes where a symbol has a vanishing denominator.
@@ -40,9 +45,11 @@ class SymbolExpr:
     Subclasses set ``shape`` (rows, cols) and implement ``_eval`` and
     ``_singular``.  ``_eval`` must return finite values even at singular
     modes (the garbage there is overwritten according to the policy).
+    ``height`` counts the levels of the tree: 1 for a leaf.
     """
 
     shape: tuple[int, int]
+    height = 1
 
     def _eval(self, K: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -80,6 +87,14 @@ class SymbolExpr:
         if isinstance(other, (int, float)):
             return Scale(float(other), self)
         return Product(_coerce(other), self)
+
+
+def _height(*children: SymbolExpr) -> int:
+    """One more than the highest child's height, refused above _MAX_DEPTH."""
+    height = 1 + max(c.height for c in children)
+    if height > _MAX_DEPTH:
+        raise ArityError(f"symbol nested deeper than {_MAX_DEPTH} levels")
+    return height
 
 
 def _coerce(value) -> SymbolExpr:
@@ -182,6 +197,7 @@ class Sum(SymbolExpr):
             raise ArityError(f"cannot add shapes {a.shape} and {b.shape}")
         self.a, self.b = a, b
         self.shape = a.shape
+        self.height = _height(a, b)
 
     def _eval(self, K):
         return self.a._eval(K) + self.b._eval(K)
@@ -209,6 +225,7 @@ class Product(SymbolExpr):
             self.shape = (a.shape[0], b.shape[1])
         else:
             raise ArityError(f"cannot multiply shapes {a.shape} and {b.shape}")
+        self.height = _height(a, b)
 
     def _eval(self, K):
         va, vb = self.a._eval(K), self.b._eval(K)
@@ -231,6 +248,7 @@ class Scale(SymbolExpr):
         self.c = float(c)
         self.a = a
         self.shape = a.shape
+        self.height = _height(a)
 
     def _eval(self, K):
         return self.c * self.a._eval(K)
@@ -505,9 +523,9 @@ class _Tokenizer:
 
 
 # Parentheses, unary minus and each link of a '+', '-' or '*' chain add one
-# level; evaluation recurses per level, so this keeps clear of Python's limit.
-# Each parser below takes its enclosing levels and returns (expr, height).
-_MAX_DEPTH = 256
+# level, at least as many as the tree gets, so a text within _MAX_DEPTH
+# levels builds.  Each parser below takes its enclosing levels and returns
+# (expr, height), and refuses a level before it builds the node.
 
 
 def parse_symbol(text: str, dim: int) -> SymbolExpr:
@@ -536,9 +554,9 @@ def _parse_sum(tok, dim, level):
         tok.pos += 1
         right, h = _parse_term(tok, dim, level)
         if op == "-":
-            right, h = Scale(-1.0, right), h + 1
-        left = Sum(left, right)
+            h += 1
         height = _nest(level, max(height, h) + 1, pos)
+        left = Sum(left, Scale(-1.0, right) if op == "-" else right)
     return left, height
 
 
@@ -548,8 +566,8 @@ def _parse_term(tok, dim, level):
         pos = tok.pos
         tok.pos += 1
         right, h = _parse_atom(tok, dim, level)
-        left = _combine(left, right, tok.pos)
         height = _nest(level, max(height, h) + 1, pos)
+        left = _combine(left, right, tok.pos)
     return left, height
 
 

@@ -26,6 +26,18 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def child_env(threads):
+    """The environment of a child process that imports this source tree and
+    runs ``threads`` BLAS threads."""
+    env = dict(os.environ, OMP_NUM_THREADS=str(threads),
+               OPENBLAS_NUM_THREADS=str(threads))
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -307,6 +319,27 @@ class TestExitCodeMapping:
                     str(tmp_path / "x.swf")])
         assert code == 4
 
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path):
+        # The child caps its own address space at 2 GiB, so the 8 GiB field
+        # fails to allocate at once instead of reaching the machine's memory.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from shannop.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "gen-field", "--grid",
+             "1024x1024x1024", "--out", "big.swf"],
+            cwd=tmp_path, env=child_env(1), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: out of memory: ")
+        assert "8.00 GiB" in line and "(1, 1024, 1024, 1024)" in line
+        assert not (tmp_path / "big.swf").exists()
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["gen-field", "--grid", "8x8", "--out", "x", "--nope"])
@@ -335,15 +368,9 @@ class TestThreadIndependence:
 
     @staticmethod
     def shannop(argv, threads, cwd):
-        env = dict(os.environ, OMP_NUM_THREADS=str(threads),
-                   OPENBLAS_NUM_THREADS=str(threads))
-        src = str(Path(sp.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         done = subprocess.run(
-            [sys.executable, "-m", "shannop.cli", *argv], cwd=cwd, env=env,
-            capture_output=True, text=True, timeout=300,
+            [sys.executable, "-m", "shannop.cli", *argv], cwd=cwd,
+            env=child_env(threads), capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         return done.stdout

@@ -64,6 +64,21 @@ class TestEvaluation:
         val = eval_symbol(lap, (2, 1))
         assert abs(val[0, 0] + 5.0) < 1e-14  # div grad = -|k|^2
 
+    @pytest.mark.parametrize("grow", [
+        lambda e: e + sp.Identity(),
+        lambda e: e * sp.Xi(1),
+        lambda e: 2.0 * e,
+    ], ids=["sum", "product", "scale"])
+    def test_tree_built_in_python_stops_at_the_depth_bound(self, grow):
+        # A 600-deep chain used to end in a RecursionError when evaluated.
+        e = sp.Identity()
+        with pytest.raises(ArityError, match="nested deeper than 256 levels"):
+            for _ in range(600):
+                e = grow(e)
+        assert e.height == 256
+        values, _ = eval_many(e, np.ones((2, 2)))
+        assert np.all(np.isfinite(values))
+
 
 class TestSingularPolicies:
     def test_zero_policy(self):
@@ -200,6 +215,20 @@ class TestParser:
             with pytest.raises(SymbolParseError, match="non-finite") as err:
                 sp.parse_symbol(text, dim=2)
             assert err.value.position == position
+
+    @pytest.mark.parametrize("text,deeper", [
+        ("-" * 255 + "1", "-" * 256 + "1"),
+        (" + ".join(["id"] * 256), " + ".join(["id"] * 257)),
+        (" * ".join(["nlap"] * 128) + " - " + " - ".join(["id"] * 128),
+         " * ".join(["nlap"] * 128) + " - " + " - ".join(["id"] * 129)),
+    ], ids=["minus", "sum", "product-difference"])
+    def test_deepest_accepted_expression_builds_and_evaluates(self, text, deeper):
+        e = sp.parse_symbol(text, dim=2)
+        assert e.height == 256
+        values, _ = eval_many(e, np.ones((2, 2)))
+        assert np.all(np.isfinite(values))
+        with pytest.raises(SymbolParseError, match="nested deeper"):
+            sp.parse_symbol(deeper, dim=2)
 
 
 def grammar_strings(dim):

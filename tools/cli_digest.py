@@ -11,10 +11,10 @@ means both trees write the same bytes for every command below.
 The list: ``gen-field`` of all four kinds; ``decompose`` dumps and stdout
 at 64^3, packet depths 0-3, tensorial and MRA; ``solve-ilap`` outputs and
 reports at 128^3, depths 0-3, and one MRA solve at 64^3; ``helmholtz``
-outputs and reports at 512^2, depths 0 and 3, and one 3-component 64^3
-split; the ``rates`` CSVs of the certify-128cube workload, one of
-``--operator "nlap + 2"`` and one of ``--operator nlap`` on MRA packet
-bands at depth 2; and ``verify --suite all``.  The largest
+outputs and reports at 512^2, depths 0 and 3, and of 3-component 64^3
+splits at depths 0 and 1; the ``rates`` CSVs of the certify-128cube
+workload, one of ``--operator "nlap + 2"`` and one of ``--operator nlap``
+on MRA packet bands at depth 2; and ``verify --suite all``.  The largest
 commands (128^3 solves) peak near 0.5 GiB; the whole list took 18 s on a
 2-vCPU VM, one command at a time.
 """
@@ -59,7 +59,7 @@ def commands():
                 "--report", f"{name}.json"]
         yield name, argv, [f"{name}.swf", f"{name}.json"]
     splits = [("helm512-d0", "f512.swf", 0), ("helm512-d3", "f512.swf", 3),
-              ("helm64-3c", "v64.swf", 0)]
+              ("helm64-3c", "v64.swf", 0), ("helm64-3c-d1", "v64.swf", 1)]
     for name, infile, depth in splits:
         outs = [f"{name}-div.swf", f"{name}-curl.swf", f"{name}.json"]
         argv = ["helmholtz", "--in", infile, "--packet-depth", str(depth),
