@@ -10,7 +10,8 @@ means both trees write the same bytes for every command below.
 
 The list: ``gen-field`` of all four kinds; ``decompose`` dumps and stdout
 at 64^3, packet depths 0-3, tensorial and MRA; ``solve-ilap`` outputs and
-reports at 128^3, depths 0-3, and one MRA solve at 64^3; ``helmholtz``
+reports at 128^3, depths 0-3, one MRA solve at 64^3 and one of the
+3-component 64^3 field; ``helmholtz``
 outputs and reports at 512^2, depths 0 and 3, and of 3-component 64^3
 splits at depths 0 and 1; the ``rates`` CSVs of the certify-128cube
 workload, one of ``--operator "nlap + 2"`` and one of ``--operator nlap``
@@ -53,6 +54,7 @@ def commands():
             yield name, argv, [f"{name}.txt"]
     solves = [(f"ilap128-d{d}", "f128.swf", "tensorial", d) for d in range(4)]
     solves.append(("ilap64-mra", "f64.swf", "mra", 0))
+    solves.append(("ilap64-3c", "v64.swf", "tensorial", 0))
     for name, infile, scheme, depth in solves:
         argv = ["solve-ilap", "--alpha", "1e6", "--in", infile, "--scheme",
                 scheme, "--packet-depth", str(depth), "--out", f"{name}.swf",
