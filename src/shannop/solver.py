@@ -11,15 +11,16 @@ partition's band-major layout (``Partition.perm``: sorted band ids, then
 the dc set) cut to the half grid, one gather of the spectrum into it, and
 per-mode coefficients in the same order.  One sweep loop, ``_iterate``,
 then runs ``S += r; r = g r`` on contiguous arrays, and one scatter
-assembles the output on exit.  The Helmholtz split runs it on real
-per-mode state: after sweep 1 each mode's remainder is one fixed complex
-vector times a real power of its eigenvalue, so r and S are real, and the
-complex outputs are formed once, at exit.  Residuals are full-spectrum
-norms: a half-spectrum value counts twice, for its mode and the mode's
-reflection, except on the self-conjugate planes k_last = 0 and
-k_last = -N_last/2, which count once.  Every reduction runs in a fixed
-order and without BLAS, so reports are bit-reproducible for identical
-inputs at any thread count.
+assembles the output on exit.  Where g is one number per mode, each
+mode's residual is one fixed complex vector times a power of g: after
+sweep 1 of the Helmholtz split, and from the start of Richardson for a
+scalar symbol.  There the loop runs on one magnitude per mode, real when
+g is, with the norm weights folded in, and the complex outputs are formed
+once, at exit.  Residuals are full-spectrum norms: a half-spectrum value
+counts twice, for its mode and the mode's reflection, except on the
+self-conjugate planes k_last = 0 and k_last = -N_last/2, which count
+once.  Every reduction runs in a fixed order and without BLAS, so reports
+are bit-reproducible for identical inputs at any thread count.
 
 The exact oracles stay on full complex spectra, an independent yardstick
 for the solvers.  The dc set (zero mode, axis-zero planes, Nyquist planes)
@@ -203,7 +204,8 @@ def _norm(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
     positions ``sc`` (last-axis index 0 or N_last/2), which count once."""
     if scale is not None:
         x = x * scale
-    return math.sqrt(2.0 * sum_squares(x) - sum_squares(x[..., sc]))
+    once = sum_squares(x[..., sc]) if len(sc) else 0.0
+    return math.sqrt(2.0 * sum_squares(x) - once)
 
 
 @dataclass(frozen=True)
@@ -319,16 +321,16 @@ def _finish(report: SolveReport) -> SolveReport:
     return report
 
 
-def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
+def _iterate(r, g, sc, ref, report, cfg, observe=None):
     """The sweep loop of both solvers: ``S += r; r = g r`` per mode.
 
-    ``g`` is one scalar (M,) or one matrix (M, n, n) per mode.  Residuals
-    are measured by ``_norm`` with the self-conjugate positions ``sc`` and
-    weights ``scale``.  The loop continues from the residual history and
-    sweep count in ``report`` and updates them in place; before each sweep
-    it tests the last residual for non-finite values, the stop, growth and
-    the sweep cap.  ``observe(S)`` runs after each sweep.  Returns the
-    accumulated S.
+    ``g`` is one scalar (M,) or one matrix (M, n, n) per mode.  Each
+    residual is ``_norm(r, sc)`` with the self-conjugate positions ``sc``:
+    the solvers fold the norm weights into ``r``.  The loop continues from
+    the residual history and sweep count in ``report`` and updates them in
+    place; before each sweep it tests the last residual for non-finite
+    values, the stop, growth and the sweep cap.  ``observe(S)`` runs after
+    each sweep.  Returns the accumulated S.
     """
     S = np.zeros_like(r)
     history = report.residual_history
@@ -351,11 +353,24 @@ def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
         report.iterations += 1
         S += r
         r = _apply(g, r)
-        history.append(_norm(r, sc, scale))
+        history.append(_norm(r, sc))
         if observe is not None:
             observe(S)
     _finish(report)
     return S
+
+
+def _magnitudes(r: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """Per-mode length of the residual ``r`` (n, M) over its components,
+    times the norm weights ``scale``: each component's ``np.abs``, joined
+    by ``np.hypot``, so no value is squared and none overflows or
+    underflows where ``r`` does not."""
+    rho = np.abs(r[0])
+    for comp in r[1:]:
+        np.hypot(rho, np.abs(comp), out=rho)
+    if scale is not None:
+        rho *= scale
+    return rho
 
 
 def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
@@ -364,8 +379,9 @@ def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
     time, and on the dc set one per mode, the pseudo-inverse of A under
     the Nyquist convention (``_pinv``), with G by the same ``_recurrence``.
     G is one scalar per mode for a scalar symbol, else one matrix per mode;
-    it is complex only if some mode's value is.  Returns (G, band P array,
-    dc P)."""
+    it is complex only if some mode's value is.  The form of G chooses the
+    sweep state of ``richardson_solve``.  Returns (G, band P array, dc
+    P)."""
     grid = pc.partition.grid
     nb = half.offsets[-1]
     pbands = band_inverses(A, pc, range(len(pc.partition.ids)))
@@ -399,14 +415,21 @@ def richardson_solve(
     solution is assembled once, at exit.  Stops when the relative residual
     (in the configured norm) reaches ``tol``.
 
+    For a scalar symbol the sweeps run on per-mode magnitudes: with g the
+    mode's G, r_j = g^j r_0, so the loop runs ``S += rho; rho *= g`` on
+    rho_j = g^j |r_0| w (w the norm weight), real when g is, and the
+    residual is the norm of rho.  At exit u = r_0 P S / rho_0 per mode,
+    with rho_0 recomputed and 0 where it is 0.  For a matrix symbol the
+    sweeps run on the weighted residual r w itself, and u = P S / w.
+
     The plan holds G per mode, P once per band and per mode only on the dc
     set.  Each large array is dropped at its last use: the spectrum once
     gathered, G after the sweep loop, and the sums S and the layout before
     the inverse transform.  Both transforms run in place
-    (``forward_half_transform``, ``inverse_half_transform``), and u is
-    assembled in the memory of the spent residual, which the inverse
-    transform then overwrites, so each spectrum-sized array is allocated
-    once.
+    (``forward_half_transform``, ``inverse_half_transform``).  For a scalar
+    symbol r_0 is scaled in place and scattered into one new half
+    spectrum; for a matrix symbol u is assembled in the memory of r_0.
+    Either way the inverse transform overwrites u.
     """
     cfg = cfg or SolveConfig()
     part = pc.partition
@@ -427,23 +450,42 @@ def richardson_solve(
     scale = _norm_scale(grid, cfg.norm)
     if scale is not None:
         scale = scale.ravel()[half.perm]
+    if g.ndim == 1:  # r_j = g^j r_0: sweep the magnitudes, typed as P S
+        state = _magnitudes(r, scale)
+        state = state.astype(np.result_type(state, g, pbands, pdc), copy=False)
+    else:  # G commutes with the per-mode weight
+        state = r
+        if scale is not None:
+            state *= scale
 
-    ref = _norm(r, half.sc, scale)
+    ref = _norm(state, half.sc)
     report = SolveReport(0, [ref], float("nan"), theoretical, False, bounds)
-    S = _iterate(r, g, half.sc, scale, ref, report, cfg)
-    del g, scale
+    S = _iterate(state, g, half.sc, ref, report, cfg)
+    del state, g
 
     for sl, first, last, counts in layout_blocks(half.offsets):
-        S[:, sl] = _apply(np.repeat(pbands[first:last], counts, axis=0), S[:, sl])
+        p = np.repeat(pbands[first:last], counts, axis=0)
+        S[..., sl] = _apply(p, S[..., sl])
     dc = slice(half.offsets[-1], None)
-    S[:, dc] = _apply(pdc, S[:, dc])
-    # u fills the memory of the spent residual: ncols == v.components, so
-    # it holds as many values.  The gather leaves r F-ordered for several
-    # components, and ravel(order="K") takes its memory as it lies.
-    u = r.ravel(order="K").reshape((ncols,) + grid.half_sizes)
-    del r
-    u.reshape(ncols, -1)[:, half.perm] = S
-    del S, half
+    S[..., dc] = _apply(pdc, S[..., dc])
+    if S.ndim == 1:
+        # S sums rho_j = g^j rho_0, and is 0 wherever rho_0 is.
+        rho = _magnitudes(r, scale)
+        np.divide(S, rho, out=S, where=rho != 0)
+        r *= S
+        del rho, S
+        u = np.empty((ncols,) + grid.half_sizes, dtype=complex)
+        u.reshape(ncols, -1)[:, half.perm] = r
+    else:
+        if scale is not None:
+            S /= scale
+        # u fills the memory of r_0: ncols == v.components, so it holds as
+        # many values.  The gather leaves r F-ordered for several
+        # components, and ravel(order="K") takes its memory as it lies.
+        u = r.ravel(order="K").reshape((ncols,) + grid.half_sizes)
+        u.reshape(ncols, -1)[:, half.perm] = S
+        del S
+    del r, scale, half
     return inverse_half_transform(grid, u), report
 
 
@@ -501,8 +543,7 @@ def helmholtz_decompose(
     mode, and every later sweep multiplies it by the closed-form
     eigenvalue lambda: after sweep n it is c t_1 pi with the real
     pi = lambda^(n - 1), and the sum of the remainders is c t_1 sigma with
-    sigma = 1 + lambda + ... + lambda^(n - 2).  The sweeps therefore run
-    ``sigma += pi; pi *= lambda`` on real arrays, and the outputs are
+    sigma = 1 + lambda + ... + lambda^(n - 2).  The outputs are
     u_div = v0 - lv1 - c t_1 + m t_1 sigma and u_curl = lv1 + l t_1 sigma
     with fixed per-mode vectors m, l.  The accumulated divergence-free part
     has zero spectral divergence after every sweep, not just at
@@ -510,16 +551,19 @@ def helmholtz_decompose(
     divergence-free part).
 
     The residual is the norm of a pi with the real weights
-    a = |c| |t_1| times the norm weight.  The divergence entry of a sweep
-    is the norm of xi.mv1 + (xi.m) t_1 sigma, a quadratic form in the real
-    sigma: per mode A + 2 B sigma + C sigma^2 with A = |xi.mv1|^2,
-    B = Re(conj(xi.mv1) (xi.m) t_1) and C = |(xi.m) t_1|^2, each weighted
-    as ``_norm`` weights a mode.  Both terms are roundoff, so the form is
-    summed in a fixed order and a sum that rounds below zero reads 0.
+    a = |c| |t_1| times the norm weight, so the sweeps run
+    ``S += rho; rho *= lambda`` on the real rho = a pi, whose norm is the
+    residual, and sigma = S / a at exit (0 where a is).  The divergence
+    entry of a sweep is the norm of xi.mv1 + (xi.m) t_1 sigma, a quadratic
+    form in the real S: per mode A + 2 B S + C S^2 with A = |xi.mv1|^2,
+    B = Re(conj(xi.mv1) (xi.m) t_1) / a and C = |(xi.m) t_1 / a|^2 (both 0
+    where t_1 is), each weighted as ``_norm`` weights a mode.  Both terms
+    are roundoff, so the form is summed in a fixed order and a sum that
+    rounds below zero reads 0.
 
     Besides the gathered band spectrum v0, the plan keeps lambda and one
-    real array of rows a, B, C, pi and a buffer, plus the sum of A; the
-    sweep loop adds sigma.  The d-vectors xi, c, l, m and sweep 1's
+    real array of rows a, B, C, rho and a buffer, plus the sum of A; the
+    sweep loop adds S.  The d-vectors xi, c, l, m and sweep 1's
     outputs exist only block by block (``_leray_blocks``): once to fill
     the plan, and once at exit to assemble both outputs, with the
     recomputed t_1 times sigma, straight into half spectra.  Both
@@ -574,7 +618,7 @@ def helmholtz_decompose(
     # The plan, block by block, with A in the buffer until it is summed.
     lam = np.empty(nb)
     state = np.empty((5, nb))
-    a, pi, buf, B, C = state
+    a, rho, buf, B, C = state
     for sl, xi, lam_b, csq, _, m, _, mv1, t in _leray_blocks(
         grid, half, omega, v0
     ):
@@ -584,6 +628,7 @@ def helmholtz_decompose(
             a[sl] *= sb[sl]
         dv = _axis_sum(xi * mv1)
         t *= _axis_sum(xi * m)
+        np.divide(t, a[sl], out=t, where=a[sl] != 0)  # t is 0 where t_1 is
         buf[sl] = dv.real**2 + dv.imag**2
         B[sl] = dv.real * t.real + dv.imag * t.imag
         C[sl] = t.real**2 + t.imag**2
@@ -594,22 +639,23 @@ def helmholtz_decompose(
     state[2:, sc] *= 0.5
     B *= 2.0
     A_sum = float(np.einsum("i->", buf))
-    pi[:] = 1.0
+    rho[:] = a
 
-    def observe(sigma):
+    def observe(S):
         sq = A_sum
-        if sigma is not None:
-            np.multiply(C, sigma, out=buf)
+        if S is not None:
+            np.multiply(C, S, out=buf)
             np.add(buf, B, out=buf)
-            sq += float(np.einsum("i,i->", buf, sigma))
+            sq += float(np.einsum("i,i->", buf, S))
         report.divergence_history.append(math.sqrt(max(sq, 0.0) + div_dc_sq))
 
     if sweep:
         report.iterations = 1
-        report.residual_history.append(_norm(pi, sc, a))
+        report.residual_history.append(_norm(rho, sc))
         observe(None)
-    sigma = _iterate(pi, lam, sc, a, ref, report, cfg, observe)
-    del state, a, pi, buf, B, C
+    sigma = _iterate(rho, lam, sc, ref, report, cfg, observe)
+    np.divide(sigma, a, out=sigma, where=a != 0)  # S is 0 wherever a is
+    del state, a, rho, buf, B, C
 
     # The outputs, block by block into half spectra.  The last divergence
     # entry is measured on u_div, without the factor i, which leaves the

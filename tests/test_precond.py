@@ -17,6 +17,7 @@ from shannop.precond import (
     leray_rate_bounds,
     rate_kantorovich,
 )
+from shannop.solver import _half_layout, _richardson_plan
 from shannop.symbols import eval_many
 
 from conftest import partitions, reference_wavevectors
@@ -337,15 +338,26 @@ class TestEntriesShape:
 )
 def test_diagonal_matrix_symbol_solves_like_its_scalar(part, n, alpha, seed):
     """Id_n times a scalar symbol, with entries e Id_n, runs the matrix plan,
-    the matrix dc pseudo-inverse and the matrix apply; on an n-component
-    field it must give the scalar symbol's solve with entries e, bit for
-    bit."""
+    the matrix dc pseudo-inverse and the matrix apply.  Its plan must be
+    the scalar symbol's with entries e, times Id_n, bit for bit.  Its solve
+    of an n-component field sweeps the residual vectors, where the
+    scalar's sweeps their per-mode magnitudes, so it must give the
+    scalar's sweep count, and residuals and output to roundoff."""
     scalar = sp.ImplicitLaplacian(alpha)
     matrix = sp.Product(sp.Identity(n), scalar)
     e = sp.implicit_laplacian_precond(alpha, part).entries
+    pc_s = sp.given_entries(scalar, part, e)
+    pc_m = sp.given_entries(matrix, part, e * np.eye(n))
+    half = _half_layout(part)
+    for got, want in zip(
+        _richardson_plan(matrix, pc_m, half), _richardson_plan(scalar, pc_s, half)
+    ):
+        assert np.array_equal(got.reshape(-1, n, n), want[:, None, None] * np.eye(n))
     v = random_field(part.grid, n, seed=seed)
-    u_s, rep_s = sp.richardson_solve(scalar, sp.given_entries(scalar, part, e), v)
-    pc = sp.given_entries(matrix, part, e * np.eye(n))
-    u_m, rep_m = sp.richardson_solve(matrix, pc, v)
-    assert rep_m.residual_history == rep_s.residual_history
-    assert np.array_equal(u_m.values, u_s.values)
+    u_s, rep_s = sp.richardson_solve(scalar, pc_s, v)
+    u_m, rep_m = sp.richardson_solve(matrix, pc_m, v)
+    assert rep_m.iterations == rep_s.iterations
+    np.testing.assert_allclose(
+        rep_m.residual_history, rep_s.residual_history, rtol=1e-13, atol=0
+    )
+    assert (u_m - u_s).l2_norm() <= 1e-14 * u_s.l2_norm()
