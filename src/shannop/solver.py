@@ -450,9 +450,9 @@ def richardson_solve(
     scale = _norm_scale(grid, cfg.norm)
     if scale is not None:
         scale = scale.ravel()[half.perm]
-    if g.ndim == 1:  # r_j = g^j r_0: sweep the magnitudes, typed as P S
-        state = _magnitudes(r, scale)
-        state = state.astype(np.result_type(state, g, pbands, pdc), copy=False)
+    if g.ndim == 1:  # r_j = g^j r_0: sweep the magnitudes
+        # g = 1 - a p is complex if a or p is, so S can take P at exit.
+        state = _magnitudes(r, scale).astype(g.dtype, copy=False)
     else:  # G commutes with the per-mode weight
         state = r
         if scale is not None:

@@ -31,7 +31,7 @@ def vector_state_solve(A, pc, v, cfg):
     S = np.zeros_like(r)
     while residuals[-1] > cfg.tol * residuals[0] and len(residuals) <= cfg.max_iter:
         S += r
-        r = _apply(g, r.copy())
+        r = _apply(g, r)
         residuals.append(_norm(r, half.sc, w))
     p = np.concatenate([np.repeat(pbands, np.diff(half.offsets), axis=0), pdc])
     u = np.empty((v.components,) + grid.half_sizes, complex)
@@ -43,10 +43,10 @@ def problem(part, kind, n, alpha):
     """(symbol, preconditioner) of ``kind``: the implicit Laplacian, that
     plus the complex i xi_1, or Id_n times the implicit Laplacian, each
     with the implicit-Laplacian entries."""
-    e = sp.implicit_laplacian_precond(alpha, part).entries
-    ilap = sp.ImplicitLaplacian(alpha)
+    ilap, pc = sp.ImplicitLaplacian(alpha), sp.implicit_laplacian_precond(alpha, part)
     if kind == "ilap":
-        return ilap, sp.implicit_laplacian_precond(alpha, part)
+        return ilap, pc
+    e = pc.entries
     if kind == "complex":
         sym = sp.Sum(ilap, sp.Xi(1))
         return sym, sp.given_entries(sym, part, e)
