@@ -21,6 +21,7 @@ from shannop.solver import _half_layout, _richardson_plan
 from shannop.symbols import eval_many
 
 from conftest import partitions, reference_wavevectors
+from test_richardson_sweep import vector_state_solve
 
 
 def tensorial(sizes):
@@ -339,10 +340,12 @@ class TestEntriesShape:
 def test_diagonal_matrix_symbol_solves_like_its_scalar(part, n, alpha, seed):
     """Id_n times a scalar symbol, with entries e Id_n, runs the matrix plan,
     the matrix dc pseudo-inverse and the matrix apply.  Its plan must be
-    the scalar symbol's with entries e, times Id_n, bit for bit.  Its solve
-    of an n-component field sweeps the residual vectors, where the
-    scalar's sweeps their per-mode magnitudes, so it must give the
-    scalar's sweep count, and residuals and output to roundoff."""
+    the scalar symbol's with entries e, times Id_n, bit for bit.  Id_1
+    times the scalar is a scalar symbol, so its solve must be the scalar's
+    bit for bit.  For n > 1 the solve sweeps the residual vectors, where
+    the scalar's sweeps their per-mode magnitudes: it must be the vector
+    recurrence rebuilt from its plan bit for bit, and give the scalar's
+    sweep count, and residuals and output to roundoff."""
     scalar = sp.ImplicitLaplacian(alpha)
     matrix = sp.Product(sp.Identity(n), scalar)
     e = sp.implicit_laplacian_precond(alpha, part).entries
@@ -356,6 +359,13 @@ def test_diagonal_matrix_symbol_solves_like_its_scalar(part, n, alpha, seed):
     v = random_field(part.grid, n, seed=seed)
     u_s, rep_s = sp.richardson_solve(scalar, pc_s, v)
     u_m, rep_m = sp.richardson_solve(matrix, pc_m, v)
+    if n == 1:
+        assert rep_m.residual_history == rep_s.residual_history
+        assert np.array_equal(u_m.values, u_s.values)
+        return
+    ref, residuals = vector_state_solve(matrix, pc_m, v, sp.SolveConfig())
+    assert rep_m.residual_history == residuals
+    assert np.array_equal(u_m.values, ref.values)
     assert rep_m.iterations == rep_s.iterations
     np.testing.assert_allclose(
         rep_m.residual_history, rep_s.residual_history, rtol=1e-13, atol=0
