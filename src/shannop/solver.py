@@ -14,13 +14,13 @@ then runs ``S += r; r = g r`` on contiguous arrays, and one scatter
 assembles the output on exit.  Where g is one number per mode, each
 mode's residual is one fixed complex vector times a power of g: after
 sweep 1 of the Helmholtz split, and from the start of Richardson for a
-scalar symbol.  There the loop runs on one magnitude per mode, real when
-g is, with the norm weights folded in, and the complex outputs are formed
-once, at exit.  Residuals are full-spectrum norms: a half-spectrum value
-counts twice, for its mode and the mode's reflection, except on the
-self-conjugate planes k_last = 0 and k_last = -N_last/2, which count
-once.  Every reduction runs in a fixed order and without BLAS, so reports
-are bit-reproducible for identical inputs at any thread count.
+scalar symbol.  There the loop runs on one number per mode, real when g
+is, and the complex outputs are formed once, at exit.  Residuals are
+full-spectrum norms: a half-spectrum value counts twice, for its mode and
+the mode's reflection, except on the self-conjugate planes k_last = 0 and
+k_last = -N_last/2, which count once.  Every reduction runs in a fixed
+order and without BLAS, so reports are bit-reproducible for identical
+inputs at any thread count.
 
 The exact oracles stay on full complex spectra, an independent yardstick
 for the solvers.  The dc set (zero mode, axis-zero planes, Nyquist planes)
@@ -204,8 +204,7 @@ def _norm(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
     positions ``sc`` (last-axis index 0 or N_last/2), which count once."""
     if scale is not None:
         x = x * scale
-    once = sum_squares(x[..., sc]) if len(sc) else 0.0
-    return math.sqrt(2.0 * sum_squares(x) - once)
+    return math.sqrt(2.0 * sum_squares(x) - sum_squares(x[..., sc]))
 
 
 @dataclass(frozen=True)
@@ -321,16 +320,16 @@ def _finish(report: SolveReport) -> SolveReport:
     return report
 
 
-def _iterate(r, g, sc, ref, report, cfg, observe=None):
+def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
     """The sweep loop of both solvers: ``S += r; r = g r`` per mode.
 
-    ``g`` is one scalar (M,) or one matrix (M, n, n) per mode.  Each
-    residual is ``_norm(r, sc)`` with the self-conjugate positions ``sc``:
-    the solvers fold the norm weights into ``r``.  The loop continues from
-    the residual history and sweep count in ``report`` and updates them in
-    place; before each sweep it tests the last residual for non-finite
-    values, the stop, growth and the sweep cap.  ``observe(S)`` runs after
-    each sweep.  Returns the accumulated S.
+    ``g`` is one scalar (M,) or one matrix (M, n, n) per mode.  Residuals
+    are measured by ``_norm`` with the self-conjugate positions ``sc`` and
+    weights ``scale``; Richardson folds its weights into ``r`` and passes
+    None.  The loop continues from the residual history and sweep count in
+    ``report`` and updates them in place; before each sweep it tests the
+    last residual for non-finite values, the stop, growth and the sweep
+    cap.  ``observe(S)`` runs after each sweep.  Returns the accumulated S.
     """
     S = np.zeros_like(r)
     history = report.residual_history
@@ -353,7 +352,7 @@ def _iterate(r, g, sc, ref, report, cfg, observe=None):
         report.iterations += 1
         S += r
         r = _apply(g, r)
-        history.append(_norm(r, sc))
+        history.append(_norm(r, sc, scale))
         if observe is not None:
             observe(S)
     _finish(report)
@@ -460,7 +459,7 @@ def richardson_solve(
 
     ref = _norm(state, half.sc)
     report = SolveReport(0, [ref], float("nan"), theoretical, False, bounds)
-    S = _iterate(state, g, half.sc, ref, report, cfg)
+    S = _iterate(state, g, half.sc, None, ref, report, cfg)
     del state, g
 
     for sl, first, last, counts in layout_blocks(half.offsets):
@@ -543,7 +542,8 @@ def helmholtz_decompose(
     mode, and every later sweep multiplies it by the closed-form
     eigenvalue lambda: after sweep n it is c t_1 pi with the real
     pi = lambda^(n - 1), and the sum of the remainders is c t_1 sigma with
-    sigma = 1 + lambda + ... + lambda^(n - 2).  The outputs are
+    sigma = 1 + lambda + ... + lambda^(n - 2).  The sweeps therefore run
+    ``sigma += pi; pi *= lambda`` on real arrays, and the outputs are
     u_div = v0 - lv1 - c t_1 + m t_1 sigma and u_curl = lv1 + l t_1 sigma
     with fixed per-mode vectors m, l.  The accumulated divergence-free part
     has zero spectral divergence after every sweep, not just at
@@ -551,19 +551,16 @@ def helmholtz_decompose(
     divergence-free part).
 
     The residual is the norm of a pi with the real weights
-    a = |c| |t_1| times the norm weight, so the sweeps run
-    ``S += rho; rho *= lambda`` on the real rho = a pi, whose norm is the
-    residual, and sigma = S / a at exit (0 where a is).  The divergence
-    entry of a sweep is the norm of xi.mv1 + (xi.m) t_1 sigma, a quadratic
-    form in the real S: per mode A + 2 B S + C S^2 with A = |xi.mv1|^2,
-    B = Re(conj(xi.mv1) (xi.m) t_1) / a and C = |(xi.m) t_1 / a|^2 (both 0
-    where t_1 is), each weighted as ``_norm`` weights a mode.  Both terms
-    are roundoff, so the form is summed in a fixed order and a sum that
-    rounds below zero reads 0.
+    a = |c| |t_1| times the norm weight.  The divergence entry of a sweep
+    is the norm of xi.mv1 + (xi.m) t_1 sigma, a quadratic form in the real
+    sigma: per mode A + 2 B sigma + C sigma^2 with A = |xi.mv1|^2,
+    B = Re(conj(xi.mv1) (xi.m) t_1) and C = |(xi.m) t_1|^2, each weighted
+    as ``_norm`` weights a mode.  Both terms are roundoff, so the form is
+    summed in a fixed order and a sum that rounds below zero reads 0.
 
     Besides the gathered band spectrum v0, the plan keeps lambda and one
-    real array of rows a, B, C, rho and a buffer, plus the sum of A; the
-    sweep loop adds S.  The d-vectors xi, c, l, m and sweep 1's
+    real array of rows a, B, C, pi and a buffer, plus the sum of A; the
+    sweep loop adds sigma.  The d-vectors xi, c, l, m and sweep 1's
     outputs exist only block by block (``_leray_blocks``): once to fill
     the plan, and once at exit to assemble both outputs, with the
     recomputed t_1 times sigma, straight into half spectra.  Both
@@ -618,7 +615,7 @@ def helmholtz_decompose(
     # The plan, block by block, with A in the buffer until it is summed.
     lam = np.empty(nb)
     state = np.empty((5, nb))
-    a, rho, buf, B, C = state
+    a, pi, buf, B, C = state
     for sl, xi, lam_b, csq, _, m, _, mv1, t in _leray_blocks(
         grid, half, omega, v0
     ):
@@ -628,7 +625,6 @@ def helmholtz_decompose(
             a[sl] *= sb[sl]
         dv = _axis_sum(xi * mv1)
         t *= _axis_sum(xi * m)
-        np.divide(t, a[sl], out=t, where=a[sl] != 0)  # t is 0 where t_1 is
         buf[sl] = dv.real**2 + dv.imag**2
         B[sl] = dv.real * t.real + dv.imag * t.imag
         C[sl] = t.real**2 + t.imag**2
@@ -639,23 +635,22 @@ def helmholtz_decompose(
     state[2:, sc] *= 0.5
     B *= 2.0
     A_sum = float(np.einsum("i->", buf))
-    rho[:] = a
+    pi[:] = 1.0
 
-    def observe(S):
+    def observe(sigma):
         sq = A_sum
-        if S is not None:
-            np.multiply(C, S, out=buf)
+        if sigma is not None:
+            np.multiply(C, sigma, out=buf)
             np.add(buf, B, out=buf)
-            sq += float(np.einsum("i,i->", buf, S))
+            sq += float(np.einsum("i,i->", buf, sigma))
         report.divergence_history.append(math.sqrt(max(sq, 0.0) + div_dc_sq))
 
     if sweep:
         report.iterations = 1
-        report.residual_history.append(_norm(rho, sc))
+        report.residual_history.append(_norm(pi, sc, a))
         observe(None)
-    sigma = _iterate(rho, lam, sc, ref, report, cfg, observe)
-    np.divide(sigma, a, out=sigma, where=a != 0)  # S is 0 wherever a is
-    del state, a, rho, buf, B, C
+    sigma = _iterate(pi, lam, sc, a, ref, report, cfg, observe)
+    del state, a, pi, buf, B, C
 
     # The outputs, block by block into half spectra.  The last divergence
     # entry is measured on u_div, without the factor i, which leaves the
