@@ -9,11 +9,11 @@ order.  Run it on two trees and ``diff`` the two listings: a clean diff
 means both trees write the same bytes for every command below.
 
 The list: ``gen-field`` of all four kinds; ``decompose`` dumps and stdout
-at 64^3, packet depths 0-3, tensorial and MRA; ``solve-ilap`` outputs and
-reports at 128^3, depths 0-3, one MRA solve at 64^3 and one of the
-3-component 64^3 field; ``helmholtz``
-outputs and reports at 512^2, depths 0 and 3, and of 3-component 64^3
-splits at depths 0 and 1; the ``rates`` CSVs of the certify-128cube
+at 64^3, packet depths 0-3, tensorial and MRA, and of the 3-component
+64^3 field at depth 1; ``solve-ilap`` outputs and reports at 128^3,
+depths 0-3, one MRA solve at 64^3 and one of the 3-component 64^3 field;
+``helmholtz`` outputs and reports at 512^2, depths 0 and 3, and of
+3-component 64^3 splits at depths 0 and 1; the ``rates`` CSVs of the certify-128cube
 workload, one of ``--operator "nlap + 2"`` and one of ``--operator nlap``
 on MRA packet bands at depth 2; and ``verify --suite all``.  The largest
 commands (128^3 solves) peak near 0.5 GiB; the whole list took 18 s on a
@@ -52,6 +52,9 @@ def commands():
             argv = ["decompose", "--in", "f64.swf", "--scheme", scheme,
                     "--packet-depth", str(depth), "--out", f"{name}.txt"]
             yield name, argv, [f"{name}.txt"]
+    argv = ["decompose", "--in", "v64.swf", "--packet-depth", "1",
+            "--out", "decompose-3c-d1.txt"]
+    yield "decompose-3c-d1", argv, ["decompose-3c-d1.txt"]
     solves = [(f"ilap128-d{d}", "f128.swf", "tensorial", d) for d in range(4)]
     solves.append(("ilap64-mra", "f64.swf", "mra", 0))
     solves.append(("ilap64-3c", "v64.swf", "tensorial", 0))
