@@ -20,6 +20,10 @@ with each band's offset into it; ``FrequencyBand`` objects are built from
 them only on request.  Band projection is one gather into the layout and
 synthesis one scatter out of it.  Both are zero-phase: a band restriction
 simply copies mode coefficients, so synthesize(analyze(s)) == s bit for bit.
+The half spectrum of a real field is analyzed the same way, through the
+layout cut to the half grid (``_half_layout``, which the solvers share):
+every band holds both signs of each axis interval, so it keeps the modes
+whose reflections it leaves out.
 Synthesis of a derived family multiplies each band coefficient by an exact
 per-mode spectral factor, making differentiation by coefficient scaling an
 identity in exact arithmetic.
@@ -114,19 +118,21 @@ def _write_layout(parents, out: np.ndarray) -> int:
     return pos
 
 
-_BLOCK = 8192  # positions per block of a band-major layout
+_BLOCK = 8192  # values per block of a band-major layout (layout_blocks)
 
 
-def layout_blocks(offsets, whole_bands: bool = False):
+def layout_blocks(offsets, whole_bands: bool = False, width: int = 1):
     """Positions ``offsets[0]`` to ``offsets[-1]`` of a band-major layout
     (band i from ``offsets[i]``, none empty) in blocks of at most
-    ``_BLOCK``, as (slice, first, last, counts): the bands first to last - 1
-    the block meets and how many of its positions each holds.  With
-    ``whole_bands`` a block is a run of whole bands, or one long band."""
+    ``_BLOCK // width`` (at least one), for ``width`` values per position,
+    as (slice, first, last, counts): the bands first to last - 1 the block
+    meets and how many of its positions each holds.  With ``whole_bands``
+    a block is a run of whole bands, or one long band."""
     offsets = np.asarray(offsets)
     lo, end = int(offsets[0]), int(offsets[-1])
+    size = max(_BLOCK // width, 1)
     while lo < end:
-        hi = min(lo + _BLOCK, end)
+        hi = min(lo + size, end)
         first = int(offsets.searchsorted(lo, "right")) - 1
         last = int(offsets.searchsorted(hi))
         if whole_bands:  # lo is a band's start; end at a band's end
@@ -498,31 +504,107 @@ class FamilyTag:
         return FamilyTag((0,) * dim)
 
 
-class _BandViews(Mapping):
-    """Band id -> (m, *sub-box) view of a band-major coefficient array."""
+@dataclass(frozen=True)
+class _HalfLayout:
+    """A partition's band-major layout restricted to the half grid.
 
-    def __init__(self, partition: Partition, coeffs: np.ndarray):
-        self.partition, self.coeffs = partition, coeffs
+    ``perm`` lists flat positions on the half grid (``GridSpec.half_sizes``):
+    the entries of ``Partition.perm`` whose last-axis index is <= N_last/2,
+    in the same order.  Band i occupies ``perm[offsets[i]:offsets[i + 1]]``
+    and the dc set ``perm[offsets[-1]:]``.  ``sc`` lists, ascending, the
+    layout positions of self-conjugate modes (last-axis index 0 or
+    N_last/2).
+    """
+
+    perm: np.ndarray
+    offsets: np.ndarray
+    sc: np.ndarray
+
+
+_HALF_CHUNK = 1 << 16  # layout positions per step of _half_layout
+
+
+def _half_layout(part: Partition) -> _HalfLayout:
+    """The half layout of ``part``, cut from ``part.perm`` on each call.
+
+    It takes ``_HALF_CHUNK`` positions of ``part.perm`` at a time, so its
+    temporaries stay small next to the layout it writes.  A chunk adds its
+    kept positions to the count of each band it meets, the first from the
+    chunk's start, as ``layout_blocks`` cuts blocks; the dc set counts as
+    one more band.
+    """
+    n = part.grid.sizes[-1]
+    h = n // 2
+    perm = np.empty(math.prod(part.grid.half_sizes), dtype=part.perm.dtype)
+    counts = np.zeros_like(part.offsets)
+    sc, pos = [], 0
+    for lo in range(0, len(part.perm), _HALF_CHUNK):
+        chunk = part.perm[lo : lo + _HALF_CHUNK]
+        last = chunk & (n - 1)  # last-axis indices; n is a power of two
+        keep = last <= h
+        first = int(part.offsets.searchsorted(lo, "right")) - 1
+        end = int(part.offsets.searchsorted(lo + len(chunk)))
+        starts = part.offsets[first:end] - lo
+        starts[0] = 0
+        counts[first:end] += np.add.reduceat(keep, starts, dtype=counts.dtype)
+        last = last[keep]
+        out = perm[pos : pos + len(last)]
+        np.right_shift(chunk[keep], n.bit_length() - 1, out=out)
+        out *= h + 1
+        out += last
+        sc.append(np.flatnonzero((last == 0) | (last == h)) + pos)
+        pos += len(last)
+    offsets = np.zeros_like(part.offsets)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return _HalfLayout(perm, offsets, np.concatenate(sc))
+
+
+class _BandViews(Mapping):
+    """Band id -> (m, *sub-box) view of a band-major coefficient array; in
+    the half form the sub-box keeps the last-axis indices <= N_last/2."""
+
+    def __init__(self, banded: "BandedField"):
+        self.banded = banded
 
     def __getitem__(self, band_id) -> np.ndarray:
-        shape = (len(self.coeffs),) + self.partition.band(band_id).shape
-        return self.coeffs[:, self.partition.segment(band_id)].reshape(shape)
+        part, coeffs = self.banded.partition, self.banded.coeffs
+        _, offsets, _ = self.banded._layout()
+        i = part._index[band_id]
+        shape = (len(coeffs),) + part.band(band_id).shape[:-1] + (-1,)
+        return coeffs[:, offsets[i] : offsets[i + 1]].reshape(shape)
 
     def __iter__(self):
-        return iter(self.partition.ids)
+        return iter(self.banded.partition.ids)
 
     def __len__(self) -> int:
-        return len(self.partition.ids)
+        return len(self.banded.partition.ids)
 
 
 @dataclass
 class BandedField:
-    """A field's modes in its partition's band-major layout: column j of
-    ``coeffs`` is grid mode ``partition.perm[j]``."""
+    """A field's modes in its partition's band-major layout.
+
+    In the full form (``half`` None) column j of ``coeffs`` is grid mode
+    ``partition.perm[j]``.  In the half form, which ``analyze`` makes from
+    the half spectrum of a real field, column j is half-grid position
+    ``half.perm[j]``: each band keeps the modes of its sub-box whose
+    last-axis index is <= N_last/2, in the same order, and the modes it
+    leaves out are the conjugates of their reflections, which the band
+    also holds, since it holds both signs of each axis interval.  Energies
+    are those of the full spectrum in either form.
+    """
 
     partition: Partition
-    coeffs: np.ndarray  # (m, npoints)
+    coeffs: np.ndarray  # (m, columns of the layout)
     family: FamilyTag
+    half: _HalfLayout | None = None
+
+    def _layout(self):
+        """(perm, offsets, grid shape) of the layout the columns follow."""
+        if self.half is None:
+            part = self.partition
+            return part.perm, part.offsets, part.grid.sizes
+        return self.half.perm, self.half.offsets, self.partition.grid.half_sizes
 
     @property
     def components(self) -> int:
@@ -531,40 +613,71 @@ class BandedField:
     @property
     def band_coeffs(self) -> Mapping:
         """Band id -> the band's (m, *sub-box) coefficients, as views."""
-        return _BandViews(self.partition, self.coeffs)
+        return _BandViews(self)
 
     @property
     def dc_coeffs(self) -> np.ndarray:
-        return self.coeffs[:, self.partition.offsets[-1] :]
+        return self.coeffs[:, self._layout()[1][-1] :]
+
+    def _squares(self, lo: int, hi: int) -> np.ndarray:
+        """|x|^2 of columns lo to hi - 1, each times the number of modes it
+        stands for: 1 in the full form; in the half form 2, for the mode and
+        its reflection, and 1 at self-conjugate positions.  The weights are
+        exact scalings."""
+        sq = np.abs(self.coeffs[:, lo:hi]) ** 2
+        if self.half is not None:
+            sc = self.half.sc
+            sq *= 2.0
+            sq[:, sc[sc.searchsorted(lo) : sc.searchsorted(hi)] - lo] *= 0.5
+        return sq
 
     def band_energy(self, band_id) -> float:
-        return float(np.sum(np.abs(self.band_coeffs[band_id]) ** 2))
+        _, offsets, _ = self._layout()
+        i = self.partition._index[band_id]
+        return float(np.add.reduce(self._squares(offsets[i], offsets[i + 1]).ravel()))
 
     def dc_energy(self) -> float:
-        return float(np.sum(np.abs(self.dc_coeffs) ** 2))
+        lo = self._layout()[1][-1]
+        return float(np.add.reduce(self._squares(lo, self.coeffs.shape[1]).ravel()))
 
     def total_energy(self) -> float:
-        # |x|^2 a block of whole bands at a time, and per band one pairwise
-        # sum in band_energy's order, so totals agree bit for bit.
+        # Weighted |x|^2 a block of whole bands at a time, and per band one
+        # pairwise sum in band_energy's order, so totals agree bit for bit.
         energies = []
-        blocks = layout_blocks(self.partition.offsets, whole_bands=True)
+        blocks = layout_blocks(self._layout()[1], whole_bands=True)
         for sl, _, _, counts in blocks:
-            sq = np.abs(self.coeffs[:, sl]) ** 2
+            sq = self._squares(sl.start, sl.stop)
             ends = np.cumsum(counts).tolist()
             for lo, hi in zip([0] + ends, ends):
                 energies.append(float(np.add.reduce(sq[:, lo:hi].ravel())))
-        dc = float(np.add.reduce((np.abs(self.dc_coeffs) ** 2).ravel()))
-        return dc + sum(energies)
+        return self.dc_energy() + sum(energies)
 
 
-def analyze(spec: SpectralField, part: Partition) -> BandedField:
-    """Gather a spectrum into its partition's band-major layout (lossless)."""
-    if spec.grid != part.grid:
-        raise StructuralError("field and partition grids differ")
+def analyze(spec, part: Partition) -> BandedField:
+    """Gather a spectrum into its partition's band-major layout (lossless).
+
+    A ``SpectralField`` gives the full form.  The half spectrum of a real
+    field, an array of shape (m, *grid.half_sizes) as
+    ``forward_half_transform`` returns it, gives the half form, on the
+    partition's half layout, which is built here.
+    """
+    grid = part.grid
+    if isinstance(spec, SpectralField):
+        if spec.grid != grid:
+            raise StructuralError("field and partition grids differ")
+        half, perm, flat = None, part.perm, spec.flat()
+    else:
+        if spec.shape[1:] != grid.half_sizes:
+            raise StructuralError(
+                f"half spectrum of shape {spec.shape} does not match grid "
+                f"{grid.sizes}"
+            )
+        half = _half_layout(part)
+        perm, flat = half.perm, spec.reshape(len(spec), -1)
     # Indexing with int32 needs no intp copy of perm, but its result is
     # column-major when there are several components.
-    coeffs = np.ascontiguousarray(spec.flat()[:, part.perm])
-    return BandedField(part, coeffs, FamilyTag.neutral(part.grid.dim))
+    coeffs = np.ascontiguousarray(flat[:, perm])
+    return BandedField(part, coeffs, FamilyTag.neutral(grid.dim), half)
 
 
 def _family_factor(nu: int, k: np.ndarray, scale: float) -> np.ndarray:
@@ -574,26 +687,31 @@ def _family_factor(nu: int, k: np.ndarray, scale: float) -> np.ndarray:
     return ((4.0 * scale) / (1j * k)) ** nu
 
 
-def synthesize(banded: BandedField) -> SpectralField:
-    """Scatter band-major coefficients back into a full spectrum.
+def synthesize(banded: BandedField):
+    """Scatter band-major coefficients back into a spectrum: a
+    ``SpectralField`` from the full form, and from the half form the half
+    spectrum, an array of shape (m, *grid.half_sizes) that
+    ``inverse_half_transform`` takes.
 
     For a non-neutral family tag each band coefficient is multiplied by the
     exact per-mode family factor; the neutral tag makes this the inverse of
     ``analyze`` down to the bit.
     """
     part = banded.partition
+    perm, offsets, shape = banded._layout()
     coeffs = banded.coeffs
     if any(banded.family.nu):
-        nb = part.offsets[-1]
+        nb = offsets[-1]
         coeffs = coeffs.copy()
-        K = part.grid.wavevectors(part.perm[:nb])
+        K = part.grid.wavevectors(perm[:nb], half=banded.half is not None)
         for axis, order in enumerate(banded.family.nu):
             if order:
-                scale = np.repeat(_axis_scales(part, axis), np.diff(part.offsets))
+                scale = np.repeat(_axis_scales(part, axis), np.diff(offsets))
                 coeffs[:, :nb] *= _family_factor(order, K[axis], scale)
     out = np.empty_like(coeffs)
-    out[:, part.perm] = coeffs  # perm lists every grid position once
-    return SpectralField(part.grid, out.reshape((len(coeffs),) + part.grid.sizes))
+    out[:, perm] = coeffs  # perm lists every grid position once
+    out = out.reshape((len(coeffs),) + shape)
+    return out if banded.half is not None else SpectralField(part.grid, out)
 
 
 def _axis_scales(part: Partition, axis: int) -> np.ndarray:
@@ -614,8 +732,9 @@ def _lemarie_setup(banded: BandedField, axis: int, op: str, step: int):
     if not 1 <= axis <= part.grid.dim:
         raise ArityError(f"axis {axis} out of range for dimension {part.grid.dim}")
     ax = axis - 1
-    scale = np.repeat(4.0 * _axis_scales(part, ax), np.diff(part.offsets))
-    ix = np.unravel_index(part.dc_indices, part.grid.sizes)[ax]
+    perm, offsets, shape = banded._layout()
+    scale = np.repeat(4.0 * _axis_scales(part, ax), np.diff(offsets))
+    ix = np.unravel_index(perm[offsets[-1] :], shape)[ax]
     nu = list(banded.family.nu)
     nu[ax] += step
     return scale, effective_axis_wavevectors(part.grid, ax)[ix], FamilyTag(tuple(nu))
@@ -631,7 +750,7 @@ def apply_lemarie_derivative(banded: BandedField, axis: int) -> BandedField:
     """
     scale, k, family = _lemarie_setup(banded, axis, "derivation", -1)
     coeffs = banded.coeffs * np.concatenate([scale, 1j * k])
-    return BandedField(banded.partition, coeffs, family)
+    return BandedField(banded.partition, coeffs, family, banded.half)
 
 
 def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
@@ -648,7 +767,7 @@ def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
     np.divide(banded.coeffs[:, :nb], scale, out=coeffs[:, :nb])
     inv = np.where(k == 0, 0.0, 1.0 / (1j * np.where(k == 0, 1.0, k)))
     np.multiply(banded.coeffs[:, nb:], inv, out=coeffs[:, nb:])
-    return BandedField(banded.partition, coeffs, family)
+    return BandedField(banded.partition, coeffs, family, banded.half)
 
 
 def dump_partition(part: Partition) -> str:

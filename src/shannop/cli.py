@@ -74,29 +74,35 @@ def cmd_gen_field(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    import numpy as np
-
     from .bands import analyze, dump_partition, synthesize
-    from .grid import forward_transform
+    from .errors import StructuralError
+    from .grid import forward_half_transform, half_sum_squares
     from .io import read_field
 
     field = read_field(args.infile)
-    part = _build_partition(field.grid, args.scheme, args.packet_depth)
+    grid = field.grid
+    part = _build_partition(grid, args.scheme, args.packet_depth)
     text = dump_partition(part)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    spec = forward_transform(field)
+    spec = forward_half_transform(field)
     del field  # the samples are not needed once transformed
     banded = analyze(spec, part)
-    norm = spec.l2_norm()
-    total = norm**2
+    planes = [0, grid.sizes[-1] // 2]  # the self-conjugate last-axis indices
+    total = half_sum_squares(spec, planes)
+    if not math.isfinite(total):
+        raise StructuralError(
+            "the field's total energy (the sum of its squared Fourier modes) "
+            "is not finite in float64"
+        )
     err = abs(banded.total_energy() - total) / max(total, 1e-300)
     recon = synthesize(banded)
-    recon.modes -= spec.modes  # in place: one spectrum-sized array fewer
-    recon_err = recon.l2_norm() / max(norm, 1e-300)
+    recon -= spec  # in place: one spectrum-sized array fewer
+    norm = math.sqrt(total)
+    recon_err = math.sqrt(half_sum_squares(recon, planes)) / max(norm, 1e-300)
     print(f"total_energy {total!r} band_energy_rel_err {err:.3e} "
           f"reconstruction_rel_err {recon_err:.3e}")
     return EXIT_OK

@@ -279,6 +279,14 @@ def sum_squares(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
+def half_sum_squares(x: np.ndarray, sc) -> float:
+    """``sum_squares`` of the full spectrum that half-spectrum values ``x``
+    stand for: each value counts twice, for its mode and the mode's
+    reflection, except at the self-conjugate last-axis positions ``sc``
+    (last-axis index 0 or N_last/2), which count once."""
+    return 2.0 * sum_squares(x) - sum_squares(x[..., sc])
+
+
 def is_hermitian(spec: SpectralField, tol: float = 1e-12) -> bool:
     """Check modes(-k) == conj(modes(k)) exactly on the discrete torus."""
     m = spec.modes

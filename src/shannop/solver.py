@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import Partition, layout_blocks
+from .bands import Partition, _HalfLayout, _half_layout, layout_blocks
 from .errors import (
     ArityError,
     BoundViolationError,
@@ -55,10 +55,10 @@ from .grid import (
     evaluate_on_grid,
     forward_half_transform,
     forward_transform,
+    half_sum_squares,
     inverse_half_transform,
     inverse_transform,
     ksq_table,
-    sum_squares,
 )
 from .precond import (
     BandPreconditioner,
@@ -199,50 +199,11 @@ def _norm_scale(grid: GridSpec, t: float) -> np.ndarray | None:
 
 def _norm(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
     """Full-spectrum l2 norm of half-spectrum values ``x``, the last axis
-    weighted by ``scale``.  Each value stands for its mode and the mode's
-    reflection, so it counts twice, except at the self-conjugate last-axis
-    positions ``sc`` (last-axis index 0 or N_last/2), which count once."""
+    weighted by ``scale``: the root of ``half_sum_squares`` with the
+    self-conjugate last-axis positions ``sc``."""
     if scale is not None:
         x = x * scale
-    return math.sqrt(2.0 * sum_squares(x) - sum_squares(x[..., sc]))
-
-
-@dataclass(frozen=True)
-class _HalfLayout:
-    """The partition's band-major layout restricted to the half grid.
-
-    ``perm`` lists flat half-grid positions: the entries of
-    ``Partition.perm`` whose last-axis index is <= N_last/2, in the same
-    order.  Band i occupies ``perm[offsets[i]:offsets[i + 1]]`` and the dc
-    set ``perm[offsets[-1]:]``.  ``sc`` lists the layout positions of
-    self-conjugate modes.
-    """
-
-    perm: np.ndarray
-    offsets: np.ndarray
-    sc: np.ndarray
-
-
-def _half_layout(part: Partition) -> _HalfLayout:
-    n = part.grid.sizes[-1]
-    h = n // 2
-    count = part.perm & (n - 1)  # last-axis indices; n is a power of two
-    keep = count <= h
-    last = count[keep]
-    # Kept positions per band, summed over keep copied into count: reduceat
-    # over the bool mask itself would cast it to a temporary first.  The
-    # last band's segment ends where the dc set starts.
-    count[:] = keep
-    per_band = np.add.reduceat(
-        count[: part.offsets[-1]], part.offsets[:-1], dtype=np.int32
-    )
-    del count
-    offsets = np.zeros_like(part.offsets)
-    np.cumsum(per_band, out=offsets[1:])
-    perm = (part.perm[keep] >> (n.bit_length() - 1)) * (h + 1)
-    perm += last
-    sc = np.flatnonzero((last == 0) | (last == h))
-    return _HalfLayout(perm, offsets, sc)
+    return math.sqrt(half_sum_squares(x, sc))
 
 
 def _split_modes(kappa: np.ndarray, flat: np.ndarray):
@@ -351,12 +312,22 @@ def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
             break
         report.iterations += 1
         S += r
-        r = _apply(g, r)
+        _sweep(g, r)
         history.append(_norm(r, sc, scale))
         if observe is not None:
             observe(S)
     _finish(report)
     return S
+
+
+def _sweep(g: np.ndarray, r: np.ndarray) -> None:
+    """r <- g r per mode, in place (``_apply``): for one matrix per mode a
+    block of modes at a time, so no second residual array exists."""
+    if g.ndim == 1:
+        _apply(g, r)
+        return
+    for sl, _, _, _ in layout_blocks([0, len(g)], width=math.prod(g.shape[1:])):
+        r[:, sl] = _apply(g[sl], r[:, sl])
 
 
 def _magnitudes(r: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
@@ -379,18 +350,25 @@ def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
     the Nyquist convention (``_pinv``), with G by the same ``_recurrence``.
     G is one scalar per mode for a scalar symbol, else one matrix per mode;
     it is complex only if some mode's value is.  The form of G chooses the
-    sweep state of ``richardson_solve``.  Returns (G, band P array, dc
-    P)."""
+    sweep state of ``richardson_solve``.  The dc set is taken a block at a
+    time too, and blocks are sized by the values of one mode's G
+    (``layout_blocks``' width), so the symbol values, pseudo-inverses and
+    their temporaries stay the size of a scalar symbol's block.  Returns
+    (G, band P array, dc P)."""
     grid = pc.partition.grid
     nb = half.offsets[-1]
     pbands = band_inverses(A, pc, range(len(pc.partition.ids)))
-    kdc = grid.wavevectors(half.perm[nb:], half=True).T
-    a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
-    pdc = _pinv(a)
-    gdc = _recurrence(a, pdc)
+    width = math.prod(pbands.shape[1:])
+    pdc, gdc = [], []
+    for sl, _, _, _ in layout_blocks([nb, len(half.perm)], width=width):
+        kdc = grid.wavevectors(half.perm[sl], half=True).T
+        a, _ = evaluate_modes(A, grid, kdc, SingularModePolicy.ZERO)
+        pdc.append(_pinv(a))
+        gdc.append(_recurrence(a, pdc[-1]))
+    pdc, gdc = np.concatenate(pdc), np.concatenate(gdc)
     g = np.empty((len(half.perm),) + pbands.shape[1:], gdc.dtype)
     g[nb:] = gdc
-    for sl, first, last, counts in layout_blocks(half.offsets):
+    for sl, first, last, counts in layout_blocks(half.offsets, width=width):
         K = grid.wavevectors(half.perm[sl], half=True)
         gk = band_recurrence(A, pbands[first:last], K, counts)
         if np.iscomplexobj(gk) and not np.iscomplexobj(g):
@@ -427,8 +405,9 @@ def richardson_solve(
     the inverse transform.  Both transforms run in place
     (``forward_half_transform``, ``inverse_half_transform``).  For a scalar
     symbol r_0 is scaled in place and scattered into one new half
-    spectrum; for a matrix symbol u is assembled in the memory of r_0.
-    Either way the inverse transform overwrites u.
+    spectrum; for a matrix symbol the sweeps update r in place
+    (``_sweep``), and u is assembled in its memory.  Either way the inverse
+    transform overwrites u.
     """
     cfg = cfg or SolveConfig()
     part = pc.partition
@@ -453,7 +432,9 @@ def richardson_solve(
         # g = 1 - a p is complex if a or p is, so S can take P at exit.
         state = _magnitudes(r, scale).astype(g.dtype, copy=False)
     else:  # G commutes with the per-mode weight
-        state = r
+        # The gather leaves r column-major for several components; the
+        # norms sum it row by row, so it is made row-major once.
+        r = state = np.ascontiguousarray(r)
         if scale is not None:
             state *= scale
 
@@ -478,10 +459,9 @@ def richardson_solve(
     else:
         if scale is not None:
             S /= scale
-        # u fills the memory of r_0: ncols == v.components, so it holds as
-        # many values.  The gather leaves r F-ordered for several
-        # components, and ravel(order="K") takes its memory as it lies.
-        u = r.ravel(order="K").reshape((ncols,) + grid.half_sizes)
+        # u fills the memory of the residual: ncols == v.components, so it
+        # holds as many values.
+        u = r.reshape((ncols,) + grid.half_sizes)
         u.reshape(ncols, -1)[:, half.perm] = S
         del S
     del r, scale, half

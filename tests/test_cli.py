@@ -360,6 +360,24 @@ class TestDecompose:
         summary = capsys.readouterr().out
         assert "band_energy_rel_err" in summary
 
+    def test_non_finite_total_energy_exits_2(self, tmp_path, capsys):
+        # The samples and the spectrum are finite, but their squares
+        # overflow float64.
+        from shannop.generate import random_field
+        from shannop.io import write_field
+
+        grid = sp.GridSpec((16, 16))
+        path = tmp_path / "big.swf"
+        field = random_field(grid, 1, seed=1)
+        write_field(sp.RealField(grid, field.values * 1e300), path)
+        code = run(["decompose", "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: the field's total energy")
+        assert "not finite" in err
+        assert "total_energy" not in out
+        assert "inf" not in out + err and "nan" not in out + err
+
 
 class TestThreadIndependence:
     """Reports and energies must not depend on the BLAS thread count: a

@@ -8,10 +8,12 @@ on the self-conjugate planes k_last = 0 and N_last/2.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shannop as sp
+from shannop import bands
 from shannop.generate import random_field
 from shannop.grid import forward_half_transform, wavevector_table
 from shannop.solver import _half_layout, _norm
@@ -76,6 +78,21 @@ def test_half_layout_lists_each_half_grid_position_once(part):
     last = wavevectors[:, -1]
     sc = np.flatnonzero((last == 0) | (last == grid.nyquist(grid.dim - 1)))
     assert np.array_equal(half.sc, sc)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_half_layout_does_not_depend_on_its_chunk(monkeypatch, chunk):
+    """Chunks of ``perm`` that start inside a band, at a band's start or in
+    the dc set, or hold several whole bands, give the same layout."""
+    parts = [build((3, 4, 2), "tensorial", 1), build((5, 5), "mra", 2),
+             build((6,), "mra", 0)]
+    want = [_half_layout(part) for part in parts]
+    monkeypatch.setattr(bands, "_HALF_CHUNK", chunk)
+    for part, ref in zip(parts, want):
+        got = _half_layout(part)
+        for a, b in [(got.perm, ref.perm), (got.offsets, ref.offsets),
+                     (got.sc, ref.sc)]:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @SETTINGS

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shannop as sp
+from shannop.generate import random_field
+from shannop.grid import forward_half_transform
 from shannop.precond import band_omega, leray_lambda
 from shannop.symbols import eval_many
 
@@ -108,6 +110,46 @@ def test_analyze_synthesize_and_energies_match_per_band_reference(
     dc_energy = float(np.sum(np.abs(dc) ** 2))
     assert banded.dc_energy() == dc_energy
     assert banded.total_energy() == dc_energy + sum(band_energies)
+
+
+@SETTINGS
+@given(part=partitions, components=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_half_form_round_trips_and_keeps_the_full_energies(part, components, seed):
+    """The half form, from the half spectrum of a real field, against the
+    full form of its full spectrum.  Synthesis returns the half spectrum
+    bit for bit, and each band's view is the full one without its
+    last-axis indices above N_last/2.  Band, dc and total energies equal
+    the full form's to roundoff, which holds only because every band holds
+    both signs of its last-axis interval: a value counts twice, for its
+    mode and the mode's reflection, except on the self-conjugate planes."""
+    part = build(*part)
+    grid = part.grid
+    field = random_field(grid, components, seed=seed)
+    spec = forward_half_transform(field)
+    full = sp.analyze(sp.forward_transform(field), part)
+    half = sp.analyze(spec, part)
+    assert np.array_equal(bits(sp.synthesize(half)), bits(spec))
+
+    n = grid.sizes[-1]
+    for band in part.bands:
+        kept = band.axis_indices[-1] <= n // 2
+        want = full.band_coeffs[band.id][..., kept]
+        assert np.array_equal(bits(half.band_coeffs[band.id]), bits(want))
+        energy = full.band_energy(band.id)
+        assert abs(half.band_energy(band.id) - energy) <= 1e-13 * energy
+    energy = full.dc_energy()
+    assert abs(half.dc_energy() - energy) <= 1e-13 * energy
+    energy = full.total_energy()
+    assert abs(half.total_energy() - energy) <= 1e-13 * energy
+
+    # The Lemarie maps act per mode, so on the half form they give the
+    # full form's values on the half grid.
+    if part.base_scheme == "tensorial":
+        h = grid.half_sizes[-1]
+        for axis in range(1, grid.dim + 1):
+            got = sp.synthesize(sp.apply_lemarie_derivative(half, axis))
+            want = sp.synthesize(sp.apply_lemarie_derivative(full, axis))
+            assert np.array_equal(bits(got), bits(want.modes[..., :h]))
 
 
 @SETTINGS

@@ -1,15 +1,21 @@
-"""Heap bounds, measured with tracemalloc, on both solvers, the full and
-half-spectrum transforms and SWF1 writes.  tracemalloc counts numpy's data
-buffers, so the peaks are deterministic for a given input shape."""
+"""Heap bounds, measured with tracemalloc, on both solvers, band analysis,
+the full and half-spectrum transforms and SWF1 writes.  tracemalloc counts
+numpy's data buffers, so the peaks are deterministic for a given input
+shape."""
 
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import shannop as sp
 from shannop.generate import random_field
-from shannop.grid import forward_half_transform, inverse_half_transform
+from shannop.grid import (
+    forward_half_transform,
+    half_sum_squares,
+    inverse_half_transform,
+)
 from shannop.io import write_field
 
 
@@ -44,6 +50,48 @@ def test_richardson_heap_peak_is_bounded_by_the_input(sizes, depth):
     nbytes = v.values.nbytes
     peak = traced_peak(sp.richardson_solve, sp.ImplicitLaplacian(1e6), pc, v)
     assert peak <= 3.2 * nbytes, f"heap peak {peak / nbytes:.2f}x the input"
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_matrix_symbol_richardson_heap_peak_is_bounded_by_the_input(depth):
+    # G is one real 3x3 matrix per half-grid mode, 1.55x the input alone.
+    grid = sp.GridSpec((64, 64, 64))
+    part = sp.refine_packet(sp.build_tensorial_partition(grid), depth)
+    sym = sp.Product(sp.Identity(3), sp.ImplicitLaplacian(1e6))
+    entries = sp.implicit_laplacian_precond(1e6, part).entries * np.eye(3)
+    pc = sp.given_entries(sym, part, entries)
+    v = random_field(grid, 3, seed=7)
+    nbytes = v.values.nbytes
+    peak = traced_peak(sp.richardson_solve, sym, pc, v)
+    assert peak <= 4.3 * nbytes, f"heap peak {peak / nbytes:.2f}x the input"
+
+
+def decompose(field, part):
+    """The library path of ``shannop decompose`` after the partition: the
+    half transform, analysis, both energies, synthesis and the
+    reconstruction difference and its norm."""
+    spec = forward_half_transform(field)
+    banded = sp.analyze(spec, part)
+    planes = [0, part.grid.sizes[-1] // 2]
+    half_sum_squares(spec, planes)
+    banded.total_energy()
+    recon = sp.synthesize(banded)
+    recon -= spec
+    half_sum_squares(recon, planes)
+
+
+@pytest.mark.parametrize("components", [1, 3])
+@pytest.mark.parametrize("depth", [0, 2])
+def test_decompose_heap_peak_is_bounded_by_the_input(depth, components):
+    # The half spectrum, its band-major copy and the synthesized half
+    # spectrum are each 1.03x the input, and the half layout is 0.26x of a
+    # one-component input.
+    grid = sp.GridSpec((64, 64, 64))
+    part = sp.refine_packet(sp.build_tensorial_partition(grid), depth)
+    field = random_field(grid, components, seed=9)
+    nbytes = field.values.nbytes
+    peak = traced_peak(decompose, field, part)
+    assert peak <= 3.8 * nbytes, f"heap peak {peak / nbytes:.2f}x the input"
 
 
 def test_forward_transform_writes_its_output_and_little_else():
