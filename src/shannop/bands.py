@@ -617,7 +617,8 @@ class BandedField:
 
     @property
     def dc_coeffs(self) -> np.ndarray:
-        return self.coeffs[:, self._layout()[1][-1] :]
+        _, offsets, _ = self._layout()
+        return self.coeffs[:, offsets[-1] :]
 
     def _squares(self, lo: int, hi: int) -> np.ndarray:
         """|x|^2 of columns lo to hi - 1, each times the number of modes it
@@ -637,15 +638,16 @@ class BandedField:
         return float(np.add.reduce(self._squares(offsets[i], offsets[i + 1]).ravel()))
 
     def dc_energy(self) -> float:
-        lo = self._layout()[1][-1]
-        return float(np.add.reduce(self._squares(lo, self.coeffs.shape[1]).ravel()))
+        _, offsets, _ = self._layout()
+        hi = self.coeffs.shape[1]
+        return float(np.add.reduce(self._squares(offsets[-1], hi).ravel()))
 
     def total_energy(self) -> float:
         # Weighted |x|^2 a block of whole bands at a time, and per band one
         # pairwise sum in band_energy's order, so totals agree bit for bit.
         energies = []
-        blocks = layout_blocks(self._layout()[1], whole_bands=True)
-        for sl, _, _, counts in blocks:
+        _, offsets, _ = self._layout()
+        for sl, _, _, counts in layout_blocks(offsets, whole_bands=True):
             sq = self._squares(sl.start, sl.stop)
             ends = np.cumsum(counts).tolist()
             for lo, hi in zip([0] + ends, ends):
