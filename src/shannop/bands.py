@@ -559,6 +559,24 @@ def _half_layout(part: Partition) -> _HalfLayout:
     return _HalfLayout(perm, offsets, np.concatenate(sc))
 
 
+def gather_rows(flat: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """``flat[:, perm]`` made row by row, so it is row-major.  ``np.take``
+    copies its indices to intp, so it takes ``_BLOCK`` at a time; every
+    layout position is in range, so ``mode="clip"`` only unbuffers it."""
+    out = np.empty((len(flat), len(perm)), flat.dtype)
+    for lo in range(0, len(perm), _BLOCK):
+        ix = perm[lo : lo + _BLOCK]
+        for row, src in zip(out, flat):
+            np.take(src, ix, out=row[lo : lo + _BLOCK], mode="clip")
+    return out
+
+
+def scatter_rows(out: np.ndarray, perm: np.ndarray, values: np.ndarray) -> None:
+    """``out[:, perm] = values`` row by row, each write along one row."""
+    for row, src in zip(out, values):
+        row[perm] = src
+
+
 class _BandViews(Mapping):
     """Band id -> (m, *sub-box) view of a band-major coefficient array; in
     the half form the sub-box keeps the last-axis indices <= N_last/2."""
@@ -676,9 +694,7 @@ def analyze(spec, part: Partition) -> BandedField:
             )
         half = _half_layout(part)
         perm, flat = half.perm, spec.reshape(len(spec), -1)
-    # Indexing with int32 needs no intp copy of perm, but its result is
-    # column-major when there are several components.
-    coeffs = np.ascontiguousarray(flat[:, perm])
+    coeffs = gather_rows(flat, perm)
     return BandedField(part, coeffs, FamilyTag.neutral(grid.dim), half)
 
 
@@ -711,7 +727,7 @@ def synthesize(banded: BandedField):
                 scale = np.repeat(_axis_scales(part, axis), np.diff(offsets))
                 coeffs[:, :nb] *= _family_factor(order, K[axis], scale)
     out = np.empty_like(coeffs)
-    out[:, perm] = coeffs  # perm lists every grid position once
+    scatter_rows(out, perm, coeffs)  # perm lists every grid position once
     out = out.reshape((len(coeffs),) + shape)
     return out if banded.half is not None else SpectralField(part.grid, out)
 

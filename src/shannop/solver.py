@@ -37,40 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import Partition, _HalfLayout, _half_layout, layout_blocks
-from .errors import (
-    ArityError,
-    BoundViolationError,
-    DivergenceError,
-    InsufficientDataError,
-    UnsupportedSchemeError,
-)
-from .grid import (
-    GridSpec,
-    RealField,
-    SpectralField,
-    _apply,
-    _axis_sum,
-    effective_axis_wavevectors,
-    evaluate_modes,
-    evaluate_on_grid,
-    forward_half_transform,
-    forward_transform,
-    half_sum_squares,
-    inverse_half_transform,
-    inverse_transform,
-    ksq_table,
-)
-from .precond import (
-    BandPreconditioner,
-    RateBounds,
-    _leray_bounds,
-    _leray_omega,
-    _pinv,
-    _recurrence,
-    band_inverses,
-    band_recurrence,
-    leray_lambda,
-)
+from .bands import gather_rows, scatter_rows
+from .errors import ArityError, BoundViolationError, DivergenceError
+from .errors import InsufficientDataError, StructuralError, UnsupportedSchemeError
+from .grid import GridSpec, RealField, SpectralField, _apply, _axis_sum
+from .grid import effective_axis_wavevectors, evaluate_modes, evaluate_on_grid
+from .grid import forward_half_transform, forward_transform, half_sum_squares
+from .grid import inverse_half_transform, inverse_transform, ksq_table
+from .precond import BandPreconditioner, RateBounds, _leray_bounds, _leray_omega
+from .precond import _pinv, _recurrence, band_inverses, band_recurrence, leray_lambda
 from .symbols import SingularModePolicy, SymbolExpr
 
 
@@ -206,6 +181,16 @@ def _norm(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
     return math.sqrt(half_sum_squares(x, sc))
 
 
+def _reference(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
+    """``_norm`` of a solve's input, refused if it overflows float64, since
+    no stop test relative to it could hold."""
+    ref = _norm(x, sc, scale)
+    if not math.isfinite(ref):
+        raise StructuralError("the field's norm (the root of the sum of its "
+                              "squared Fourier modes) is not finite in float64")
+    return ref
+
+
 def _split_modes(kappa: np.ndarray, flat: np.ndarray):
     """Exact modewise split of ``flat`` (d, M) into the part orthogonal to
     the wavevectors ``kappa`` (d, M) and the part parallel to them; modes
@@ -281,14 +266,14 @@ def _finish(report: SolveReport) -> SolveReport:
     return report
 
 
-def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
+def _iterate(r, g, sc, ref, report, cfg, observe=None):
     """The sweep loop of both solvers: ``S += r; r = g r`` per mode.
 
     ``g`` is one scalar (M,) or one matrix (M, n, n) per mode.  Residuals
-    are measured by ``_norm`` with the self-conjugate positions ``sc`` and
-    weights ``scale``; Richardson folds its weights into ``r`` and passes
-    None.  The loop continues from the residual history and sweep count in
-    ``report`` and updates them in place; before each sweep it tests the
+    are measured by ``_norm`` with the self-conjugate positions ``sc``;
+    both solvers fold the norm's weights into ``r``.  The loop continues
+    from the residual history and sweep count in ``report`` and updates
+    them in place; before each sweep it tests the
     last residual for non-finite values, the stop, growth and the sweep
     cap.  ``observe(S)`` runs after each sweep.  Returns the accumulated S.
     """
@@ -313,7 +298,7 @@ def _iterate(r, g, sc, scale, ref, report, cfg, observe=None):
         report.iterations += 1
         S += r
         _sweep(g, r)
-        history.append(_norm(r, sc, scale))
+        history.append(_norm(r, sc))
         if observe is not None:
             observe(S)
     _finish(report)
@@ -423,7 +408,7 @@ def richardson_solve(
     bounds = pc.bounds
     theoretical = _check_bounds(bounds, cfg.strict)
     half = _half_layout(part)
-    r = forward_half_transform(v).reshape(v.components, -1)[:, half.perm]
+    r = gather_rows(forward_half_transform(v).reshape(v.components, -1), half.perm)
     g, pbands, pdc = _richardson_plan(A, pc, half)
     scale = _norm_scale(grid, cfg.norm)
     if scale is not None:
@@ -432,15 +417,13 @@ def richardson_solve(
         # g = 1 - a p is complex if a or p is, so S can take P at exit.
         state = _magnitudes(r, scale).astype(g.dtype, copy=False)
     else:  # G commutes with the per-mode weight
-        # The gather leaves r column-major for several components; the
-        # norms sum it row by row, so it is made row-major once.
-        r = state = np.ascontiguousarray(r)
+        state = r
         if scale is not None:
             state *= scale
 
-    ref = _norm(state, half.sc)
+    ref = _reference(state, half.sc)
     report = SolveReport(0, [ref], float("nan"), theoretical, False, bounds)
-    S = _iterate(state, g, half.sc, None, ref, report, cfg)
+    S = _iterate(state, g, half.sc, ref, report, cfg)
     del state, g
 
     for sl, first, last, counts in layout_blocks(half.offsets):
@@ -455,14 +438,14 @@ def richardson_solve(
         r *= S
         del rho, S
         u = np.empty((ncols,) + grid.half_sizes, dtype=complex)
-        u.reshape(ncols, -1)[:, half.perm] = r
+        scatter_rows(u.reshape(ncols, -1), half.perm, r)
     else:
         if scale is not None:
             S /= scale
         # u fills the memory of the residual: ncols == v.components, so it
         # holds as many values.
         u = r.reshape((ncols,) + grid.half_sizes)
-        u.reshape(ncols, -1)[:, half.perm] = S
+        scatter_rows(u.reshape(ncols, -1), half.perm, S)
         del S
     del r, scale, half
     return inverse_half_transform(grid, u), report
@@ -523,30 +506,29 @@ def helmholtz_decompose(
     eigenvalue lambda: after sweep n it is c t_1 pi with the real
     pi = lambda^(n - 1), and the sum of the remainders is c t_1 sigma with
     sigma = 1 + lambda + ... + lambda^(n - 2).  The sweeps therefore run
-    ``sigma += pi; pi *= lambda`` on real arrays, and the outputs are
+    on real arrays, and the outputs are
     u_div = v0 - lv1 - c t_1 + m t_1 sigma and u_curl = lv1 + l t_1 sigma
     with fixed per-mode vectors m, l.  The accumulated divergence-free part
     has zero spectral divergence after every sweep, not just at
     convergence.  The dc set is assigned exactly up front (mean to the
     divergence-free part).
 
-    The residual is the norm of a pi with the real weights
-    a = |c| |t_1| times the norm weight.  The divergence entry of a sweep
-    is the norm of xi.mv1 + (xi.m) t_1 sigma, a quadratic form in the real
-    sigma: per mode A + 2 B sigma + C sigma^2 with A = |xi.mv1|^2,
-    B = Re(conj(xi.mv1) (xi.m) t_1) and C = |(xi.m) t_1|^2, each weighted
-    as ``_norm`` weights a mode.  Both terms are roundoff, so the form is
-    summed in a fixed order and a sum that rounds below zero reads 0.
+    The sweeps run on rho = a pi from rho_0 = a, a = |c| |t_1| times the
+    norm weight, so the residual is the norm of rho, S sums a sigma and
+    sigma = S / a at exit.  A divergence entry is the norm of
+    xi.mv1 + (xi.m) t_1 sigma: per mode A + 2 B sigma + C sigma^2 with
+    A = |xi.mv1|^2, B = Re(conj(xi.mv1) (xi.m) t_1), C = |(xi.m) t_1|^2.
+    The plan stores B / a and C / a^2 (0 where a, and so t_1, is 0), and
+    the entry reads sum(A) + sum(B S / a) + sum(C S^2 / a^2) off the plan,
+    each sum in a fixed order; it is roundoff, and below zero reads 0.
 
     Besides the gathered band spectrum v0, the plan keeps lambda and one
-    real array of rows a, B, C, pi and a buffer, plus the sum of A; the
-    sweep loop adds sigma.  The d-vectors xi, c, l, m and sweep 1's
-    outputs exist only block by block (``_leray_blocks``): once to fill
-    the plan, and once at exit to assemble both outputs, with the
-    recomputed t_1 times sigma, straight into half spectra.  Both
-    transforms run in place: ``forward_half_transform`` in the spectrum it
-    returns, and ``inverse_half_transform`` in those two half spectra,
-    which are dead once the last divergence entry is measured.
+    real array of rows rho, a, B / a and C / a^2, plus the sum of A.  The
+    d-vectors xi, c, l, m and sweep 1's outputs exist only block by block
+    (``_leray_blocks``): once to fill the plan, and once at exit to write
+    both outputs, with the recomputed t_1 times sigma, into half spectra,
+    one row at a time (``scatter_rows``), in which the inverse transforms
+    then run in place.
     """
     cfg = cfg or SolveConfig()
     d = u.grid.dim
@@ -565,25 +547,24 @@ def helmholtz_decompose(
     half = _half_layout(part)
     nb = half.offsets[-1]
     perm, dc = half.perm[:nb], half.perm[nb:]
-    split = np.searchsorted(half.sc, nb)
-    sc, sc_dc = half.sc[:split], half.sc[split:] - nb
     planes = [0, grid.sizes[-1] // 2]  # the self-conjugate last-axis indices
     spec = forward_half_transform(u)
     scale = _norm_scale(grid, cfg.norm)
-    ref = _norm(spec, planes, scale)
+    ref = _reference(spec, planes, scale)
     flat = spec.reshape(d, -1)
 
     # Exact dc assignment along the effective wavevectors, which are 0 on
     # each axis's Nyquist plane.
     kdc = grid.wavevectors(dc, half=True, effective=True)
     div_dc, curl_dc = _split_modes(kdc, flat[:, dc])
-    div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0), sc_dc) ** 2
+    div_dc_sq = _norm(np.sum(kdc * div_dc, axis=0), half.sc - nb) ** 2
 
-    v0 = flat[:, perm]
+    v0 = gather_rows(flat, perm)
     del spec, flat, kdc
     sb = None if scale is None else scale.ravel()[perm]
+    # Band modes are never self-conjugate: each counts twice in a norm.
     report = SolveReport(
-        0, [_norm(v0, sc, sb)], float("nan"), theoretical, False, bounds, []
+        0, [_norm(v0, [], sb)], float("nan"), theoretical, False, bounds, []
     )
     sweep = report.residual_history[0] > cfg.tol * ref
     if not sweep:
@@ -592,10 +573,10 @@ def helmholtz_decompose(
     # The bands' scales, band_omega's lower box edges.
     omega = _leray_omega(part.edges, part.ids)
 
-    # The plan, block by block, with A in the buffer until it is summed.
+    # The plan, block by block, with A in the rho row until it is summed.
     lam = np.empty(nb)
-    state = np.empty((5, nb))
-    a, pi, buf, B, C = state
+    state = np.empty((4, nb))
+    rho, a, B, C = state
     for sl, xi, lam_b, csq, _, m, _, mv1, t in _leray_blocks(
         grid, half, omega, v0
     ):
@@ -605,32 +586,34 @@ def helmholtz_decompose(
             a[sl] *= sb[sl]
         dv = _axis_sum(xi * mv1)
         t *= _axis_sum(xi * m)
-        buf[sl] = dv.real**2 + dv.imag**2
+        rho[sl] = dv.real**2 + dv.imag**2
         B[sl] = dv.real * t.real + dv.imag * t.imag
         C[sl] = t.real**2 + t.imag**2
     del sb
-    # Each mode's weight in the norm, 2 or 1 at self-conjugate positions,
-    # and B's factor 2, folded in by exact scalings.
-    state[2:] *= 2.0
-    state[2:, sc] *= 0.5
-    B *= 2.0
-    A_sum = float(np.einsum("i->", buf))
-    pi[:] = 1.0
+    # A positive float is at least the least subnormal, so the maximum
+    # changes a only where it is 0, and there B and C are 0.
+    A_sum = float(np.einsum("i->", rho))
+    rho[:] = a
+    np.maximum(a, math.ulp(0.0), out=a)
+    B /= a
+    C /= a
+    C /= a
 
-    def observe(sigma):
+    def observe(S):
+        # A + 2 B sigma + C sigma^2, each band mode counted twice.
         sq = A_sum
-        if sigma is not None:
-            np.multiply(C, sigma, out=buf)
-            np.add(buf, B, out=buf)
-            sq += float(np.einsum("i,i->", buf, sigma))
-        report.divergence_history.append(math.sqrt(max(sq, 0.0) + div_dc_sq))
+        if S is not None:
+            sq += 2.0 * float(np.einsum("i,i->", B, S))
+            sq += float(np.einsum("i,i,i->", C, S, S))
+        report.divergence_history.append(math.sqrt(max(2.0 * sq, 0.0) + div_dc_sq))
 
     if sweep:
         report.iterations = 1
-        report.residual_history.append(_norm(pi, sc, a))
+        report.residual_history.append(_norm(rho, []))
         observe(None)
-    sigma = _iterate(pi, lam, sc, a, ref, report, cfg, observe)
-    del state, a, pi, buf, B, C
+    sigma = _iterate(rho, lam, [], ref, report, cfg, observe)
+    sigma /= a
+    del state, rho, a, B, C
 
     # The outputs, block by block into half spectra.  The last divergence
     # entry is measured on u_div, without the factor i, which leaves the
@@ -644,8 +627,8 @@ def helmholtz_decompose(
         t *= sigma[sl]
         mv1 += m * t
         lv1 += l * t
-        fdiv[:, perm[sl]] = mv1
-        fcurl[:, perm[sl]] = lv1
+        scatter_rows(fdiv, perm[sl], mv1)
+        scatter_rows(fcurl, perm[sl], lv1)
     fdiv[:, dc] = div_dc
     fcurl[:, dc] = curl_dc
     del v0, sigma, lam, fdiv, fcurl

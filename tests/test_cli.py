@@ -289,15 +289,15 @@ class TestSweepCap:
 
     def test_zero_initial_residual_exits_with_one_message(self, tmp_path, capsys):
         # A constant field has no band modes, so the first residual is 0,
-        # and its 1e200 values overflow the reference norm: no sweep can
-        # stop it, and the stop message has no relative residual to print.
+        # and its 1e200 values overflow the reference norm, which no stop
+        # test could be relative to: the split is refused before any sweep.
         path = tmp_path / "c.swf"
         grid = sp.GridSpec((16, 16))
         sp.write_field(sp.RealField(grid, np.full((2, 16, 16), 1e200)), path)
         code = run(["helmholtz", "--in", str(path)])
-        assert code in (0, 3)
+        assert code == 2
         lines = capsys.readouterr().err.splitlines()
-        assert sum(line.startswith("error: ") for line in lines) == (code == 3)
+        assert sum(line.startswith("error: ") for line in lines) == 1
 
 
 class TestExitCodeMapping:
@@ -443,6 +443,33 @@ class TestInputErrors:
                     "--in", str(vpath)])
         assert code == 2
         assert "tol must be positive and finite" in capsys.readouterr().err
+
+    @staticmethod
+    def assert_norm_refused(capsys, code):
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: the field's norm")
+        assert "not finite in float64" in err
+        assert "inf" not in out + err and "nan" not in out + err
+
+    @pytest.mark.parametrize("value", [1e160, 1e200])
+    def test_overflowing_norm_exits_2_in_helmholtz(self, tmp_path, capsys, value):
+        # The samples are finite but the squares of the mean mode overflow,
+        # so the reference norm is not finite and no stop test can hold.
+        path = tmp_path / "c.swf"
+        grid = sp.GridSpec((16, 16))
+        sp.write_field(sp.RealField(grid, np.full((2, 16, 16), value)), path)
+        self.assert_norm_refused(capsys, run(["helmholtz", "--in", str(path)]))
+
+    def test_overflowing_norm_exits_2_in_solve_ilap(self, tmp_path, capsys):
+        from shannop.generate import random_field
+
+        grid = sp.GridSpec((16, 16))
+        path = tmp_path / "big.swf"
+        field = random_field(grid, 1, seed=1)
+        sp.write_field(sp.RealField(grid, field.values * 1e160), path)
+        code = run(["solve-ilap", "--alpha", "1", "--in", str(path)])
+        self.assert_norm_refused(capsys, code)
 
     def test_nan_tol_exits_2_in_helmholtz(self, tmp_path):
         vpath = tmp_path / "w.swf"

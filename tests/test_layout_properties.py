@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shannop as sp
+from shannop.bands import _half_layout
 from shannop.generate import random_field
 from shannop.grid import forward_half_transform
 from shannop.precond import band_omega, leray_lambda
@@ -82,6 +83,20 @@ def test_layout_is_the_band_positions_then_dc(part):
     assert np.array_equal(
         part.offsets, np.cumsum([0] + [band.nmodes for band in part.bands])
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exps=st.integers(1, 3).flatmap(lambda dim: st.tuples(*[st.integers(2, 5)] * dim)),
+    depth=st.integers(0, 3),
+)
+def test_tensorial_band_modes_are_never_self_conjugate(exps, depth):
+    """A tensorial band holds last-axis indices 2^j <= |k| < 2^(j+1) with
+    2^(j+1) <= N/2, and packets split those intervals: k = 0 and k = N/2
+    are dc modes, so every self-conjugate position of the half layout lies
+    in its dc part.  The Helmholtz split counts each band value twice."""
+    half = _half_layout(build(exps, "tensorial", depth))
+    assert np.all(half.sc >= half.offsets[-1])
 
 
 @SETTINGS

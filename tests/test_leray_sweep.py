@@ -5,6 +5,7 @@ counts, and residuals, divergence entries and outputs equal to roundoff."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,3 +114,27 @@ def test_real_state_sweep_matches_the_complex_state_recurrence(
     unorm = u.l2_norm()
     assert (udiv - rdiv).l2_norm() <= 1e-14 * unorm
     assert (ucurl - rcurl).l2_norm() <= 1e-14 * unorm
+
+
+@pytest.mark.parametrize("norm", [0.0, 1.0])
+@pytest.mark.parametrize("depth", [0, 1])
+def test_power_of_two_scaling_is_exact(depth, norm):
+    """Scaling u by 2^k scales every per-mode value of the split by 2^k, or
+    its square by 4^k, without rounding: the outputs, residuals and
+    divergence entries scale bit for bit and the sweep count stays.  On
+    this 64x32 grid that holds for k down to -400; from k = -480 the
+    squares underflow."""
+    grid = sp.GridSpec((64, 32))
+    part = sp.refine_packet(sp.build_tensorial_partition(grid), depth)
+    u = random_field(grid, 2, seed=13)
+    cfg = sp.SolveConfig(norm=norm)
+    udiv, ucurl, rep = sp.helmholtz_decompose(u, part, cfg)
+    for k in range(-400, 401, 20):
+        uk = sp.RealField(grid, np.ldexp(u.values, k))
+        udk, uck, repk = sp.helmholtz_decompose(uk, part, cfg)
+        assert repk.iterations == rep.iterations, k
+        assert np.array_equal(udk.values, np.ldexp(udiv.values, k)), k
+        assert np.array_equal(uck.values, np.ldexp(ucurl.values, k)), k
+        for got, want in [(repk.residual_history, rep.residual_history),
+                          (repk.divergence_history, rep.divergence_history)]:
+            assert got == [math.ldexp(x, k) for x in want], k

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import shannop as sp
+from shannop.bands import _half_layout, gather_rows
 from shannop.generate import random_field
 from shannop.grid import (
     forward_half_transform,
@@ -92,6 +93,17 @@ def test_decompose_heap_peak_is_bounded_by_the_input(depth, components):
     nbytes = field.values.nbytes
     peak = traced_peak(decompose, field, part)
     assert peak <= 3.8 * nbytes, f"heap peak {peak / nbytes:.2f}x the input"
+
+
+def test_gather_rows_writes_its_output_and_little_else():
+    # np.take copies an int32 index array to intp whole, half the output's
+    # bytes for one complex row, unless it is given the indices in blocks.
+    grid = sp.GridSpec((64, 64, 64))
+    perm = _half_layout(sp.build_tensorial_partition(grid)).perm
+    flat = forward_half_transform(random_field(grid, 1, seed=5)).reshape(1, -1)
+    nbytes = flat.nbytes  # the gathered copy it returns
+    peak = traced_peak(gather_rows, flat, perm)
+    assert peak <= 1.05 * nbytes, f"heap peak {peak / nbytes:.2f}x the output"
 
 
 def test_forward_transform_writes_its_output_and_little_else():
