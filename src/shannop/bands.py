@@ -47,15 +47,6 @@ from .errors import (
 from .grid import GridSpec, SpectralField, effective_axis_wavevectors
 
 
-def _flatten(obj) -> tuple:
-    if isinstance(obj, tuple):
-        out = ()
-        for item in obj:
-            out += _flatten(item)
-        return out
-    return (obj,)
-
-
 def _fmt_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
@@ -314,60 +305,16 @@ class Partition:
             raise PartitionConsistencyError("bands and dc do not cover the grid")
 
 
-def _base_partition(grid: GridSpec, scheme: str, boxes) -> Partition:
-    """Bands from (id, box) pairs in sorted id order; every mode no band
-    holds goes to dc.
-
-    The bands' layout is written first, each distinct (axis, lo, hi)
-    interval resolved once per build into one ``_axis_block``; the dc set is
-    what the layout leaves out.  Interval indices are unique, so an overlap
-    leaves more band and dc modes than grid modes, which the mode count
-    rejects.
-    """
-    mags = [np.abs(grid.axis_wavevectors(i)) for i in range(grid.dim)]
-    strides = _strides(grid.sizes)
-    blocks = {}  # (axis, lo, hi) -> the _axis_block of its indices
-    parents = []
-    for _, box in boxes:
-        for i, (lo, hi) in enumerate(box):
-            if (i, lo, hi) not in blocks:
-                ix = np.flatnonzero((mags[i] >= lo) & (mags[i] < hi))
-                blocks[i, lo, hi] = _axis_block([ix], strides[i])
-        parents.append([blocks[i, lo, hi] for i, (lo, hi) in enumerate(box)])
-    counts = [math.prod(int(n[0]) for _, _, n in axes) for axes in parents]
-    perm = _layout_buffer(grid)
-    claimed = _write_layout(parents, perm)
-    dc = np.flatnonzero(~_marked(perm[:claimed], grid.npoints))
-    if claimed + len(dc) != grid.npoints:
-        raise PartitionConsistencyError(
-            f"bands + dc cover {claimed + len(dc)} of {grid.npoints} modes"
-        )
-    perm[claimed:] = dc
-    ids = [band_id for band_id, _ in boxes]
-    edges = np.array([box for _, box in boxes], dtype=float)
-    return Partition(grid, scheme, 0, ids, edges, np.cumsum([0] + counts), perm)
-
-
-def build_tensorial_partition(grid: GridSpec) -> Partition:
-    """Anisotropic splitting: per-axis dyadic octaves, indexed by a level
-    tuple.  Axis magnitudes 0 and the Nyquist magnitude go to dc."""
-    level_counts = [int(math.log2(n)) - 1 for n in grid.sizes]
-    boxes = [  # np.ndindex order is sorted order
-        (j, tuple((float(2**ji), float(2 ** (ji + 1))) for ji in j))
-        for j in np.ndindex(*level_counts)
-    ]
-    return _base_partition(grid, "tensorial", boxes)
-
-
-def build_mra_partition(grid: GridSpec) -> Partition:
-    """Isotropic splitting indexed by (level, type), type a nonzero 0/1
-    vector: type-0 axes span [0, 2^j), type-1 axes [2^j, 2^(j+1))."""
-    if len(set(grid.sizes)) != 1:
-        raise UnsupportedSchemeError(
-            f"MRA partitions need an isotropic grid, got sizes {grid.sizes}"
-        )
+def _base_boxes(grid: GridSpec, scheme: str) -> list:
+    """(id, box) of the scheme's base bands, in sorted id order."""
+    if scheme == "tensorial":
+        level_counts = [int(math.log2(n)) - 1 for n in grid.sizes]
+        return [  # np.ndindex order is sorted order
+            (j, tuple((float(2**ji), float(2 ** (ji + 1))) for ji in j))
+            for j in np.ndindex(*level_counts)
+        ]
     levels = int(math.log2(grid.sizes[0])) - 1
-    boxes = [  # sorted (level, type) order
+    return [  # sorted (level, type) order
         ((j, eps), tuple(
             (float(2**j), float(2 ** (j + 1))) if e else (0.0, float(2**j))
             for e in eps
@@ -376,7 +323,6 @@ def build_mra_partition(grid: GridSpec) -> Partition:
         for eps in np.ndindex(*([2] * grid.dim))
         if any(eps)
     ]
-    return _base_partition(grid, "mra", boxes)
 
 
 # A base interval [lo, hi) has hi - lo = 2^j and edges below 2^(j+1), so
@@ -405,35 +351,21 @@ def _axis_pieces(mag: np.ndarray, lo: float, hi: float, splits: int):
     return s.astype(int), intervals, np.split(ix, starts[1:])
 
 
-def refine_packet(part: Partition, depth: int) -> Partition:
-    """Split every band interval into 2^depth equal parts per axis.
+def _subdivide(grid: GridSpec, scheme: str, depth: int) -> Partition:
+    """The scheme's base bands, each cut into 2^depth equal parts per axis,
+    with every mode no band holds in dc: the one writer of every partition.
 
-    Each band's per-axis index list is split into its non-empty pieces,
-    found from each index's piece number rather than by visiting all 2^depth
-    of them, and the sub-bands are the Cartesian products of those pieces.
-    Sub-boxes with an empty axis hold no grid modes; they are dropped and
-    counted in the result's ``dropped_empty``.  Depth 0 returns the
-    partition unchanged.  Refining by 1 twice yields the same bands as
-    refining by 2 once.
-
-    The layout is written once per parent band (``_write_layout``), from
-    one block of offsets per distinct (axis, lo, hi) interval, and the
-    parent's sub-band edges and mode counts by one broadcast of its
-    per-axis piece intervals and lengths, in the same order.  Sub-bands of
-    a refined partition's bands interleave across parents, so their ids,
-    edges and segments are then moved into sorted band order.
+    A band's sub-bands are the Cartesian products of its axes' non-empty
+    pieces (at depth 0 the whole intervals, and the band keeps its base
+    id; deeper, a sub-band's id is (base id, per-axis piece numbers)), so a
+    sub-box with an empty axis is left out.  A base band's sub-bands take
+    one ``_write_layout`` pass, and their edges and mode counts one
+    broadcast of its piece intervals and lengths, in the same order; base
+    bands come in sorted id order, so the sub-bands do too.  Interval
+    indices are unique, so an overlap leaves more band and dc modes than
+    grid modes, which the mode count rejects.
     """
-    if depth < 0:
-        raise StructuralError("packet depth must be nonnegative")
-    if depth == 0:
-        return part
-    if part.packet_depth + depth > _MAX_PACKET_DEPTH:
-        raise StructuralError(
-            f"packet depth {part.packet_depth + depth} is above "
-            f"{_MAX_PACKET_DEPTH}: finer box edges are not exact in float64"
-        )
     splits = 2**depth
-    grid = part.grid
     d = grid.dim
     mags = [np.abs(grid.axis_wavevectors(i)) for i in range(d)]
     strides = _strides(grid.sizes)
@@ -441,9 +373,7 @@ def refine_packet(part: Partition, depth: int) -> Partition:
     # so bands sharing an (axis, lo, hi) share its pieces and their block.
     table = {}  # (axis, lo, hi) -> piece numbers, intervals, _axis_block
     ids, edges, counts, parents = [], [], [], []
-    dropped = part.dropped_empty
-    for band_id, box in zip(part.ids, part.edges.tolist()):
-        root_id, path = band_id if part.packet_depth else (band_id, (0,) * d)
+    for base_id, box in _base_boxes(grid, scheme):
         axes = []
         for i, (lo, hi) in enumerate(box):
             if (i, lo, hi) not in table:
@@ -458,32 +388,69 @@ def refine_packet(part: Partition, depth: int) -> Partition:
             where[i] = shape[i]
             sub_edges[..., i, :] = intervals.reshape(where + [2])
             sub_counts *= lengths.reshape(where)
-        paths = [(p * splits + s).tolist() for p, (s, _, _) in zip(path, axes)]
-        ids += [(root_id, sub) for sub in itertools.product(*paths)]
+        if depth:
+            paths = [s.tolist() for s, _, _ in axes]
+            ids += [(base_id, sub) for sub in itertools.product(*paths)]
+        else:
+            ids.append(base_id)
         edges.append(sub_edges.reshape(-1, d, 2))
         counts.append(sub_counts.ravel())
         parents.append([block for _, _, block in axes])
-        dropped += splits**d - math.prod(shape)
-    edges, counts = np.concatenate(edges), np.concatenate(counts)
     perm = _layout_buffer(grid)
     claimed = _write_layout(parents, perm)
-    if part.packet_depth > 0:
-        # Sub-bands of different parents interleave in path order (refined
-        # from a base partition they come out sorted already): move each
-        # band's segment to its place in sorted band order.
-        order = sorted(range(len(ids)), key=lambda k: _flatten(ids[k]))
-        ids, edges = [ids[k] for k in order], edges[order]
-        starts = np.cumsum(counts) - counts
-        counts = counts[order]
-        shift = starts[order] - (np.cumsum(counts) - counts)
-        perm[:claimed] = perm[np.repeat(shift, counts) + np.arange(claimed)]
-    perm[claimed:] = part.dc_indices
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    refined = Partition(
-        grid, part.base_scheme, part.packet_depth + depth, ids, edges, offsets,
-        perm, dropped,
+    dc = np.flatnonzero(~_marked(perm[:claimed], grid.npoints))
+    if claimed + len(dc) != grid.npoints:
+        raise PartitionConsistencyError(
+            f"bands + dc cover {claimed + len(dc)} of {grid.npoints} modes"
+        )
+    perm[claimed:] = dc
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return Partition(grid, scheme, depth, ids, np.concatenate(edges), offsets, perm)
+
+
+def build_tensorial_partition(grid: GridSpec) -> Partition:
+    """Anisotropic splitting: per-axis dyadic octaves [2^j_i, 2^(j_i+1)),
+    indexed by a level tuple j, written by ``_subdivide`` at depth 0.  Axis
+    magnitudes 0 and the Nyquist magnitude go to dc."""
+    return _subdivide(grid, "tensorial", 0)
+
+
+def build_mra_partition(grid: GridSpec) -> Partition:
+    """Isotropic splitting indexed by (level, type), type a nonzero 0/1
+    vector: type-0 axes span [0, 2^j), type-1 axes [2^j, 2^(j+1)); written
+    by ``_subdivide`` at depth 0."""
+    if len(set(grid.sizes)) != 1:
+        raise UnsupportedSchemeError(
+            f"MRA partitions need an isotropic grid, got sizes {grid.sizes}"
+        )
+    return _subdivide(grid, "mra", 0)
+
+
+def refine_packet(part: Partition, depth: int) -> Partition:
+    """Split every band interval into 2^depth equal parts per axis.
+
+    The result is ``_subdivide`` of ``part``'s grid and scheme at the total
+    depth ``part.packet_depth + depth``, so refining by 1 twice yields the
+    same bands as refining by 2 once.  Sub-boxes with an empty axis hold no
+    grid modes and are dropped: ``dropped_empty`` adds to ``part``'s the
+    2^(depth*d) sub-boxes of each band of ``part`` less the bands kept.
+    Depth 0 returns the partition unchanged.
+    """
+    if depth < 0:
+        raise StructuralError("packet depth must be nonnegative")
+    if depth == 0:
+        return part
+    if part.packet_depth + depth > _MAX_PACKET_DEPTH:
+        raise StructuralError(
+            f"packet depth {part.packet_depth + depth} is above "
+            f"{_MAX_PACKET_DEPTH}: finer box edges are not exact in float64"
+        )
+    grid = part.grid
+    refined = _subdivide(grid, part.base_scheme, part.packet_depth + depth)
+    refined.dropped_empty = (
+        part.dropped_empty + 2 ** (depth * grid.dim) * len(part.ids)
+        - len(refined.ids)
     )
-    refined.check_disjoint()
     return refined
 
 

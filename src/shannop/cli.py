@@ -76,7 +76,7 @@ def cmd_gen_field(args) -> int:
 def cmd_decompose(args) -> int:
     from .bands import analyze, dump_partition, synthesize
     from .errors import StructuralError
-    from .grid import forward_half_transform, half_sum_squares
+    from .grid import forward_half_transform, half_sum_squares, self_conjugate_planes
     from .io import read_field
 
     field = read_field(args.infile)
@@ -91,7 +91,7 @@ def cmd_decompose(args) -> int:
     spec = forward_half_transform(field)
     del field  # the samples are not needed once transformed
     banded = analyze(spec, part)
-    planes = [0, grid.sizes[-1] // 2]  # the self-conjugate last-axis indices
+    planes = self_conjugate_planes(grid)
     total = half_sum_squares(spec, planes)
     if not math.isfinite(total):
         raise StructuralError(

@@ -279,6 +279,13 @@ def sum_squares(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
+def self_conjugate_planes(grid: GridSpec) -> list:
+    """The last-axis indices 0 and N_last/2, the first and the last of an
+    (m, *grid.half_sizes) array: the planes whose modes are their own
+    reflections, which ``half_sum_squares`` counts once."""
+    return [0, grid.sizes[-1] // 2]
+
+
 def half_sum_squares(x: np.ndarray, sc) -> float:
     """``sum_squares`` of the full spectrum that half-spectrum values ``x``
     stand for: each value counts twice, for its mode and the mode's

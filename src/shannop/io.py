@@ -53,4 +53,7 @@ def read_field(path) -> RealField:
                 f"{path}: expected {expected} sample bytes, found {found}"
             )
         values = np.fromfile(fh, dtype="<f8", count=expected // 8)
-    return RealField(grid, values.reshape((m,) + grid.sizes))
+    try:
+        return RealField(grid, values.reshape((m,) + grid.sizes))
+    except StructuralError as exc:  # a sample that is not finite
+        raise StructuralError(f"{path}: {exc}") from None

@@ -44,6 +44,7 @@ from .grid import GridSpec, RealField, SpectralField, _apply, _axis_sum
 from .grid import effective_axis_wavevectors, evaluate_modes, evaluate_on_grid
 from .grid import forward_half_transform, forward_transform, half_sum_squares
 from .grid import inverse_half_transform, inverse_transform, ksq_table
+from .grid import self_conjugate_planes
 from .precond import BandPreconditioner, RateBounds, _leray_bounds, _leray_omega
 from .precond import _pinv, _recurrence, band_inverses, band_recurrence, leray_lambda
 from .symbols import SingularModePolicy, SymbolExpr
@@ -547,7 +548,7 @@ def helmholtz_decompose(
     half = _half_layout(part)
     nb = half.offsets[-1]
     perm, dc = half.perm[:nb], half.perm[nb:]
-    planes = [0, grid.sizes[-1] // 2]  # the self-conjugate last-axis indices
+    planes = self_conjugate_planes(grid)
     spec = forward_half_transform(u)
     scale = _norm_scale(grid, cfg.norm)
     ref = _reference(spec, planes, scale)

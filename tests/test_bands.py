@@ -8,6 +8,7 @@ import pytest
 import shannop as sp
 from shannop.bands import FrequencyBand, Partition, band_extrema, dump_partition
 from shannop.errors import (
+    ArityError,
     PartitionConsistencyError,
     StructuralError,
     UnsupportedSchemeError,
@@ -282,6 +283,16 @@ class TestAnalyzeSynthesize:
         assert all(e == 0.0 for e in energies.values())
         assert banded.dc_energy() == 0.0
 
+    @pytest.mark.parametrize("spec,message", [
+        (sp.SpectralField(sp.GridSpec((32, 32)), np.zeros((1, 32, 32))),
+         "grids differ"),
+        (np.zeros((1, 16, 16), dtype=complex), "does not match grid"),  # full shape
+    ])
+    def test_spectrum_of_another_shape_rejected(self, spec, message):
+        part = sp.build_tensorial_partition(sp.GridSpec((16, 16)))
+        with pytest.raises(StructuralError, match=message):
+            sp.analyze(spec, part)
+
     def test_roundtrip_bit_exact(self):
         grid = sp.GridSpec((32, 16))
         part = sp.refine_packet(sp.build_tensorial_partition(grid), 1)
@@ -373,6 +384,17 @@ class TestLemarieDerivation:
         )
         with pytest.raises(UnsupportedSchemeError):
             sp.apply_lemarie_derivative(banded, 1)
+
+    @pytest.mark.parametrize("axis", [0, 3])
+    @pytest.mark.parametrize("op", ["apply_lemarie_derivative", "apply_lemarie_integral"])
+    def test_axis_out_of_range_rejected(self, op, axis):
+        grid = sp.GridSpec((16, 16))
+        banded = sp.analyze(
+            sp.forward_transform(random_field(grid, 1, seed=15)),
+            sp.build_tensorial_partition(grid),
+        )
+        with pytest.raises(ArityError, match=f"axis {axis} out of range"):
+            getattr(sp, op)(banded, axis)
 
 
 class TestDump:

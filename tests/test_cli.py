@@ -502,6 +502,18 @@ class TestInputErrors:
         assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sample_exits_2_naming_the_file(self, tmp_path, capsys, value):
+        path = self.field(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", value)  # the last sample
+        path.write_bytes(bytes(data))
+        code = run(["decompose", "--in", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: field values must be finite\n"
+        )
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = run(["decompose", "--in", str(tmp_path / "missing.swf")])
         assert code == 2

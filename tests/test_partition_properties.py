@@ -110,10 +110,18 @@ def test_refining_twice_by_one_equals_refining_by_two(exps, scheme):
     if scheme == "mra":
         exps = (exps[0],) * len(exps)
     base = build(sp.GridSpec(tuple(2**e for e in exps)), scheme, 0)
-    twice = sp.refine_packet(sp.refine_packet(base, 1), 1)
-    once = sp.refine_packet(base, 2)
-    assert [b.id for b in twice.bands] == [b.id for b in once.bands]
-    for a, b in zip(twice.bands, once.bands):
-        assert all(np.array_equal(x, y)
-                   for x, y in zip(a.axis_indices, b.axis_indices))
-    assert np.array_equal(twice.dc_indices, once.dc_indices)
+    d = base.grid.dim
+    p1 = sp.refine_packet(base, 1)
+    for k, once in [(1, sp.refine_packet(base, 2)), (2, sp.refine_packet(base, 3))]:
+        chain = sp.refine_packet(p1, k)
+        assert chain.packet_depth == once.packet_depth
+        assert [b.id for b in chain.bands] == [b.id for b in once.bands]
+        for a, b in zip(chain.bands, once.bands):
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(a.axis_indices, b.axis_indices))
+        for name in ("perm", "offsets", "edges", "dc_indices"):
+            x, y = getattr(chain, name), getattr(once, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        # Each step drops the empty sub-boxes of the bands it refines.
+        dropped = p1.dropped_empty + 2 ** (k * d) * len(p1.ids) - len(once.ids)
+        assert chain.dropped_empty == dropped

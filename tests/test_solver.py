@@ -255,6 +255,26 @@ class TestRichardson:
         assert rep1.residual_history == rep2.residual_history
 
 
+@pytest.mark.parametrize("call,message", [
+    ("richardson_solve", "symbol takes 3 components, field has 2"),
+    ("exact_solve", "symbol produces 3 components, field has 2"),
+    ("exact_leray", "one component per axis"),  # 3 components on a 2-D grid
+])
+def test_component_count_mismatch_refused(call, message):
+    grid = sp.GridSpec((16, 16))
+    sym = sp.Identity(3)  # a 3x3 symbol, given a 2-component field
+    v = random_field(grid, 2, seed=13)
+    with pytest.raises(ArityError, match=message):
+        if call == "richardson_solve":
+            part = tensorial((16, 16))
+            pc = given_entries(sym, part, [np.eye(3)] * len(part.ids))
+            sp.richardson_solve(sym, pc, v)
+        elif call == "exact_solve":
+            sp.exact_solve(sym, v)
+        else:
+            sp.exact_leray(random_field(grid, 3, seed=13))
+
+
 class TestNonFinite:
     @staticmethod
     def nan_preconditioner(part):
@@ -327,6 +347,52 @@ class TestHelmholtz:
         u = random_field(grid, 1, seed=20)
         with pytest.raises(ArityError):
             sp.helmholtz_decompose(u, tensorial((16, 16)))
+
+    def test_partition_of_another_grid_refused(self):
+        u = random_field(sp.GridSpec((16, 16)), 2, seed=20)
+        with pytest.raises(ArityError, match="partition grid differs"):
+            sp.helmholtz_decompose(u, tensorial((32, 32)))
+
+    @staticmethod
+    def constant_field():
+        grid = sp.GridSpec((16, 16))
+        return sp.RealField(grid, np.stack([np.full((16, 16), 1.5),
+                                            np.full((16, 16), -0.25)]))
+
+    def test_constant_field_converges_before_the_first_sweep(self):
+        u = self.constant_field()
+        udiv, ucurl, rep = sp.helmholtz_decompose(u, tensorial((16, 16)))
+        assert rep.iterations == 0 and rep.converged
+        assert rep.residual_history == [0.0]
+        assert rep.divergence_history == []
+        assert np.array_equal(udiv.values, u.values)
+        assert not ucurl.values.any()
+
+    def test_band_residual_below_tol_is_dropped_at_sweep_0(self):
+        # Noise puts band modes ~1e-12 into the field, far below tol times
+        # its norm: the split stops at sweep 0 and leaves them out of both
+        # outputs.
+        from shannop.bands import _half_layout
+
+        u = self.constant_field()
+        noise = np.random.default_rng(3).standard_normal(u.values.shape)
+        u = sp.RealField(u.grid, u.values + 1e-12 * noise)
+        part = tensorial((16, 16))
+        cfg = sp.SolveConfig()
+        udiv, ucurl, rep = sp.helmholtz_decompose(u, part, cfg)
+        assert rep.iterations == 0 and rep.converged
+        assert rep.divergence_history == []
+        half = _half_layout(part)
+        band = half.perm[: half.offsets[-1]]
+
+        def band_modes(f):
+            return np.abs(sp.forward_half_transform(f).reshape(2, -1)[:, band])
+
+        norm = u.l2_norm()
+        assert band_modes(u).max() > 1e-12
+        assert band_modes(udiv).max() <= 1e-14 * norm
+        assert band_modes(ucurl).max() <= 1e-14 * norm
+        assert (udiv + ucurl - u).l2_norm() <= cfg.tol * norm
 
     def test_1d_rejected(self):
         grid = sp.GridSpec((16,))
