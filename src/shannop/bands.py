@@ -15,15 +15,17 @@ scheme, Nyquist planes) live in the partition's dc set, which solvers
 treat by exact modewise operations.
 
 A partition is arrays that its builder writes once: the sorted band ids,
-their box edges, and the band-major layout of its modes (``Partition.perm``)
-with each band's offset into it; ``FrequencyBand`` objects are built from
-them only on request.  Band projection is one gather into the layout and
-synthesis one scatter out of it.  Both are zero-phase: a band restriction
-simply copies mode coefficients, so synthesize(analyze(s)) == s bit for bit.
-The half spectrum of a real field is analyzed the same way, through the
-layout cut to the half grid (``_half_layout``, which the solvers share):
-every band holds both signs of each axis interval, so it keeps the modes
-whose reflections it leaves out.
+their box edges, their mode counts on the grid (``Partition.offsets``) and
+the band-major layout of their modes on the half grid of a real field's
+spectrum (``Partition.half``), which solvers, half-form analysis and the
+certificates read.  Every band holds both signs of each axis interval, so
+it keeps, on the half grid, the modes whose reflections it leaves out.
+The full-grid layout (``Partition.perm``), which full-form analysis and
+``check_disjoint`` read, is written by the same writer only on request.
+``FrequencyBand`` objects are built from the arrays only on request.
+Band projection is one gather into a layout and synthesis one scatter out
+of it.  Both are zero-phase: a band restriction simply copies mode
+coefficients, so synthesize(analyze(s)) == s bit for bit.
 Synthesis of a derived family multiplies each band coefficient by an exact
 per-mode spectral factor, making differentiation by coefficient scaling an
 identity in exact arithmetic.
@@ -143,13 +145,18 @@ def _marked(positions: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-def _layout_buffer(grid: GridSpec) -> np.ndarray:
-    if grid.npoints > np.iinfo(np.int32).max:
+def _layout_buffer(grid: GridSpec, sizes: tuple) -> np.ndarray:
+    """An int32 layout of every position of ``sizes``, ``grid``'s sizes or
+    its half grid's, refused before it is allocated if int32 cannot index
+    it."""
+    n = math.prod(sizes)
+    if n > np.iinfo(np.int32).max:
+        where = "modes" if sizes == grid.sizes else "half-grid positions"
         raise StructuralError(
-            f"grid {grid.sizes} has {grid.npoints} modes, more than an int32 "
-            f"band layout can index"
+            f"grid {grid.sizes} has {n} {where}, more than an int32 band "
+            f"layout can index"
         )
-    return np.empty(grid.npoints, dtype=np.int32)
+    return np.empty(n, dtype=np.int32)
 
 
 @dataclass(eq=False)
@@ -224,17 +231,33 @@ def band_extrema(band: FrequencyBand, mode_exact: bool = True):
     return a, b, per_axis
 
 
+@dataclass(frozen=True)
+class _HalfLayout:
+    """A partition's band-major layout on the half grid
+    (``GridSpec.half_sizes``): ``perm`` lists half-grid positions, band
+    i's modes with last-axis index <= N_last/2 in row-major sub-box order
+    at ``perm[offsets[i]:offsets[i + 1]]``, then the dc set's from
+    ``offsets[-1]``, ascending.  ``sc`` lists, ascending, the layout
+    positions of self-conjugate modes (last-axis index 0 or N_last/2).
+    """
+
+    perm: np.ndarray
+    offsets: np.ndarray
+    sc: np.ndarray
+
+
 @dataclass(eq=False)
 class Partition:
     """A disjoint cover of all grid modes by bands plus a dc set, held as
     arrays that the builder writes once.
 
     ``ids`` lists the band ids in sorted order and ``edges`` (nbands, d, 2)
-    holds their boxes, (lo, hi) per axis.  ``perm`` is the band-major
-    layout: the flat grid positions of the band modes, band by band and
-    each band in row-major sub-box order, then the dc set.  Band i occupies
-    ``perm[offsets[i]:offsets[i + 1]]`` and the dc set ``perm[offsets[-1]:]``.
-    ``FrequencyBand`` objects are built only on request (``band``, ``bands``).
+    holds their boxes, (lo, hi) per axis.  Band i holds
+    ``offsets[i + 1] - offsets[i]`` grid modes, and the dc set the rest.
+    ``half`` is the band-major layout on the half grid, the one layout a
+    partition stores.  The full-grid layout, ``perm``, is written on each
+    access.  ``FrequencyBand`` objects are built only on request
+    (``band``, ``bands``).
     """
 
     grid: GridSpec
@@ -243,7 +266,7 @@ class Partition:
     ids: list = field(repr=False)
     edges: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-    perm: np.ndarray = field(repr=False)
+    half: _HalfLayout = field(repr=False)
     dropped_empty: int = 0
     _index: dict = field(init=False, repr=False)
 
@@ -251,9 +274,29 @@ class Partition:
         self._index = {band_id: i for i, band_id in enumerate(self.ids)}
 
     @property
+    def perm(self) -> np.ndarray:
+        """The full-grid band-major layout, written anew by ``_subdivide``
+        on each access: the flat grid positions of the band modes, band by
+        band and each band in row-major sub-box order, band i at
+        ``perm[offsets[i]:offsets[i + 1]]``, then the dc set's, ascending.
+        It is the builder's layout for the grid, scheme and depth."""
+        grid = self.grid
+        return _subdivide(grid, self.base_scheme, self.packet_depth, grid.sizes)[3]
+
+    @property
     def dc_indices(self) -> np.ndarray:
-        """Flat grid positions of the dc set: a view of the end of ``perm``."""
-        return self.perm[self.offsets[-1] :]
+        """Flat grid positions of the dc set, ascending: those of the half
+        layout's dc set and, off the half grid, their reflections."""
+        half, sizes = self.half, self.grid.sizes
+        ix = np.unravel_index(half.perm[half.offsets[-1] :], self.grid.half_sizes)
+        # A last-axis index 0 or N_last/2 reflects onto the half grid.
+        off = ix[-1] % (sizes[-1] // 2) != 0
+        mirror = [-i[off] % n for i, n in zip(ix, sizes)]
+        pos = np.concatenate(
+            [np.ravel_multi_index(ix, sizes), np.ravel_multi_index(mirror, sizes)]
+        )
+        pos.sort()
+        return pos
 
     @property
     def bands(self) -> list:
@@ -285,24 +328,30 @@ class Partition:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
     def check_disjoint(self) -> None:
-        """Exact set check: every mode claimed by exactly one band or dc.
+        """Exact set check of both layouts, the stored half layout on the
+        half grid and the full one, written here, on the grid: every
+        position claimed by exactly one band or dc.
 
-        A layout of npoints positions that marks every grid mode lists
-        each once and passes.  Else each band and the dc set claim their
-        positions as sets, so a band listing a mode twice leaves a gap
-        rather than an overlap.
+        A layout that lists each position of its grid once passes.  Else
+        each band and the dc set claim their positions as sets, so a band
+        listing a position twice leaves a gap rather than an overlap.
         """
-        n = self.grid.npoints
-        if _marked(self.perm, n).all():
-            return
-        counts = np.zeros(n, dtype=np.int32)
-        bounds = self.offsets.tolist() + [n]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            counts[self.perm[lo:hi]] += 1
-        if counts.max() > 1:
-            raise PartitionConsistencyError("bands overlap")
-        if counts.min() < 1:
-            raise PartitionConsistencyError("bands and dc do not cover the grid")
+        grid = self.grid
+        for sizes, perm, offsets in [
+            (grid.half_sizes, self.half.perm, self.half.offsets),
+            (grid.sizes, self.perm, self.offsets),
+        ]:
+            n = math.prod(sizes)
+            if len(perm) == n and _marked(perm, n).all():
+                continue
+            counts = np.zeros(n, dtype=np.int32)
+            bounds = offsets.tolist() + [len(perm)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                counts[perm[lo:hi]] += 1
+            if counts.max() > 1:
+                raise PartitionConsistencyError("bands overlap")
+            if counts.min() < 1:
+                raise PartitionConsistencyError("bands and dc do not cover the grid")
 
 
 def _base_boxes(grid: GridSpec, scheme: str) -> list:
@@ -341,6 +390,8 @@ def _axis_pieces(mag: np.ndarray, lo: float, hi: float, splits: int):
     each interval edge is exact; a stable sort groups the indices by piece.
     """
     ix = np.flatnonzero((mag >= lo) & (mag < hi))
+    if splits == 1:
+        return np.zeros(1, dtype=int), np.array([[lo, hi]]), [ix]
     width = (hi - lo) / splits
     piece = np.floor((mag[ix] - lo) / width)
     order = np.argsort(piece, kind="stable")
@@ -351,68 +402,118 @@ def _axis_pieces(mag: np.ndarray, lo: float, hi: float, splits: int):
     return s.astype(int), intervals, np.split(ix, starts[1:])
 
 
-def _subdivide(grid: GridSpec, scheme: str, depth: int) -> Partition:
+def _subdivide(grid: GridSpec, scheme: str, depth: int, sizes: tuple):
     """The scheme's base bands, each cut into 2^depth equal parts per axis,
-    with every mode no band holds in dc: the one writer of every partition.
+    and their band-major layout on ``sizes``, the grid's or its half
+    grid's, with every position no band holds in dc: the one writer of
+    every layout.
 
     A band's sub-bands are the Cartesian products of its axes' non-empty
     pieces (at depth 0 the whole intervals, and the band keeps its base
     id; deeper, a sub-band's id is (base id, per-axis piece numbers)), so a
     sub-box with an empty axis is left out.  A base band's sub-bands take
-    one ``_write_layout`` pass, and their edges and mode counts one
-    broadcast of its piece intervals and lengths, in the same order; base
-    bands come in sorted id order, so the sub-bands do too.  Interval
-    indices are unique, so an overlap leaves more band and dc modes than
-    grid modes, which the mode count rejects.
+    one ``_write_layout`` pass, with the strides of ``sizes`` and the
+    last-axis indices below ``sizes[-1]``, and their edges and mode counts
+    one broadcast of its piece intervals and lengths, in the same order;
+    base bands come in sorted id order, so the sub-bands do too.  On the
+    half grid a piece keeps its indices <= N_last/2, never none, since it
+    holds both signs of its magnitudes.  Interval indices are unique, so
+    an overlap leaves more band and dc positions than grid positions,
+    which the position count rejects.
+
+    Returns the ids, the edges, the bands' offsets by their mode counts on
+    the grid, the layout and its band offsets.
     """
+    perm = _layout_buffer(grid, sizes)
     splits = 2**depth
     d = grid.dim
     mags = [np.abs(grid.axis_wavevectors(i)) for i in range(d)]
-    strides = _strides(grid.sizes)
+    strides = _strides(sizes)
     # A band's axis indices are all those with magnitude in its interval,
     # so bands sharing an (axis, lo, hi) share its pieces and their block.
-    table = {}  # (axis, lo, hi) -> piece numbers, intervals, _axis_block
+    table = {}  # (axis, lo, hi) -> piece numbers, intervals, lengths, block
     ids, edges, counts, parents = [], [], [], []
     for base_id, box in _base_boxes(grid, scheme):
         axes = []
         for i, (lo, hi) in enumerate(box):
             if (i, lo, hi) not in table:
                 s, intervals, pieces = _axis_pieces(mags[i], lo, hi, splits)
-                table[i, lo, hi] = s, intervals, _axis_block(pieces, strides[i])
+                lengths = np.array([len(ix) for ix in pieces])
+                if i == d - 1:
+                    pieces = [ix[ix < sizes[-1]] for ix in pieces]
+                block = _axis_block(pieces, strides[i])
+                table[i, lo, hi] = s, intervals, lengths, block
             axes.append(table[i, lo, hi])
-        shape = [len(s) for s, _, _ in axes]
+        parents.append([block for *_, block in axes])
+        if not depth:  # one piece per axis, the whole interval
+            ids.append(base_id)
+            edges.append(box)
+            counts.append([
+                math.prod(int(lengths[0]) for _, _, lengths, _ in axes),
+                math.prod(int(kept[0]) for *_, (_, _, kept) in axes),
+            ])
+            continue
+        shape = [len(s) for s, *_ in axes]
         sub_edges = np.empty(shape + [d, 2])
-        sub_counts = np.ones(shape, dtype=np.int64)
-        for i, (_, intervals, (_, _, lengths)) in enumerate(axes):
+        sub_counts = np.ones([2] + shape, dtype=np.int64)
+        for i, (_, intervals, lengths, (_, _, kept)) in enumerate(axes):
             where = [1] * d
             where[i] = shape[i]
             sub_edges[..., i, :] = intervals.reshape(where + [2])
-            sub_counts *= lengths.reshape(where)
-        if depth:
-            paths = [s.tolist() for s, _, _ in axes]
-            ids += [(base_id, sub) for sub in itertools.product(*paths)]
-        else:
-            ids.append(base_id)
+            sub_counts *= np.stack([lengths, kept]).reshape([2] + where)
+        paths = [s.tolist() for s, *_ in axes]
+        ids += [(base_id, sub) for sub in itertools.product(*paths)]
         edges.append(sub_edges.reshape(-1, d, 2))
-        counts.append(sub_counts.ravel())
-        parents.append([block for _, _, block in axes])
-    perm = _layout_buffer(grid)
+        counts.append(sub_counts.reshape(2, -1))
+    if depth:
+        edges, counts = np.concatenate(edges), np.concatenate(counts, axis=1)
+    else:
+        edges, counts = np.array(edges, dtype=float), np.array(counts).T
     claimed = _write_layout(parents, perm)
-    dc = np.flatnonzero(~_marked(perm[:claimed], grid.npoints))
-    if claimed + len(dc) != grid.npoints:
+    dc = np.flatnonzero(~_marked(perm[:claimed], len(perm)))
+    if claimed + len(dc) != len(perm):
         raise PartitionConsistencyError(
-            f"bands + dc cover {claimed + len(dc)} of {grid.npoints} modes"
+            f"bands + dc cover {claimed + len(dc)} of {len(perm)} positions"
         )
     perm[claimed:] = dc
-    offsets = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return Partition(grid, scheme, depth, ids, np.concatenate(edges), offsets, perm)
+    offsets = np.zeros((2, len(ids) + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=offsets[:, 1:])
+    return ids, edges, offsets[0], perm, offsets[1]
+
+
+def _self_conjugate(grid: GridSpec, edges: np.ndarray, perm, offsets) -> np.ndarray:
+    """Ascending positions in the half layout ``perm`` (band offsets
+    ``offsets``) of its self-conjugate modes, last-axis index 0 or
+    N_last/2.  No band holds the Nyquist magnitude, so a band holds them
+    only if its last-axis interval [0, hi) starts at 0.  Its last-axis
+    indices are then 0 to L - 1, L = ceil(hi), so they are every L-th
+    position from its start.  The dc set's are read off its positions."""
+    h = grid.half_sizes[-1]
+    nb = offsets[-1]
+    last = perm[nb:] % h
+    dc = np.flatnonzero((last == 0) | (last == h - 1)) + nb
+    band = [
+        np.arange(offsets[i], offsets[i + 1], math.ceil(edges[i, -1, 1]))
+        for i in np.flatnonzero(edges[:, -1, 0] == 0)
+    ]
+    return np.concatenate(band + [dc])
+
+
+def _partition(grid: GridSpec, scheme: str, depth: int) -> Partition:
+    """The partition ``_subdivide`` writes on the half grid."""
+    ids, edges, offsets, perm, half_offsets = _subdivide(
+        grid, scheme, depth, grid.half_sizes
+    )
+    sc = _self_conjugate(grid, edges, perm, half_offsets)
+    half = _HalfLayout(perm, half_offsets, sc)
+    return Partition(grid, scheme, depth, ids, edges, offsets, half)
 
 
 def build_tensorial_partition(grid: GridSpec) -> Partition:
     """Anisotropic splitting: per-axis dyadic octaves [2^j_i, 2^(j_i+1)),
     indexed by a level tuple j, written by ``_subdivide`` at depth 0.  Axis
     magnitudes 0 and the Nyquist magnitude go to dc."""
-    return _subdivide(grid, "tensorial", 0)
+    return _partition(grid, "tensorial", 0)
 
 
 def build_mra_partition(grid: GridSpec) -> Partition:
@@ -423,17 +524,18 @@ def build_mra_partition(grid: GridSpec) -> Partition:
         raise UnsupportedSchemeError(
             f"MRA partitions need an isotropic grid, got sizes {grid.sizes}"
         )
-    return _subdivide(grid, "mra", 0)
+    return _partition(grid, "mra", 0)
 
 
 def refine_packet(part: Partition, depth: int) -> Partition:
     """Split every band interval into 2^depth equal parts per axis.
 
-    The result is ``_subdivide`` of ``part``'s grid and scheme at the total
-    depth ``part.packet_depth + depth``, so refining by 1 twice yields the
-    same bands as refining by 2 once.  Sub-boxes with an empty axis hold no
-    grid modes and are dropped: ``dropped_empty`` adds to ``part``'s the
-    2^(depth*d) sub-boxes of each band of ``part`` less the bands kept.
+    The result is the partition ``_subdivide`` writes for ``part``'s grid
+    and scheme at the total depth ``part.packet_depth + depth``, so
+    refining by 1 twice yields the same bands as refining by 2 once.
+    Sub-boxes with an empty axis hold no grid modes and are dropped:
+    ``dropped_empty`` adds to ``part``'s the 2^(depth*d) sub-boxes of each
+    band of ``part`` less the bands kept.
     Depth 0 returns the partition unchanged.
     """
     if depth < 0:
@@ -446,7 +548,7 @@ def refine_packet(part: Partition, depth: int) -> Partition:
             f"{_MAX_PACKET_DEPTH}: finer box edges are not exact in float64"
         )
     grid = part.grid
-    refined = _subdivide(grid, part.base_scheme, part.packet_depth + depth)
+    refined = _partition(grid, part.base_scheme, part.packet_depth + depth)
     refined.dropped_empty = (
         part.dropped_empty + 2 ** (depth * grid.dim) * len(part.ids)
         - len(refined.ids)
@@ -469,61 +571,6 @@ class FamilyTag:
     @staticmethod
     def neutral(dim: int) -> "FamilyTag":
         return FamilyTag((0,) * dim)
-
-
-@dataclass(frozen=True)
-class _HalfLayout:
-    """A partition's band-major layout restricted to the half grid.
-
-    ``perm`` lists flat positions on the half grid (``GridSpec.half_sizes``):
-    the entries of ``Partition.perm`` whose last-axis index is <= N_last/2,
-    in the same order.  Band i occupies ``perm[offsets[i]:offsets[i + 1]]``
-    and the dc set ``perm[offsets[-1]:]``.  ``sc`` lists, ascending, the
-    layout positions of self-conjugate modes (last-axis index 0 or
-    N_last/2).
-    """
-
-    perm: np.ndarray
-    offsets: np.ndarray
-    sc: np.ndarray
-
-
-_HALF_CHUNK = 1 << 16  # layout positions per step of _half_layout
-
-
-def _half_layout(part: Partition) -> _HalfLayout:
-    """The half layout of ``part``, cut from ``part.perm`` on each call.
-
-    It takes ``_HALF_CHUNK`` positions of ``part.perm`` at a time, so its
-    temporaries stay small next to the layout it writes.  A chunk adds its
-    kept positions to the count of each band it meets, the first from the
-    chunk's start, as ``layout_blocks`` cuts blocks; the dc set counts as
-    one more band.
-    """
-    n = part.grid.sizes[-1]
-    h = n // 2
-    perm = np.empty(math.prod(part.grid.half_sizes), dtype=part.perm.dtype)
-    counts = np.zeros_like(part.offsets)
-    sc, pos = [], 0
-    for lo in range(0, len(part.perm), _HALF_CHUNK):
-        chunk = part.perm[lo : lo + _HALF_CHUNK]
-        last = chunk & (n - 1)  # last-axis indices; n is a power of two
-        keep = last <= h
-        first = int(part.offsets.searchsorted(lo, "right")) - 1
-        end = int(part.offsets.searchsorted(lo + len(chunk)))
-        starts = part.offsets[first:end] - lo
-        starts[0] = 0
-        counts[first:end] += np.add.reduceat(keep, starts, dtype=counts.dtype)
-        last = last[keep]
-        out = perm[pos : pos + len(last)]
-        np.right_shift(chunk[keep], n.bit_length() - 1, out=out)
-        out *= h + 1
-        out += last
-        sc.append(np.flatnonzero((last == 0) | (last == h)) + pos)
-        pos += len(last)
-    offsets = np.zeros_like(part.offsets)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    return _HalfLayout(perm, offsets, np.concatenate(sc))
 
 
 def gather_rows(flat: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -569,27 +616,28 @@ class _BandViews(Mapping):
 class BandedField:
     """A field's modes in its partition's band-major layout.
 
-    In the full form (``half`` None) column j of ``coeffs`` is grid mode
-    ``partition.perm[j]``.  In the half form, which ``analyze`` makes from
-    the half spectrum of a real field, column j is half-grid position
-    ``half.perm[j]``: each band keeps the modes of its sub-box whose
-    last-axis index is <= N_last/2, in the same order, and the modes it
-    leaves out are the conjugates of their reflections, which the band
-    also holds, since it holds both signs of each axis interval.  Energies
-    are those of the full spectrum in either form.
+    In the full form column j of ``coeffs`` is grid mode ``perm[j]``, the
+    full-grid layout ``analyze`` read, which the field keeps.  In the half
+    form (``perm`` None), which ``analyze`` makes from the half spectrum of
+    a real field, column j is half-grid position ``partition.half.perm[j]``:
+    each band keeps the modes of its sub-box whose last-axis index is
+    <= N_last/2, in the same order, and the modes it leaves out are the
+    conjugates of their reflections, which the band also holds, since it
+    holds both signs of each axis interval.  Energies are those of the full
+    spectrum in either form.
     """
 
     partition: Partition
     coeffs: np.ndarray  # (m, columns of the layout)
     family: FamilyTag
-    half: _HalfLayout | None = None
+    perm: np.ndarray | None = None
 
     def _layout(self):
         """(perm, offsets, grid shape) of the layout the columns follow."""
-        if self.half is None:
-            part = self.partition
-            return part.perm, part.offsets, part.grid.sizes
-        return self.half.perm, self.half.offsets, self.partition.grid.half_sizes
+        part = self.partition
+        if self.perm is None:
+            return part.half.perm, part.half.offsets, part.grid.half_sizes
+        return self.perm, part.offsets, part.grid.sizes
 
     @property
     def components(self) -> int:
@@ -611,8 +659,8 @@ class BandedField:
         its reflection, and 1 at self-conjugate positions.  The weights are
         exact scalings."""
         sq = np.abs(self.coeffs[:, lo:hi]) ** 2
-        if self.half is not None:
-            sc = self.half.sc
+        if self.perm is None:
+            sc = self.partition.half.sc
             sq *= 2.0
             sq[:, sc[sc.searchsorted(lo) : sc.searchsorted(hi)] - lo] *= 0.5
         return sq
@@ -643,26 +691,26 @@ class BandedField:
 def analyze(spec, part: Partition) -> BandedField:
     """Gather a spectrum into its partition's band-major layout (lossless).
 
-    A ``SpectralField`` gives the full form.  The half spectrum of a real
-    field, an array of shape (m, *grid.half_sizes) as
-    ``forward_half_transform`` returns it, gives the half form, on the
-    partition's half layout, which is built here.
+    A ``SpectralField`` gives the full form, on the full-grid layout,
+    which is written here.  The half spectrum of a real field, an array of
+    shape (m, *grid.half_sizes) as ``forward_half_transform`` returns it,
+    gives the half form, on the partition's half layout.
     """
     grid = part.grid
     if isinstance(spec, SpectralField):
         if spec.grid != grid:
             raise StructuralError("field and partition grids differ")
-        half, perm, flat = None, part.perm, spec.flat()
+        perm = part.perm
+        coeffs = gather_rows(spec.flat(), perm)
     else:
         if spec.shape[1:] != grid.half_sizes:
             raise StructuralError(
                 f"half spectrum of shape {spec.shape} does not match grid "
                 f"{grid.sizes}"
             )
-        half = _half_layout(part)
-        perm, flat = half.perm, spec.reshape(len(spec), -1)
-    coeffs = gather_rows(flat, perm)
-    return BandedField(part, coeffs, FamilyTag.neutral(grid.dim), half)
+        perm = None
+        coeffs = gather_rows(spec.reshape(len(spec), -1), part.half.perm)
+    return BandedField(part, coeffs, FamilyTag.neutral(grid.dim), perm)
 
 
 def _family_factor(nu: int, k: np.ndarray, scale: float) -> np.ndarray:
@@ -688,7 +736,7 @@ def synthesize(banded: BandedField):
     if any(banded.family.nu):
         nb = offsets[-1]
         coeffs = coeffs.copy()
-        K = part.grid.wavevectors(perm[:nb], half=banded.half is not None)
+        K = part.grid.wavevectors(perm[:nb], half=banded.perm is None)
         for axis, order in enumerate(banded.family.nu):
             if order:
                 scale = np.repeat(_axis_scales(part, axis), np.diff(offsets))
@@ -696,7 +744,7 @@ def synthesize(banded: BandedField):
     out = np.empty_like(coeffs)
     scatter_rows(out, perm, coeffs)  # perm lists every grid position once
     out = out.reshape((len(coeffs),) + shape)
-    return out if banded.half is not None else SpectralField(part.grid, out)
+    return out if banded.perm is None else SpectralField(part.grid, out)
 
 
 def _axis_scales(part: Partition, axis: int) -> np.ndarray:
@@ -735,7 +783,7 @@ def apply_lemarie_derivative(banded: BandedField, axis: int) -> BandedField:
     """
     scale, k, family = _lemarie_setup(banded, axis, "derivation", -1)
     coeffs = banded.coeffs * np.concatenate([scale, 1j * k])
-    return BandedField(banded.partition, coeffs, family, banded.half)
+    return BandedField(banded.partition, coeffs, family, banded.perm)
 
 
 def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
@@ -752,7 +800,7 @@ def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
     np.divide(banded.coeffs[:, :nb], scale, out=coeffs[:, :nb])
     inv = np.where(k == 0, 0.0, 1.0 / (1j * np.where(k == 0, 1.0, k)))
     np.multiply(banded.coeffs[:, nb:], inv, out=coeffs[:, nb:])
-    return BandedField(banded.partition, coeffs, family, banded.half)
+    return BandedField(banded.partition, coeffs, family, banded.perm)
 
 
 def dump_partition(part: Partition) -> str:
@@ -769,7 +817,7 @@ def dump_partition(part: Partition) -> str:
             box.append(edges[lo, hi])
         ident = repr(band_id).replace(" ", "")
         lines.append(f"band {ident} box {' '.join(box)} modes {n}")
-    lines.append(f"dc modes {len(part.dc_indices)}")
+    lines.append(f"dc modes {part.grid.npoints - int(part.offsets[-1])}")
     if part.dropped_empty:
         lines.append(f"dropped {part.dropped_empty}")
     return "\n".join(lines) + "\n"

@@ -416,14 +416,19 @@ def band_recurrence(sym: SymbolExpr, p: np.ndarray, K: np.ndarray, counts):
 
 def _band_maxima(part: Partition, bands: range, values) -> np.ndarray:
     """Each band's maximum over its modes of ``values(K, first, last, counts)``
-    for the range ``bands``, called per ``layout_blocks`` block with its
-    wavevectors K (d, M), ``counts[j]`` of them in band ``bands[first + j]``:
-    one value per mode (M,), or k rows (k, M) for (k, nbands) maxima."""
+    for the range ``bands``, called per ``layout_blocks`` block of the half
+    layout with its wavevectors K (d, M), ``counts[j]`` of them in band
+    ``bands[first + j]``: one value per mode (M,), or k rows (k, M) for
+    (k, nbands) maxima.  A band mode off the half grid is the reflection -k
+    of one on it, where every symbol takes the conjugate value, so the
+    values the certificates take, magnitudes and real parts, repeat there."""
+    half = part.half
     worst = None
     for sl, first, last, counts in layout_blocks(
-        part.offsets[bands.start : bands.stop + 1]
+        half.offsets[bands.start : bands.stop + 1]
     ):
-        v = values(part.grid.wavevectors(part.perm[sl]), first, last, counts)
+        K = part.grid.wavevectors(half.perm[sl], half=True)
+        v = values(K, first, last, counts)
         if worst is None:
             worst = np.full(v.shape[:-1] + (len(bands),), -np.inf)
         seg = worst[..., first:last]

@@ -6,9 +6,9 @@ entry and ``irfftn`` once on exit, each in place.  Every symbol satisfies
 M(-xi) = conj(M(xi)) and every band holds both signs of each axis
 interval, so the modes with last-axis index above N_last/2 would only
 repeat the conjugates of the others.  Both iterations are fixed per-mode
-linear recurrences.  Each solver starts by building a plan: the
-partition's band-major layout (``Partition.perm``: sorted band ids, then
-the dc set) cut to the half grid, one gather of the spectrum into it, and
+linear recurrences.  Each solver starts by building a plan: one gather
+of the spectrum into the partition's half layout (``Partition.half``: the
+band modes on the half grid, by sorted band id, then the dc set), and
 per-mode coefficients in the same order.  One sweep loop, ``_iterate``,
 then runs ``S += r; r = g r`` on contiguous arrays, and one scatter
 assembles the output on exit.  Where g is one number per mode, each
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import Partition, _HalfLayout, _half_layout, layout_blocks
+from .bands import Partition, _HalfLayout, layout_blocks
 from .bands import gather_rows, scatter_rows
 from .errors import ArityError, BoundViolationError, DivergenceError
 from .errors import InsufficientDataError, StructuralError, UnsupportedSchemeError
@@ -329,19 +329,19 @@ def _magnitudes(r: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
     return rho
 
 
-def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner, half: _HalfLayout):
-    """Per-mode G = Id - A P in the order of the half layout, and P: one
-    per band (``band_inverses``), with G by ``band_recurrence`` a block at a
-    time, and on the dc set one per mode, the pseudo-inverse of A under
-    the Nyquist convention (``_pinv``), with G by the same ``_recurrence``.
-    G is one scalar per mode for a scalar symbol, else one matrix per mode;
-    it is complex only if some mode's value is.  The form of G chooses the
-    sweep state of ``richardson_solve``.  The dc set is taken a block at a
-    time too, and blocks are sized by the values of one mode's G
-    (``layout_blocks``' width), so the symbol values, pseudo-inverses and
-    their temporaries stay the size of a scalar symbol's block.  Returns
-    (G, band P array, dc P)."""
-    grid = pc.partition.grid
+def _richardson_plan(A: SymbolExpr, pc: BandPreconditioner):
+    """Per-mode G = Id - A P in the order of the partition's half layout,
+    and P: one per band (``band_inverses``), with G by ``band_recurrence`` a
+    block at a time, and on the dc set one per mode, the pseudo-inverse of
+    A under the Nyquist convention (``_pinv``), with G by the same
+    ``_recurrence``.  G is one scalar per mode for a scalar symbol, else one
+    matrix per mode; it is complex only if some mode's value is.  The form
+    of G chooses the sweep state of ``richardson_solve``.  The dc set is
+    taken a block at a time too, and blocks are sized by the values of one
+    mode's G (``layout_blocks``' width), so the symbol values,
+    pseudo-inverses and their temporaries stay the size of a scalar
+    symbol's block.  Returns (G, band P array, dc P)."""
+    grid, half = pc.partition.grid, pc.partition.half
     nb = half.offsets[-1]
     pbands = band_inverses(A, pc, range(len(pc.partition.ids)))
     width = math.prod(pbands.shape[1:])
@@ -387,8 +387,8 @@ def richardson_solve(
 
     The plan holds G per mode, P once per band and per mode only on the dc
     set.  Each large array is dropped at its last use: the spectrum once
-    gathered, G after the sweep loop, and the sums S and the layout before
-    the inverse transform.  Both transforms run in place
+    gathered, G after the sweep loop, and the sums S before the inverse
+    transform.  Both transforms run in place
     (``forward_half_transform``, ``inverse_half_transform``).  For a scalar
     symbol r_0 is scaled in place and scattered into one new half
     spectrum; for a matrix symbol the sweeps update r in place
@@ -408,9 +408,9 @@ def richardson_solve(
 
     bounds = pc.bounds
     theoretical = _check_bounds(bounds, cfg.strict)
-    half = _half_layout(part)
+    half = part.half
     r = gather_rows(forward_half_transform(v).reshape(v.components, -1), half.perm)
-    g, pbands, pdc = _richardson_plan(A, pc, half)
+    g, pbands, pdc = _richardson_plan(A, pc)
     scale = _norm_scale(grid, cfg.norm)
     if scale is not None:
         scale = scale.ravel()[half.perm]
@@ -448,7 +448,7 @@ def richardson_solve(
         u = r.reshape((ncols,) + grid.half_sizes)
         scatter_rows(u.reshape(ncols, -1), half.perm, S)
         del S
-    del r, scale, half
+    del r, scale
     return inverse_half_transform(grid, u), report
 
 
@@ -545,7 +545,7 @@ def helmholtz_decompose(
     bounds = _leray_bounds(part)
     theoretical = _check_bounds(bounds, cfg.strict)
     grid = u.grid
-    half = _half_layout(part)
+    half = part.half
     nb = half.offsets[-1]
     perm, dc = half.perm[:nb], half.perm[nb:]
     planes = self_conjugate_planes(grid)

@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -30,3 +32,41 @@ def partitions(draw, min_dim=1, schemes=("tensorial", "mra")):
         sizes = tuple(2 ** draw(st.integers(2, 4)) for _ in range(dim))
         part = sp.build_tensorial_partition(sp.GridSpec(sizes))
     return sp.refine_packet(part, draw(st.integers(0, 2)))
+
+
+def half_layout_cut(part, chunk=1 << 16):
+    """(perm, offsets, sc) of the half layout cut from the full-grid layout
+    ``part.perm``, ``chunk`` positions at a time: the entries with last-axis
+    index <= N_last/2, in the same order, as half-grid positions, each
+    band's count of them, and the positions of those with last-axis index
+    0 or N_last/2.  The reference for ``Partition.half``.
+
+    A chunk adds its kept positions to the count of each band it meets,
+    the first from the chunk's start, as ``layout_blocks`` cuts blocks; the
+    dc set counts as one more band.
+    """
+    full = part.perm
+    n = part.grid.sizes[-1]
+    h = n // 2
+    perm = np.empty(math.prod(part.grid.half_sizes), dtype=full.dtype)
+    counts = np.zeros_like(part.offsets)
+    sc, pos = [], 0
+    for lo in range(0, len(full), chunk):
+        piece = full[lo : lo + chunk]
+        last = piece & (n - 1)  # last-axis indices; n is a power of two
+        keep = last <= h
+        first = int(part.offsets.searchsorted(lo, "right")) - 1
+        end = int(part.offsets.searchsorted(lo + len(piece)))
+        starts = part.offsets[first:end] - lo
+        starts[0] = 0
+        counts[first:end] += np.add.reduceat(keep, starts, dtype=counts.dtype)
+        last = last[keep]
+        out = perm[pos : pos + len(last)]
+        np.right_shift(piece[keep], n.bit_length() - 1, out=out)
+        out *= h + 1
+        out += last
+        sc.append(np.flatnonzero((last == 0) | (last == h)) + pos)
+        pos += len(last)
+    offsets = np.zeros_like(part.offsets)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return perm, offsets, np.concatenate(sc)

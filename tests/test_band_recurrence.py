@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import shannop as sp
 from shannop.grid import evaluate_on_grid
 from shannop.precond import given_entries
-from shannop.solver import _half_layout, _richardson_plan
+from shannop.solver import _richardson_plan
 
 
 def build(grid, scheme, depth):
@@ -73,8 +73,8 @@ def test_certificate_reads_the_scalar_plan(scheme, depth):
     part = build(sp.GridSpec((32, 32)), scheme, depth)
     sym = sp.ImplicitLaplacian(1e6)
     pc = sp.implicit_laplacian_precond(1e6, part)
-    half = _half_layout(part)
-    g, _, _ = _richardson_plan(sym, pc, half)
+    half = part.half
+    g, _, _ = _richardson_plan(sym, pc)
     assert g.ndim == 1
     for band, seg in zip(part.bands, segments(half)):
         assert sp.sampled_contraction(sym, pc, band) == np.abs(g[seg]).max()
@@ -83,8 +83,8 @@ def test_certificate_reads_the_scalar_plan(scheme, depth):
 def test_certificate_reads_the_matrix_plan():
     part = build(sp.GridSpec((32, 32)), "tensorial", 0)
     sym, pc = diagonal_ilap_pair(part)
-    half = _half_layout(part)
-    g, _, _ = _richardson_plan(sym, pc, half)
+    half = part.half
+    g, _, _ = _richardson_plan(sym, pc)
     assert g.shape[1:] == (2, 2)
     for band, seg in zip(part.bands, segments(half)):
         sv = np.linalg.svd(g[seg], compute_uv=False)[:, 0].max()
@@ -100,8 +100,8 @@ def test_plan_matches_full_grid_evaluation(sizes, scheme, depth):
     part = build(grid, scheme, depth)
     sym = sp.ImplicitLaplacian(1e4)
     pc = sp.implicit_laplacian_precond(1e4, part)
-    half = _half_layout(part)
-    g, pbands, pdc = _richardson_plan(sym, pc, half)
+    half = part.half
+    g, pbands, pdc = _richardson_plan(sym, pc)
     p = np.concatenate(
         [np.full(seg.stop - seg.start, pk) for pk, seg in zip(pbands, segments(half))]
         + [pdc]

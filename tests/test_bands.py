@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import shannop as sp
-from shannop.bands import FrequencyBand, Partition, band_extrema, dump_partition
+from shannop.bands import (
+    FrequencyBand,
+    Partition,
+    _HalfLayout,
+    band_extrema,
+    dump_partition,
+)
 from shannop.errors import (
     ArityError,
     PartitionConsistencyError,
@@ -195,33 +201,40 @@ class TestPacketRefinement:
 
 
 class TestCheckDisjoint:
-    """Hand-built 1D partitions on 8 points whose band and dc sizes add up
-    to 8, so only the exact set check can reject them.  The valid
-    tensorial partition is bands [1, 7] and [2, 3, 5, 6] plus dc [0, 4]."""
+    """Hand-built 1D partitions on 8 points whose half layouts' band and dc
+    sizes add up to the 5 half-grid positions, so only the exact set check
+    can reject them.  The valid tensorial partition's half layout is bands
+    [1] and [2, 3] plus dc [0, 4]; its full layout, written on request,
+    is bands [1, 7] and [2, 3, 5, 6] plus dc [0, 4]."""
 
     @staticmethod
     def partition(low, high, dc):
         grid = sp.GridSpec((8,))
         edges = np.array([[[1.0, 2.0]], [[2.0, 4.0]]])
-        offsets = np.array([0, len(low), len(low) + len(high)])
+        offsets = np.array([0, 2, 6])
         perm = np.array(low + high + dc, dtype=np.int32)
-        return Partition(grid, "tensorial", 0, [(0,), (1,)], edges, offsets, perm)
+        half = _HalfLayout(
+            perm,
+            np.array([0, len(low), len(low) + len(high)]),
+            np.flatnonzero((perm == 0) | (perm == 4)),
+        )
+        return Partition(grid, "tensorial", 0, [(0,), (1,)], edges, offsets, half)
 
     def test_valid_partition_passes(self):
-        self.partition([1, 7], [2, 3, 5, 6], [0, 4]).check_disjoint()
+        self.partition([1], [2, 3], [0, 4]).check_disjoint()
 
     def test_overlap_raises(self):
-        # Mode 1 is claimed twice and mode 4 by nobody.
-        part = self.partition([1, 7], [1, 2, 3, 5, 6], [0])
+        # Position 1 is claimed twice and position 4 by nobody.
+        part = self.partition([1], [1, 2, 3], [0])
         with pytest.raises(PartitionConsistencyError, match="overlap"):
             part.check_disjoint()
 
     @pytest.mark.parametrize("high,dc", [
-        ([2, 3, 5, 5], [0, 4]),  # a band lists mode 5 twice, 6 is missed
-        ([2, 3, 5, 6], [0, 0]),  # the dc set lists mode 0 twice, 4 is missed
+        ([2, 2], [0, 4]),  # a band lists position 2 twice, 3 is missed
+        ([2, 3], [0, 0]),  # the dc set lists position 0 twice, 4 is missed
     ])
     def test_gap_raises(self, high, dc):
-        part = self.partition([1, 7], high, dc)
+        part = self.partition([1], high, dc)
         with pytest.raises(PartitionConsistencyError, match="cover"):
             part.check_disjoint()
 

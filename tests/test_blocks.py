@@ -32,7 +32,7 @@ from shannop.precond import (
     leray_sampled,
     rate_kantorovich,
 )
-from shannop.solver import _half_layout, _leray_blocks, _richardson_plan
+from shannop.solver import _leray_blocks, _richardson_plan
 from shannop.symbols import eval_many
 
 from conftest import partitions, reference_wavevectors
@@ -92,9 +92,9 @@ def test_plan_matches_per_band_reference(part, block, matrix):
     else:
         sym = sp.ImplicitLaplacian(1e4)
         pc = sp.implicit_laplacian_precond(1e4, part)
-    half = _half_layout(part)
+    half = part.half
     with mock.patch.object(bands, "_BLOCK", block):
-        g, p, pdc = _richardson_plan(sym, pc, half)
+        g, p, pdc = _richardson_plan(sym, pc)
     o = half.offsets
     for j, (band, lo, hi) in enumerate(zip(part.bands, o, o[1:])):
         pk = band_inverses(sym, pc, range(j, j + 1))
@@ -130,6 +130,44 @@ def test_sampled_contraction_matches_per_band_reference(part, block, alpha):
         assert rho == float(np.abs(1.0 - a[:, 0, 0].real * p).max())
 
 
+def coupled_pair(part):
+    """A 2x2 symbol coupled by i xi_1 off the diagonal, so G = Id - A P is
+    complex and its norm takes the SVD path, with ``diagonal_pair``'s
+    entries."""
+    diagonal, pc = diagonal_pair(part)
+    sym = sp.Sum(diagonal, sp.Sum(
+        sp.Product(sp.Delta(1, 2, 2), sp.Xi(1)),
+        sp.Product(sp.Delta(2, 1, 2), sp.Scale(0.5, sp.Xi(1))),
+    ))
+    return sym, given_entries(sym, part, pc.entries)
+
+
+@SETTINGS
+@given(part=partitions(), block=blocks, matrix=st.booleans())
+def test_certificates_of_complex_symbols_are_full_grid_maxima(part, block, matrix):
+    """The certificates sample the half layout, where a complex symbol's
+    values at the reflected modes, left out, are the conjugates of those
+    kept.  The sups must be the maxima over every band mode of the full
+    layout, bit for bit, for |G| and for the largest singular value of a
+    complex 2x2 G."""
+    if matrix:
+        sym, pc = coupled_pair(part)
+    else:
+        sym = sp.Sum(sp.ImplicitLaplacian(1e4), sp.Xi(1))
+        entries = sp.implicit_laplacian_precond(1e4, part).entries
+        pc = given_entries(sym, part, entries)
+    with mock.patch.object(bands, "_BLOCK", block):
+        got = [sp.sampled_contraction(sym, pc, band) for band in part.bands]
+    full = part.perm
+    p = band_inverses(sym, pc, range(len(part.ids)))
+    for i, (lo, hi) in enumerate(zip(part.offsets, part.offsets[1:])):
+        K = part.grid.wavevectors(full[lo:hi])
+        g = band_recurrence(sym, p[i : i + 1], K, [hi - lo])
+        norms = np.abs(g) if g.ndim == 1 else np.linalg.svd(g, compute_uv=False)[:, 0]
+        assert got[i] == float(norms.max())
+    assert np.array_equal(pc.bounds.rho, got)
+
+
 @SETTINGS
 @given(part=partitions(min_dim=2, schemes=("tensorial",)), block=blocks)
 def test_leray_certificates_match_per_band_reference(part, block):
@@ -157,7 +195,7 @@ def test_leray_certificates_match_per_band_reference(part, block):
 @given(part=partitions(min_dim=2, schemes=("tensorial",)), block=blocks)
 def test_helmholtz_plan_runs_leray_lambda(part, block):
     grid = part.grid
-    half = _half_layout(part)
+    half = part.half
     o = half.offsets
     omega = np.array([band_omega(band) for band in part.bands])
     lam = np.empty(o[-1])

@@ -1,4 +1,4 @@
-"""The half-spectrum layout both solvers iterate on, over random 1D-3D
+"""The half-spectrum layout every partition stores, over random 1D-3D
 power-of-two grids, tensorial, MRA and packet partitions.
 
 A real field's spectrum is Hermitian, so the solvers keep only the modes
@@ -8,17 +8,15 @@ on the self-conjugate planes k_last = 0 and N_last/2.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shannop as sp
-from shannop import bands
 from shannop.generate import random_field
 from shannop.grid import forward_half_transform, wavevector_table
-from shannop.solver import _half_layout, _norm
+from shannop.solver import _norm
 
-from conftest import reference_wavevectors
+from conftest import half_layout_cut, reference_wavevectors
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -53,13 +51,14 @@ def full_positions(perm, grid):
 @given(part=partitions)
 def test_half_layout_lists_each_half_grid_position_once(part):
     grid = part.grid
-    half = _half_layout(part)
+    half = part.half
     assert half.perm.dtype == np.int32
     assert np.array_equal(np.sort(half.perm), np.arange(np.prod(grid.half_sizes)))
 
-    # Its order is Partition.perm's with the other half left out.
+    # Its order is the full layout's with the other half left out.
     n = grid.sizes[-1]
-    kept = part.perm[part.perm % n <= n // 2]
+    full = part.perm
+    kept = full[full % n <= n // 2]
     assert np.array_equal(full_positions(half.perm, grid), kept)
 
     # The wavevectors of the layout, on the band and the dc parts alike
@@ -80,19 +79,35 @@ def test_half_layout_lists_each_half_grid_position_once(part):
     assert np.array_equal(half.sc, sc)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
-def test_half_layout_does_not_depend_on_its_chunk(monkeypatch, chunk):
-    """Chunks of ``perm`` that start inside a band, at a band's start or in
-    the dc set, or hold several whole bands, give the same layout."""
-    parts = [build((3, 4, 2), "tensorial", 1), build((5, 5), "mra", 2),
-             build((6,), "mra", 0)]
-    want = [_half_layout(part) for part in parts]
-    monkeypatch.setattr(bands, "_HALF_CHUNK", chunk)
-    for part, ref in zip(parts, want):
-        got = _half_layout(part)
-        for a, b in [(got.perm, ref.perm), (got.offsets, ref.offsets),
-                     (got.sc, ref.sc)]:
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+schemes = st.sampled_from(["tensorial", "mra"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    part=st.one_of(
+        st.builds(build, exps_of(6), schemes, st.integers(0, 2)),
+        st.builds(build, exps_of(5), schemes, st.just(3)),
+        # Refinement chains: a refined partition refined again.
+        st.builds(sp.refine_packet, st.builds(build, exps_of(5), schemes,
+                                              st.integers(1, 2)),
+                  st.integers(1, 2)),
+    ),
+    chunk=st.sampled_from([7, 64, 1000, 1 << 16]),
+)
+def test_half_layout_is_the_cut_of_the_full_layout(part, chunk):
+    """The builders write the half layout straight from their per-axis
+    pieces; it must equal the full layout, written on request, cut to the
+    half grid, whatever chunks the cut takes: chunks that start inside a
+    band, at a band's start or in the dc set, or hold several whole
+    bands.  The dc positions the partition derives from the half layout
+    are the full layout's."""
+    perm, offsets, sc = half_layout_cut(part, chunk)
+    half = part.half
+    for got, want in [(half.perm, perm), (half.offsets, offsets), (half.sc, sc)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert half.perm.dtype == np.int32
+    full = part.perm
+    assert np.array_equal(part.dc_indices, full[part.offsets[-1] :])
 
 
 @SETTINGS
@@ -100,7 +115,7 @@ def test_half_layout_does_not_depend_on_its_chunk(monkeypatch, chunk):
        seed=st.integers(0, 2**32 - 1))
 def test_weighted_half_norm_is_the_full_spectrum_norm(part, components, seed):
     field = random_field(part.grid, components, seed=seed)
-    half = _half_layout(part)
+    half = part.half
     flat = forward_half_transform(field).reshape(components, -1)
     full = sp.forward_transform(field).l2_norm()
     assert abs(_norm(flat[:, half.perm], half.sc) - full) <= 1e-13 * full

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shannop as sp
-from shannop.bands import _half_layout
 from shannop.generate import random_field
 from shannop.grid import forward_half_transform
 from shannop.precond import band_omega, leray_lambda
@@ -78,8 +77,9 @@ def test_layout_is_the_band_positions_then_dc(part):
         want = np.ravel_multi_index([m.ravel() for m in mesh], part.grid.sizes)
         assert np.array_equal(band.flat_indices(), want)
         flat.append(want)
-    assert part.perm.dtype == np.int32
-    assert np.array_equal(part.perm, np.concatenate(flat + [part.dc_indices]))
+    perm = part.perm
+    assert perm.dtype == np.int32
+    assert np.array_equal(perm, np.concatenate(flat + [part.dc_indices]))
     assert np.array_equal(
         part.offsets, np.cumsum([0] + [band.nmodes for band in part.bands])
     )
@@ -95,7 +95,7 @@ def test_tensorial_band_modes_are_never_self_conjugate(exps, depth):
     2^(j+1) <= N/2, and packets split those intervals: k = 0 and k = N/2
     are dc modes, so every self-conjugate position of the half layout lies
     in its dc part.  The Helmholtz split counts each band value twice."""
-    half = _half_layout(build(exps, "tensorial", depth))
+    half = build(exps, "tensorial", depth).half
     assert np.all(half.sc >= half.offsets[-1])
 
 
@@ -173,6 +173,7 @@ def test_certificates_match_meshgrid_reference(part, alpha):
     part = build(*part)
     sym = sp.ImplicitLaplacian(alpha)
     pc = sp.implicit_laplacian_precond(alpha, part)
+    perm = part.perm
     for band, entry in zip(part.bands, pc.entries):
         for i, ix in enumerate(band.axis_indices):
             want = band.grid.axis_wavevectors(i)[ix]
@@ -180,7 +181,7 @@ def test_certificates_match_meshgrid_reference(part, alpha):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
         K = reference_wavevectors(band)
-        modes = part.grid.wavevectors(part.perm[part.segment(band.id)]).T
+        modes = part.grid.wavevectors(perm[part.segment(band.id)]).T
         assert np.array_equal(modes, K)
         a, _ = eval_many(sym, K)
         p = 1.0 / entry[0, 0]

@@ -13,13 +13,7 @@ import shannop as sp
 from shannop.generate import random_field
 from shannop.grid import _axis_sum, forward_half_transform, inverse_half_transform
 from shannop.precond import _leray_omega
-from shannop.solver import (
-    _half_layout,
-    _leray_blocks,
-    _norm,
-    _norm_scale,
-    _split_modes,
-)
+from shannop.solver import _leray_blocks, _norm, _norm_scale, _split_modes
 
 grids = st.one_of(
     st.tuples(st.integers(2, 6), st.integers(2, 6)),
@@ -37,7 +31,7 @@ def complex_state_split(u, part, cfg):
     u_curl, residuals, divergence entries), the last entry the plan's.
     """
     grid, d = u.grid, u.grid.dim
-    half = _half_layout(part)
+    half = part.half
     nb = half.offsets[-1]
     perm, dc = half.perm[:nb], half.perm[nb:]
     split = np.searchsorted(half.sc, nb)

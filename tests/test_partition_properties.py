@@ -9,6 +9,7 @@ count of dropped empty sub-boxes.
 
 import itertools
 import math
+from operator import attrgetter
 
 import numpy as np
 from hypothesis import given, settings
@@ -119,8 +120,11 @@ def test_refining_twice_by_one_equals_refining_by_two(exps, scheme):
         for a, b in zip(chain.bands, once.bands):
             assert all(np.array_equal(x, y)
                        for x, y in zip(a.axis_indices, b.axis_indices))
-        for name in ("perm", "offsets", "edges", "dc_indices"):
-            x, y = getattr(chain, name), getattr(once, name)
+        # The full layout is written from the grid, scheme and depth alone;
+        # the partition stores the half layout.
+        for name in ("offsets", "edges", "dc_indices", "half.perm",
+                     "half.offsets", "half.sc"):
+            x, y = attrgetter(name)(chain), attrgetter(name)(once)
             assert x.dtype == y.dtype and np.array_equal(x, y), name
         # Each step drops the empty sub-boxes of the bands it refines.
         dropped = p1.dropped_empty + 2 ** (k * d) * len(p1.ids) - len(once.ids)

@@ -17,7 +17,7 @@ from shannop.precond import (
     leray_rate_bounds,
     rate_kantorovich,
 )
-from shannop.solver import _half_layout, _richardson_plan
+from shannop.solver import _richardson_plan
 from shannop.symbols import eval_many
 
 from conftest import partitions, reference_wavevectors
@@ -351,10 +351,8 @@ def test_diagonal_matrix_symbol_solves_like_its_scalar(part, n, alpha, seed):
     e = sp.implicit_laplacian_precond(alpha, part).entries
     pc_s = sp.given_entries(scalar, part, e)
     pc_m = sp.given_entries(matrix, part, e * np.eye(n))
-    half = _half_layout(part)
-    for got, want in zip(
-        _richardson_plan(matrix, pc_m, half), _richardson_plan(scalar, pc_s, half)
-    ):
+    plans = _richardson_plan(matrix, pc_m), _richardson_plan(scalar, pc_s)
+    for got, want in zip(*plans):
         assert np.array_equal(got.reshape(-1, n, n), want[:, None, None] * np.eye(n))
     v = random_field(part.grid, n, seed=seed)
     u_s, rep_s = sp.richardson_solve(scalar, pc_s, v)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import shannop as sp
 from shannop.generate import random_field
 from shannop.grid import _apply, forward_half_transform, inverse_half_transform
-from shannop.solver import _half_layout, _norm, _norm_scale, _richardson_plan
+from shannop.solver import _norm, _norm_scale, _richardson_plan
 
 from conftest import partitions
 
@@ -22,9 +22,9 @@ def vector_state_solve(A, pc, v, cfg):
     Each sweep runs S += r, r = G r, and measures the norm of w r (w the
     norm weight); the output is P S.  Returns (u, residuals)."""
     grid = v.grid
-    half = _half_layout(pc.partition)
+    half = pc.partition.half
     r = forward_half_transform(v).reshape(v.components, -1)[:, half.perm]
-    g, pbands, pdc = _richardson_plan(A, pc, half)
+    g, pbands, pdc = _richardson_plan(A, pc)
     scale = _norm_scale(grid, cfg.norm)
     w = None if scale is None else scale.ravel()[half.perm]
     residuals = [_norm(r, half.sc, w)]

@@ -372,8 +372,6 @@ class TestHelmholtz:
         # Noise puts band modes ~1e-12 into the field, far below tol times
         # its norm: the split stops at sweep 0 and leaves them out of both
         # outputs.
-        from shannop.bands import _half_layout
-
         u = self.constant_field()
         noise = np.random.default_rng(3).standard_normal(u.values.shape)
         u = sp.RealField(u.grid, u.values + 1e-12 * noise)
@@ -382,8 +380,7 @@ class TestHelmholtz:
         udiv, ucurl, rep = sp.helmholtz_decompose(u, part, cfg)
         assert rep.iterations == 0 and rep.converged
         assert rep.divergence_history == []
-        half = _half_layout(part)
-        band = half.perm[: half.offsets[-1]]
+        band = part.half.perm[: part.half.offsets[-1]]
 
         def band_modes(f):
             return np.abs(sp.forward_half_transform(f).reshape(2, -1)[:, band])

@@ -16,8 +16,9 @@ depths 0-3, one MRA solve at 64^3 and one of the 3-component 64^3 field;
 3-component 64^3 splits at depths 0 and 1; the ``rates`` CSVs of the certify-128cube
 workload, one of ``--operator "nlap + 2"`` and one of ``--operator nlap``
 on MRA packet bands at depth 2; and ``verify --suite all``.  The largest
-command peaks at 141 MiB RSS (the ``ru_maxrss`` of the children), and the
-whole list took 11.3-12.8 s wall on a 2-vCPU VM, one command at a time.
+command, ``solve-ilap`` at 128^3 and depth 3, peaks at 135 MiB RSS (the
+``ru_maxrss`` of the children), and the whole list took 11.3-12.8 s wall
+on a 2-vCPU VM, one command at a time.
 """
 
 from __future__ import annotations
