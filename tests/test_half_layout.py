@@ -8,6 +8,7 @@ on the self-conjugate planes k_last = 0 and N_last/2.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,21 @@ def test_half_layout_is_the_cut_of_the_full_layout(part, chunk):
     assert half.perm.dtype == np.int32
     full = part.perm
     assert np.array_equal(part.dc_indices, full[part.offsets[-1] :])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_half_layout_does_not_depend_on_its_chunk(chunk):
+    """Fixed cases of the property above, down to one position a chunk:
+    the cut of the full layout gives the builders' half layout whatever
+    its chunk size."""
+    parts = [build((3, 4, 2), "tensorial", 1), build((5, 5), "mra", 2),
+             build((6,), "mra", 0)]
+    for part in parts:
+        perm, offsets, sc = half_layout_cut(part, chunk)
+        half = part.half
+        for got, want in [(half.perm, perm), (half.offsets, offsets),
+                          (half.sc, sc)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @SETTINGS
