@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-field, decompose, solve-ilap, helmholtz, rates, verify.
-Exit codes: 0 success, 2 usage, file-format or file-access error, or out
-of memory, 3 divergence, 4 refusal because a contraction bound is >= 1.
+Exit codes: 0 success, 1 a failed ``verify`` check, 2 usage, file-format
+or file-access error, or out of memory, 3 divergence, 4 refusal because a
+contraction bound is >= 1.
 """
 
 from __future__ import annotations

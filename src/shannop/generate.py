@@ -6,8 +6,9 @@ import numpy as np
 
 from .bands import build_tensorial_partition
 from .errors import ArityError, StructuralError
-from .grid import GridSpec, RealField, SpectralField, forward_transform, inverse_transform
-from .solver import exact_leray, kappa_table
+from .grid import GridSpec, RealField, SpectralField, forward_half_transform
+from .grid import inverse_half_transform, inverse_transform
+from .solver import exact_leray
 
 
 def random_field(grid: GridSpec, components: int = 1, seed: int = 0) -> RealField:
@@ -17,12 +18,9 @@ def random_field(grid: GridSpec, components: int = 1, seed: int = 0) -> RealFiel
 
 def gradient_field(grid: GridSpec, seed: int = 0) -> RealField:
     """The gradient of a random scalar potential (pure curl-part field)."""
-    p = forward_transform(random_field(grid, 1, seed)).flat()[0]
-    kappa = kappa_table(grid).T
-    out = 1j * kappa * p[None, :]
-    return inverse_transform(
-        SpectralField(grid, out.reshape((grid.dim,) + grid.sizes)), check=False
-    )
+    p = forward_half_transform(random_field(grid, 1, seed))
+    kappa = grid.wavevectors(np.arange(p.size), half=True, effective=True)
+    return inverse_half_transform(grid, 1j * kappa.reshape((-1,) + p.shape[1:]) * p)
 
 
 def solenoidal_field(grid: GridSpec, seed: int = 0) -> RealField:

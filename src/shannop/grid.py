@@ -111,13 +111,6 @@ def effective_axis_wavevectors(grid: GridSpec, axis: int) -> np.ndarray:
     return k
 
 
-def wavevector_table(grid: GridSpec) -> np.ndarray:
-    """All grid modes as an (npoints, d) integer array in row-major order."""
-    axes = [grid.axis_wavevectors(i) for i in range(grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def ksq_table(grid: GridSpec) -> np.ndarray:
     """|k|^2 of all grid modes in row-major order."""
     axes = np.ix_(*(grid.axis_wavevectors(i).astype(float) ** 2
@@ -180,7 +173,7 @@ class SpectralField:
         return self.modes.shape[0]
 
     def flat(self) -> np.ndarray:
-        """(components, npoints) view aligned with wavevector_table order."""
+        """(components, npoints) view, modes in row-major order."""
         return self.modes.reshape(self.components, -1)
 
     def l2_norm(self) -> float:
@@ -363,7 +356,8 @@ def evaluate_on_grid(
     policy: str = SingularModePolicy.ZERO,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``evaluate_modes`` at every grid mode, in row-major order."""
-    return evaluate_modes(expr, grid, wavevector_table(grid), policy)
+    K = grid.wavevectors(np.arange(grid.npoints)).T
+    return evaluate_modes(expr, grid, K, policy)
 
 
 def apply_modewise(
@@ -382,15 +376,21 @@ def apply_modewise(
             f"symbol takes {m} components but field has {spec.components}"
         )
     values, skipped = evaluate_on_grid(expr, spec.grid, policy)
-    flat = spec.flat()
-    out = _apply(values, flat.copy())
-    if skipped.any():
-        if len(out) != spec.components:
-            raise ArityError(
-                "SKIP policy needs a square symbol to leave modes untouched"
-            )
-        out[:, skipped] = flat[:, skipped]
+    out = _apply_skipping(values, spec.flat().copy(), skipped)
     return SpectralField(spec.grid, out.reshape((len(out),) + spec.grid.sizes))
+
+
+def _apply_skipping(p: np.ndarray, x: np.ndarray, skipped: np.ndarray) -> np.ndarray:
+    """``_apply``, except that the modes ``skipped`` under the SKIP policy
+    keep their values of ``x``, which only a square symbol can do."""
+    if not skipped.any():
+        return _apply(p, x)
+    kept = x[:, skipped]
+    out = _apply(p, x)
+    if len(out) != len(kept):
+        raise ArityError("SKIP policy needs a square symbol to leave modes untouched")
+    out[:, skipped] = kept
+    return out
 
 
 def _apply(p: np.ndarray, x: np.ndarray) -> np.ndarray:

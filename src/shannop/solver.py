@@ -22,10 +22,13 @@ k_last = -N_last/2, which count once.  Every reduction runs in a fixed
 order and without BLAS, so reports are bit-reproducible for identical
 inputs at any thread count.
 
-The exact oracles stay on full complex spectra, an independent yardstick
-for the solvers.  The dc set (zero mode, axis-zero planes, Nyquist planes)
-is excluded from every contraction theorem, so both solvers treat it by
-one exact modewise solve instead of iterating.
+The exact oracles run on the half spectrum as well, with no plan, layout
+or sweep: one closed form per half-grid mode, at the wavevectors
+``GridSpec.wavevectors`` gives.  On full complex spectra they took about
+three times as long (``exact_solve`` at 128^3: 0.29 s, now 0.085 s, one
+thread of a 2-vCPU VM).  The dc set (zero mode, axis-zero planes, Nyquist
+planes) is excluded from every contraction theorem, so both solvers treat
+it by one exact modewise solve instead of iterating.
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ from .bands import Partition, _HalfLayout, layout_blocks
 from .bands import gather_rows, scatter_rows
 from .errors import ArityError, BoundViolationError, DivergenceError
 from .errors import InsufficientDataError, StructuralError, UnsupportedSchemeError
-from .grid import GridSpec, RealField, SpectralField, _apply, _axis_sum
-from .grid import effective_axis_wavevectors, evaluate_modes, evaluate_on_grid
-from .grid import forward_half_transform, forward_transform, half_sum_squares
-from .grid import inverse_half_transform, inverse_transform, ksq_table
+from .grid import GridSpec, RealField, SpectralField, _apply, _apply_skipping
+from .grid import _axis_sum, effective_axis_wavevectors, evaluate_modes
+from .grid import forward_half_transform, half_sum_squares, inverse_half_transform
 from .grid import self_conjugate_planes
 from .precond import BandPreconditioner, RateBounds, _leray_bounds, _leray_omega
 from .precond import _pinv, _recurrence, band_inverses, band_recurrence, leray_lambda
@@ -148,11 +150,6 @@ def estimate_rate(history, window: int | None = None) -> float:
     return float(np.exp(np.mean(np.log(tail))))
 
 
-def kappa_table(grid: GridSpec) -> np.ndarray:
-    """Effective wavevectors of all grid modes, (npoints, d), row-major."""
-    return grid.wavevectors(np.arange(grid.npoints), effective=True).T.copy()
-
-
 def spectral_divergence(spec: SpectralField) -> np.ndarray:
     """Flat spectrum of div(u) using the effective wavevectors."""
     grid = spec.grid
@@ -169,8 +166,9 @@ def _norm_scale(grid: GridSpec, t: float) -> np.ndarray | None:
     shaped ``grid.half_sizes``; None for l2."""
     if t == 0.0:
         return None
-    ksq = ksq_table(grid).reshape(grid.sizes)[..., : grid.half_sizes[-1]]
-    return (1.0 + ksq) ** (0.5 * t)
+    ksq = np.ix_(*(grid.axis_wavevectors(i)[:n].astype(float) ** 2
+                   for i, n in enumerate(grid.half_sizes)))
+    return (1.0 + sum(ksq)) ** (0.5 * t)
 
 
 def _norm(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
@@ -193,9 +191,9 @@ def _reference(x: np.ndarray, sc, scale: np.ndarray | None = None) -> float:
 
 
 def _split_modes(kappa: np.ndarray, flat: np.ndarray):
-    """Exact modewise split of ``flat`` (d, M) into the part orthogonal to
-    the wavevectors ``kappa`` (d, M) and the part parallel to them; modes
-    with zero wavevector go entirely to the orthogonal part."""
+    """Exact modewise split of ``flat`` (d, ...) into the part orthogonal to
+    the wavevectors ``kappa`` (same shape) and the part parallel to them;
+    modes with zero wavevector go entirely to the orthogonal part."""
     ksq = np.sum(kappa**2, axis=0)
     safe = np.where(ksq == 0, 1.0, ksq)
     curl = kappa * (np.sum(kappa * flat, axis=0) / safe)[None, :]
@@ -213,16 +211,19 @@ def exact_solve(
     v: RealField,
     policy: str = SingularModePolicy.ZERO,
 ) -> RealField:
-    """Modewise pseudo-inverse solution of A u = v (the solver oracle)."""
+    """Modewise pseudo-inverse solution of A u = v (the solver oracle): per
+    half-grid mode, the pseudo-inverse of A under the Nyquist convention
+    (``_pinv``) times v.  Under the SKIP policy singular modes keep v
+    (square symbols only), as ``apply_modewise`` leaves them."""
     if not A.is_scalar and A.shape[0] != v.components:
         raise ArityError(
             f"symbol produces {A.shape[0]} components, field has {v.components}"
         )
-    vals, _ = evaluate_on_grid(A, v.grid, policy)
-    out = _apply(_pinv(vals), forward_transform(v).flat())
-    return inverse_transform(
-        SpectralField(v.grid, out.reshape((len(out),) + v.grid.sizes)), check=False
-    )
+    spec = forward_half_transform(v)
+    K = v.grid.wavevectors(np.arange(spec[0].size), half=True)
+    vals, skipped = evaluate_modes(A, v.grid, K.T, policy)
+    u = _apply_skipping(_pinv(vals), spec.reshape(len(spec), -1), skipped)
+    return inverse_half_transform(v.grid, u.reshape((len(u),) + v.grid.half_sizes))
 
 
 def exact_leray(u: RealField) -> tuple[RealField, RealField]:
@@ -236,14 +237,11 @@ def exact_leray(u: RealField) -> tuple[RealField, RealField]:
     """
     if u.components != u.grid.dim:
         raise ArityError("Helmholtz split needs one component per axis")
-    div, curl = _split_modes(
-        kappa_table(u.grid).T, forward_transform(u).flat()
-    )
-    shape = (u.components,) + u.grid.sizes
-    return (
-        inverse_transform(SpectralField(u.grid, div.reshape(shape)), check=False),
-        inverse_transform(SpectralField(u.grid, curl.reshape(shape)), check=False),
-    )
+    spec = forward_half_transform(u)
+    kappa = u.grid.wavevectors(np.arange(spec[0].size), half=True, effective=True)
+    div, curl = _split_modes(kappa.reshape(spec.shape), spec)
+    del spec, kappa
+    return inverse_half_transform(u.grid, div), inverse_half_transform(u.grid, curl)
 
 
 # ---------------------------------------------------------------------------

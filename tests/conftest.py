@@ -6,6 +6,72 @@ import numpy as np
 from hypothesis import strategies as st
 
 import shannop as sp
+from shannop.errors import ArityError
+from shannop.generate import random_field
+from shannop.grid import _apply, evaluate_on_grid, forward_transform, inverse_transform
+from shannop.precond import _pinv
+from shannop.solver import _split_modes
+
+
+def wavevector_table(grid):
+    """All grid modes as an (npoints, d) integer array in row-major order."""
+    axes = [grid.axis_wavevectors(i) for i in range(grid.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def kappa_table(grid):
+    """Effective wavevectors of all grid modes, (npoints, d), row-major."""
+    return grid.wavevectors(np.arange(grid.npoints), effective=True).T.copy()
+
+
+# The exact oracles and the gradient generator on full complex spectra: the
+# references the half-spectrum ``exact_solve``, ``exact_leray`` and
+# ``gradient_field`` are checked against.
+
+
+def full_exact_solve(A, v, policy=sp.SingularModePolicy.ZERO):
+    """Modewise pseudo-inverse solution of A u = v (the solver oracle)."""
+    if not A.is_scalar and A.shape[0] != v.components:
+        raise ArityError(
+            f"symbol produces {A.shape[0]} components, field has {v.components}"
+        )
+    vals, _ = evaluate_on_grid(A, v.grid, policy)
+    out = _apply(_pinv(vals), forward_transform(v).flat())
+    return inverse_transform(
+        sp.SpectralField(v.grid, out.reshape((len(out),) + v.grid.sizes)), check=False
+    )
+
+
+def full_exact_leray(u):
+    """Exact modewise Helmholtz split u = u_div + u_curl.
+
+    Uses the effective wavevectors, so it is exactly compatible with the
+    spectral divergence and gradient: div(u_div) = 0 to roundoff and u_curl
+    is modewise parallel to the wavevector.  Modes with zero effective
+    wavevector (the mean and pure-Nyquist corners) go entirely to u_div;
+    constants are divergence-free.
+    """
+    if u.components != u.grid.dim:
+        raise ArityError("Helmholtz split needs one component per axis")
+    div, curl = _split_modes(
+        kappa_table(u.grid).T, forward_transform(u).flat()
+    )
+    shape = (u.components,) + u.grid.sizes
+    return (
+        inverse_transform(sp.SpectralField(u.grid, div.reshape(shape)), check=False),
+        inverse_transform(sp.SpectralField(u.grid, curl.reshape(shape)), check=False),
+    )
+
+
+def full_gradient_field(grid, seed=0):
+    """The gradient of a random scalar potential (pure curl-part field)."""
+    p = forward_transform(random_field(grid, 1, seed)).flat()[0]
+    kappa = kappa_table(grid).T
+    out = 1j * kappa * p[None, :]
+    return inverse_transform(
+        sp.SpectralField(grid, out.reshape((grid.dim,) + grid.sizes)), check=False
+    )
 
 
 def reference_wavevectors(band):

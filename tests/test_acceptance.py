@@ -17,9 +17,9 @@ from shannop.precond import (
     leray_matrices,
     sampled_contraction,
 )
-from shannop.solver import kappa_table, spectral_divergence
+from shannop.solver import spectral_divergence
 
-from conftest import reference_wavevectors
+from conftest import kappa_table, reference_wavevectors
 
 
 def announce(num: int, name: str, ok: bool, detail: str = "") -> None:

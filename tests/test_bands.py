@@ -20,9 +20,8 @@ from shannop.errors import (
     UnsupportedSchemeError,
 )
 from shannop.generate import random_field
-from shannop.solver import kappa_table
 
-from conftest import reference_wavevectors
+from conftest import kappa_table, reference_wavevectors, wavevector_table
 
 
 def band_mode_set(band):
@@ -31,8 +30,6 @@ def band_mode_set(band):
 
 def all_mode_sets(part):
     claimed = [band_mode_set(b) for b in part.bands]
-    from shannop.grid import wavevector_table
-
     dc = {tuple(row) for row in wavevector_table(part.grid)[part.dc_indices]}
     return claimed, dc
 

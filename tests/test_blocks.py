@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import shannop as sp
 from shannop import bands
 from shannop.errors import NotInvertibleOnBandError
-from shannop.grid import evaluate_modes, wavevector_table
+from shannop.grid import evaluate_modes
 from shannop.precond import (
     RateBound,
     _real_if_exact,
@@ -35,7 +35,7 @@ from shannop.precond import (
 from shannop.solver import _leray_blocks, _richardson_plan
 from shannop.symbols import eval_many
 
-from conftest import partitions, reference_wavevectors
+from conftest import partitions, reference_wavevectors, wavevector_table
 
 SETTINGS = settings(max_examples=25, deadline=None)
 

@@ -427,6 +427,13 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") >= 5
 
+    def test_a_failed_check_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(sp.precond, "rate_kantorovich", lambda a, b: 0.0)
+        code = run(["verify", "--suite", "rates"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL kantorovich(1,2) = 9/16" in out.splitlines()
+
 
 class TestInputErrors:
     @staticmethod

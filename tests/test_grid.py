@@ -18,9 +18,10 @@ from shannop.grid import (
     inverse_half_transform,
     is_hermitian,
     ksq_table,
-    wavevector_table,
 )
 from shannop.symbols import eval_many
+
+from conftest import wavevector_table
 
 
 def grid_points(grid):

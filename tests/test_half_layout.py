@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import shannop as sp
 from shannop.generate import random_field
-from shannop.grid import forward_half_transform, wavevector_table
+from shannop.grid import forward_half_transform
 from shannop.solver import _norm
 
-from conftest import half_layout_cut, reference_wavevectors
+from conftest import half_layout_cut, reference_wavevectors, wavevector_table
 
 SETTINGS = settings(max_examples=30, deadline=None)
 

@@ -15,7 +15,9 @@ from shannop.errors import (
 )
 from shannop.generate import gradient_field, random_field, solenoidal_field
 from shannop.precond import given_entries, sampled_contraction
-from shannop.solver import kappa_table, spectral_divergence
+from shannop.solver import spectral_divergence
+
+from conftest import kappa_table
 
 
 def tensorial(sizes):
@@ -70,6 +72,31 @@ class TestExactSolve:
         diff = sp.forward_transform(again - v).flat()
         live = np.any(kappa_table(grid) != 0, axis=1)
         assert np.max(np.abs(diff[:, live])) < 1e-10 * v.l2_norm()
+
+    def test_skip_policy_leaves_singular_modes_untouched(self):
+        # LerayP is singular at the zero mode only: under SKIP the solve
+        # keeps the mean, as apply_modewise does, and matches the ZERO
+        # solve elsewhere.
+        grid = sp.GridSpec((8, 8))
+        v = random_field(grid, 2, seed=4)
+        mean = sp.forward_transform(v).flat()[:, 0]
+        assert np.min(np.abs(mean)) > 0.1
+        kept = sp.apply_modewise(sp.forward_transform(v), sp.LerayP(2), "skip")
+        assert np.array_equal(kept.flat()[:, 0], mean)
+        u = sp.forward_transform(sp.exact_solve(sp.LerayP(2), v, "skip")).flat()
+        zero = sp.forward_transform(sp.exact_solve(sp.LerayP(2), v, "zero")).flat()
+        tol = 1e-14 * v.l2_norm()
+        assert np.max(np.abs(u[:, 0] - mean)) <= tol
+        assert np.max(np.abs(zero[:, 0])) <= tol
+        assert np.max(np.abs(u[:, 1:] - zero[:, 1:])) <= tol
+
+    def test_skip_policy_refuses_a_rectangular_symbol_with_singular_modes(self):
+        grid = sp.GridSpec((8, 8))
+        A = sp.Product(sp.Gradient(2), sp.XiInv(1))  # 2 x 1, singular at k_1 = 0
+        with pytest.raises(ArityError, match="SKIP policy needs a square symbol"):
+            sp.exact_solve(A, random_field(grid, 2, seed=4), "skip")
+        u = sp.exact_solve(A, random_field(grid, 2, seed=4), "zero")
+        assert u.components == 1
 
 
 class TestExactLeray:
