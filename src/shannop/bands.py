@@ -33,7 +33,6 @@ identity in exact arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -63,7 +62,7 @@ def _axis_block(pieces, stride: int, dtype=np.int32):
     as an (m, q) block of offsets ix * stride, in the dtype of the layout
     it goes into, row r piece r padded to the longest length q; the (m, q)
     mask of the entries that are not padding, or None where no piece is
-    short; and the (m,) piece lengths."""
+    short; and the number of entries, the sum of the piece lengths."""
     lengths = np.array([len(ix) for ix in pieces])
     q = int(lengths.max())
     block = np.zeros((len(pieces), q), dtype=dtype)
@@ -71,7 +70,7 @@ def _axis_block(pieces, stride: int, dtype=np.int32):
         row[: len(ix)] = ix
     block *= stride
     inside = None if (lengths == q).all() else np.arange(q) < lengths[:, None]
-    return block, inside, lengths
+    return block, inside, int(lengths.sum())
 
 
 def _write_layout(parents, out: np.ndarray) -> int:
@@ -82,27 +81,30 @@ def _write_layout(parents, out: np.ndarray) -> int:
     Cartesian products of one piece per axis, in ``itertools.product``
     order, each in row-major order.  Axis i's (m_i, q_i) block broadcast
     over axes i and d + i of an (m_0, ..., m_{d-1}, q_0, ..., q_{d-1})
-    array adds up to the positions in exactly that order, so a parent
-    takes one pass, straight into ``out`` unless some piece is short; then
-    a mask leaves the padding out."""
+    array adds up to the positions in exactly that order.  The blocks of
+    the axes after the first add up to a small array first, which runs
+    along the last d - 1 axes as contiguously as the output does, so a
+    parent takes one pass with long inner loops, straight into ``out``
+    unless some piece is short; then a mask leaves the padding out."""
     pos = 0
     for axes in parents:
         d = len(axes)
         shape = [blk.shape[j] for j in (0, 1) for blk, _, _ in axes]
-        n = math.prod(int(lengths.sum()) for _, _, lengths in axes)
+        n = math.prod(count for _, _, count in axes)
         ragged = any(inside is not None for _, inside, _ in axes)
         if ragged:
             box = np.empty(shape, out.dtype)
         else:
             box = out[pos : pos + n].reshape(shape)
-        mask = True
-        for i, (block, inside, _) in enumerate(axes):
+        mask, tail = True, 0
+        for i in reversed(range(d)):
+            block, inside, _ = axes[i]
             where = [1] * (2 * d)
             where[i], where[d + i] = block.shape
-            if i == 0:
-                box[...] = block.reshape(where)
+            if i:
+                tail = tail + block.reshape(where)
             else:
-                box += block.reshape(where)
+                np.add(block.reshape(where), tail, out=box)
             if inside is not None:
                 mask = mask & inside.reshape(where)
         if ragged:
@@ -114,13 +116,12 @@ def _write_layout(parents, out: np.ndarray) -> int:
 _BLOCK = 8192  # values per block of a band-major layout (layout_blocks)
 
 
-def layout_blocks(offsets, whole_bands: bool = False, width: int = 1):
+def layout_blocks(offsets, width: int = 1):
     """Positions ``offsets[0]`` to ``offsets[-1]`` of a band-major layout
     (band i from ``offsets[i]``, none empty) in blocks of at most
     ``_BLOCK // width`` (at least one), for ``width`` values per position,
     as (slice, first, last, counts): the bands first to last - 1 the block
-    meets and how many of its positions each holds.  With ``whole_bands``
-    a block is a run of whole bands, or one long band."""
+    meets and how many of its positions each holds."""
     offsets = np.asarray(offsets)
     lo, end = int(offsets[0]), int(offsets[-1])
     size = max(_BLOCK // width, 1)
@@ -128,9 +129,6 @@ def layout_blocks(offsets, whole_bands: bool = False, width: int = 1):
         hi = min(lo + size, end)
         first = int(offsets.searchsorted(lo, "right")) - 1
         last = int(offsets.searchsorted(hi))
-        if whole_bands:  # lo is a band's start; end at a band's end
-            last = max(first + 1, int(offsets.searchsorted(hi, "right")) - 1)
-            hi = int(offsets[last])
         # Only the end bands stick out of [lo, hi).
         edges = offsets[first : last + 1].copy()
         edges[0], edges[-1] = lo, hi
@@ -211,6 +209,22 @@ class FrequencyBand:
         return float(2.0 ** math.floor(math.log2(lo)))
 
 
+def _axis_count(lo: float, hi: float, n: int) -> int:
+    """How many positions of an n-point axis have a magnitude in [lo, hi):
+    wavevectors 0 to n/2 - 1 and -1 to -n/2, each an integer range."""
+    a, b = math.ceil(lo), math.ceil(hi)
+    return max(min(b, n // 2) - max(a, 0), 0) + max(min(b, n // 2 + 1) - max(a, 1), 0)
+
+
+def _distinct_intervals(edges: np.ndarray):
+    """Per axis of (nbands, d, 2) box ``edges``: its distinct (lo, hi)
+    intervals as float pairs, and each band's number among them."""
+    for lo, hi in edges.transpose(1, 2, 0):
+        # Each (lo, hi) as one complex number, which np.unique can group.
+        pairs, at = np.unique(lo + 1j * hi, return_inverse=True)
+        yield [(z.real, z.imag) for z in pairs.tolist()], at
+
+
 def band_extrema(band: FrequencyBand, mode_exact: bool = True):
     """Frequency extrema (a, b, per_axis) of a band.
 
@@ -271,7 +285,7 @@ class Partition:
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._index = {band_id: i for i, band_id in enumerate(self.ids)}
+        self._index = dict(zip(self.ids, range(len(self.ids))))
 
     @property
     def perm(self) -> np.ndarray:
@@ -310,17 +324,20 @@ class Partition:
     def _bands(self, rows) -> list:
         """The bands ``rows`` as ``FrequencyBand``s, each distinct (axis, lo,
         hi) interval resolved once per call to one read-only index array."""
-        mags = [np.abs(self.grid.axis_wavevectors(i)) for i in range(self.grid.dim)]
-        table, bands = {}, []
-        for r in rows:
-            box = tuple(map(tuple, self.edges[r].tolist()))
-            for i, (lo, hi) in enumerate(box):
-                if (i, lo, hi) not in table:
-                    table[i, lo, hi] = np.flatnonzero((mags[i] >= lo) & (mags[i] < hi))
-                    table[i, lo, hi].flags.writeable = False
-            idx = tuple(table[i, lo, hi] for i, (lo, hi) in enumerate(box))
-            bands.append(FrequencyBand(self.grid, self.ids[r], box, idx))
-        return bands
+        boxes, indices = [], []  # per axis, each band's interval and indices
+        for i, (pairs, at) in enumerate(_distinct_intervals(self.edges[rows])):
+            mag = np.abs(self.grid.axis_wavevectors(i))
+            table = []
+            for lo, hi in pairs:
+                table.append(np.flatnonzero((mag >= lo) & (mag < hi)))
+                table[-1].flags.writeable = False
+            at = at.tolist()
+            boxes.append(map(pairs.__getitem__, at))
+            indices.append(map(table.__getitem__, at))
+        return [
+            FrequencyBand(self.grid, self.ids[r], box, idx)
+            for r, box, idx in zip(rows, zip(*boxes), zip(*indices))
+        ]
 
     def segment(self, band_id) -> slice:
         """Positions of the band's modes in ``perm``."""
@@ -380,6 +397,19 @@ def _base_boxes(grid: GridSpec, scheme: str) -> list:
 _MAX_PACKET_DEPTH = 52
 
 
+def _packet_depth(depth: int, start: int = 0) -> int:
+    """The packet depth ``start + depth`` of ``depth`` more levels, refused
+    if ``depth`` is negative or the total is above ``_MAX_PACKET_DEPTH``."""
+    if depth < 0:
+        raise StructuralError("packet depth must be nonnegative")
+    if start + depth > _MAX_PACKET_DEPTH:
+        raise StructuralError(
+            f"packet depth {start + depth} is above "
+            f"{_MAX_PACKET_DEPTH}: finer box edges are not exact in float64"
+        )
+    return start + depth
+
+
 def _axis_pieces(mag: np.ndarray, lo: float, hi: float, splits: int):
     """The non-empty pieces of [lo, hi) cut into ``splits`` equal parts, for
     the axis positions whose magnitudes ``mag`` lie in it: their piece
@@ -413,62 +443,74 @@ def _subdivide(grid: GridSpec, scheme: str, depth: int, sizes: tuple):
     id; deeper, a sub-band's id is (base id, per-axis piece numbers)), so a
     sub-box with an empty axis is left out.  A base band's sub-bands take
     one ``_write_layout`` pass, with the strides of ``sizes`` and the
-    last-axis indices below ``sizes[-1]``, and their edges and mode counts
-    one broadcast of its piece intervals and lengths, in the same order;
-    base bands come in sorted id order, so the sub-bands do too.  On the
-    half grid a piece keeps its indices <= N_last/2, never none, since it
-    holds both signs of its magnitudes.  Interval indices are unique, so
-    an overlap leaves more band and dc positions than grid positions,
-    which the position count rejects.
+    last-axis indices below ``sizes[-1]``; the edges and mode counts of all
+    sub-bands are gathered at once from the pieces' intervals and lengths,
+    in the same order.  Base bands come in sorted id order, so the
+    sub-bands do too.  On the half grid a piece keeps its indices
+    <= N_last/2, never none, since it holds both signs of its magnitudes.
+    Interval indices are unique, so an overlap leaves more band and dc
+    positions than grid positions, which the position count rejects.
 
     Returns the ids, the edges, the bands' offsets by their mode counts on
-    the grid, the layout and its band offsets.
+    the grid, the layout, its band offsets and the number of empty
+    sub-boxes left out, 2^(depth d) per base band less the bands.
     """
     perm = _layout_buffer(grid, sizes)
     splits = 2**depth
     d = grid.dim
     mags = [np.abs(grid.axis_wavevectors(i)) for i in range(d)]
     strides = _strides(sizes)
+    boxes = _base_boxes(grid, scheme)
     # A band's axis indices are all those with magnitude in its interval,
     # so bands sharing an (axis, lo, hi) share its pieces and their block.
-    table = {}  # (axis, lo, hi) -> piece numbers, intervals, lengths, block
-    ids, edges, counts, parents = [], [], [], []
-    for base_id, box in _base_boxes(grid, scheme):
-        axes = []
+    table = {}  # (axis, lo, hi) -> entry number
+    numbers, intervals, lengths, blocks = [], [], [], []  # per entry
+    entries = []  # per base band, its axes' entry numbers
+    for _, box in boxes:
+        row = []
         for i, (lo, hi) in enumerate(box):
-            if (i, lo, hi) not in table:
-                s, intervals, pieces = _axis_pieces(mags[i], lo, hi, splits)
-                lengths = np.array([len(ix) for ix in pieces])
+            e = table.get((i, lo, hi))
+            if e is None:
+                s, edge, pieces = _axis_pieces(mags[i], lo, hi, splits)
+                full = [len(ix) for ix in pieces]
                 if i == d - 1:
                     pieces = [ix[ix < sizes[-1]] for ix in pieces]
-                block = _axis_block(pieces, strides[i])
-                table[i, lo, hi] = s, intervals, lengths, block
-            axes.append(table[i, lo, hi])
-        parents.append([block for *_, block in axes])
-        if not depth:  # one piece per axis, the whole interval
-            ids.append(base_id)
-            edges.append(box)
-            counts.append([
-                math.prod(int(lengths[0]) for _, _, lengths, _ in axes),
-                math.prod(int(kept[0]) for *_, (_, _, kept) in axes),
-            ])
-            continue
-        shape = [len(s) for s, *_ in axes]
-        sub_edges = np.empty(shape + [d, 2])
-        sub_counts = np.ones([2] + shape, dtype=np.int64)
-        for i, (_, intervals, lengths, (_, _, kept)) in enumerate(axes):
-            where = [1] * d
-            where[i] = shape[i]
-            sub_edges[..., i, :] = intervals.reshape(where + [2])
-            sub_counts *= np.stack([lengths, kept]).reshape([2] + where)
-        paths = [s.tolist() for s, *_ in axes]
-        ids += [(base_id, sub) for sub in itertools.product(*paths)]
-        edges.append(sub_edges.reshape(-1, d, 2))
-        counts.append(sub_counts.reshape(2, -1))
-    if depth:
-        edges, counts = np.concatenate(edges), np.concatenate(counts, axis=1)
-    else:
-        edges, counts = np.array(edges, dtype=float), np.array(counts).T
+                e = table[i, lo, hi] = len(numbers)
+                numbers.append(s)
+                intervals.append(edge)
+                # The pieces' lengths on the grid and on ``sizes``, (2, m).
+                lengths.append([full, [len(ix) for ix in pieces]])
+                blocks.append(_axis_block(pieces, strides[i]))
+            row.append(e)
+        entries.append(row)
+    parents = [[blocks[e] for e in row] for row in entries]
+    # Sub-band t of a base band is the t-th of the Cartesian product of its
+    # axes' pieces, the last axis fastest: the digits of t in the mixed
+    # radix of the piece counts pick each axis's piece out of the entries,
+    # which are concatenated, entry e's pieces from first[e].
+    entries = np.array(entries)
+    m = np.array([len(s) for s in numbers])
+    first = np.cumsum(m) - m
+    numbers, intervals = np.concatenate(numbers), np.concatenate(intervals)
+    lengths = np.concatenate(lengths, axis=1)
+    radix = m[entries]
+    nsub = np.prod(radix, axis=1)
+    base = np.repeat(np.arange(len(boxes)), nsub)
+    rest = np.arange(len(base)) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    edges = np.empty((len(base), d, 2))
+    counts = np.ones((2, len(base)), dtype=np.int64)
+    digits = [None] * d
+    for i in reversed(range(d)):
+        rest, digit = np.divmod(rest, radix[base, i])
+        at = first[entries[base, i]] + digit
+        edges[:, i] = intervals[at]
+        counts *= lengths[:, at]
+        digits[i] = numbers[at].tolist()
+    base_ids = [base_id for base_id, _ in boxes]
+    if depth:  # a sub-band's id is (base id, its piece numbers)
+        ids = list(zip(map(base_ids.__getitem__, base.tolist()), zip(*digits)))
+    else:  # one piece per axis, the whole interval: the base bands
+        ids = base_ids
     claimed = _write_layout(parents, perm)
     dc = np.flatnonzero(~_marked(perm[:claimed], len(perm)))
     if claimed + len(dc) != len(perm):
@@ -478,7 +520,8 @@ def _subdivide(grid: GridSpec, scheme: str, depth: int, sizes: tuple):
     perm[claimed:] = dc
     offsets = np.zeros((2, len(ids) + 1), dtype=np.int64)
     np.cumsum(counts, axis=1, out=offsets[:, 1:])
-    return ids, edges, offsets[0], perm, offsets[1]
+    dropped = 2 ** (depth * d) * len(boxes) - len(ids)
+    return ids, edges, offsets[0], perm, offsets[1], dropped
 
 
 def _self_conjugate(grid: GridSpec, edges: np.ndarray, perm, offsets) -> np.ndarray:
@@ -501,30 +544,35 @@ def _self_conjugate(grid: GridSpec, edges: np.ndarray, perm, offsets) -> np.ndar
 
 def _partition(grid: GridSpec, scheme: str, depth: int) -> Partition:
     """The partition ``_subdivide`` writes on the half grid."""
-    ids, edges, offsets, perm, half_offsets = _subdivide(
+    ids, edges, offsets, perm, half_offsets, dropped = _subdivide(
         grid, scheme, depth, grid.half_sizes
     )
     sc = _self_conjugate(grid, edges, perm, half_offsets)
     half = _HalfLayout(perm, half_offsets, sc)
-    return Partition(grid, scheme, depth, ids, edges, offsets, half)
+    return Partition(grid, scheme, depth, ids, edges, offsets, half, dropped)
 
 
-def build_tensorial_partition(grid: GridSpec) -> Partition:
+def build_tensorial_partition(grid: GridSpec, packet_depth: int = 0) -> Partition:
     """Anisotropic splitting: per-axis dyadic octaves [2^j_i, 2^(j_i+1)),
-    indexed by a level tuple j, written by ``_subdivide`` at depth 0.  Axis
-    magnitudes 0 and the Nyquist magnitude go to dc."""
-    return _partition(grid, "tensorial", 0)
+    indexed by a level tuple j, each cut into 2^packet_depth equal parts
+    per axis, written by one ``_subdivide`` call.  Axis magnitudes 0 and
+    the Nyquist magnitude go to dc.  Empty sub-boxes are dropped, so
+    ``dropped_empty`` is 2^(packet_depth d) per octave box less the bands,
+    as ``refine_packet`` of the depth-0 partition gives."""
+    return _partition(grid, "tensorial", _packet_depth(packet_depth))
 
 
-def build_mra_partition(grid: GridSpec) -> Partition:
+def build_mra_partition(grid: GridSpec, packet_depth: int = 0) -> Partition:
     """Isotropic splitting indexed by (level, type), type a nonzero 0/1
-    vector: type-0 axes span [0, 2^j), type-1 axes [2^j, 2^(j+1)); written
-    by ``_subdivide`` at depth 0."""
+    vector: type-0 axes span [0, 2^j), type-1 axes [2^j, 2^(j+1)); each
+    box cut into 2^packet_depth equal parts per axis, written by one
+    ``_subdivide`` call, with ``dropped_empty`` as for
+    ``build_tensorial_partition``."""
     if len(set(grid.sizes)) != 1:
         raise UnsupportedSchemeError(
             f"MRA partitions need an isotropic grid, got sizes {grid.sizes}"
         )
-    return _partition(grid, "mra", 0)
+    return _partition(grid, "mra", _packet_depth(packet_depth))
 
 
 def refine_packet(part: Partition, depth: int) -> Partition:
@@ -538,17 +586,11 @@ def refine_packet(part: Partition, depth: int) -> Partition:
     band of ``part`` less the bands kept.
     Depth 0 returns the partition unchanged.
     """
-    if depth < 0:
-        raise StructuralError("packet depth must be nonnegative")
     if depth == 0:
         return part
-    if part.packet_depth + depth > _MAX_PACKET_DEPTH:
-        raise StructuralError(
-            f"packet depth {part.packet_depth + depth} is above "
-            f"{_MAX_PACKET_DEPTH}: finer box edges are not exact in float64"
-        )
+    total = _packet_depth(depth, part.packet_depth)
     grid = part.grid
-    refined = _partition(grid, part.base_scheme, part.packet_depth + depth)
+    refined = _partition(grid, part.base_scheme, total)
     refined.dropped_empty = (
         part.dropped_empty + 2 ** (depth * grid.dim) * len(part.ids)
         - len(refined.ids)
@@ -602,8 +644,10 @@ class _BandViews(Mapping):
         part, coeffs = self.banded.partition, self.banded.coeffs
         _, offsets, _ = self.banded._layout()
         i = part._index[band_id]
-        shape = (len(coeffs),) + part.band(band_id).shape[:-1] + (-1,)
-        return coeffs[:, offsets[i] : offsets[i + 1]].reshape(shape)
+        # The leading axes are whole in either form; the last takes the rest.
+        lead = zip(part.edges[i, :-1].tolist(), part.grid.sizes)
+        shape = [len(coeffs)] + [_axis_count(lo, hi, n) for (lo, hi), n in lead]
+        return coeffs[:, offsets[i] : offsets[i + 1]].reshape(shape + [-1])
 
     def __iter__(self):
         return iter(self.banded.partition.ids)
@@ -676,16 +720,25 @@ class BandedField:
         return float(np.add.reduce(self._squares(offsets[-1], hi).ravel()))
 
     def total_energy(self) -> float:
-        # Weighted |x|^2 a block of whole bands at a time, and per band one
-        # pairwise sum in band_energy's order, so totals agree bit for bit.
-        energies = []
+        # One pairwise sum per band in band_energy's order, so the total
+        # agrees with theirs bit for bit: k consecutive bands of one length
+        # n, at most a block at a time, are the rows of a C-contiguous
+        # (k, m n) array, each row a band's raveled squares, reduced along
+        # axis 1.
         _, offsets, _ = self._layout()
-        for sl, _, _, counts in layout_blocks(offsets, whole_bands=True):
-            sq = self._squares(sl.start, sl.stop)
-            ends = np.cumsum(counts).tolist()
-            for lo, hi in zip([0] + ends, ends):
-                energies.append(float(np.add.reduce(sq[:, lo:hi].ravel())))
-        return self.dc_energy() + sum(energies)
+        m = len(self.coeffs)
+        lengths = np.diff(offsets)
+        energies = np.empty(len(lengths))
+        starts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
+        for first, end in zip(starts, starts[1:] + [len(lengths)]):
+            n = int(lengths[first])
+            step = max(_BLOCK // (m * n), 1)
+            for lo in range(first, end, step):
+                k = min(step, end - lo)
+                sq = self._squares(offsets[lo], offsets[lo + k]).reshape(m, k, n)
+                sq = np.ascontiguousarray(sq.transpose(1, 0, 2)).reshape(k, -1)
+                energies[lo : lo + k] = np.add.reduce(sq, axis=1)
+        return self.dc_energy() + sum(energies.tolist())
 
 
 def analyze(spec, part: Partition) -> BandedField:
@@ -803,20 +856,40 @@ def apply_lemarie_integral(banded: BandedField, axis: int) -> BandedField:
     return BandedField(banded.partition, coeffs, family, banded.perm)
 
 
+def band_labels(ids) -> list:
+    """Each band id as the dump, the rate table and the solve report write
+    it: ``repr(band_id)`` without spaces.  A pair, such as a packet id
+    (base id, piece numbers), is joined from its parts' labels, each
+    distinct part formatted once per call; a builder's ids are made of
+    ints, so equal parts have equal text."""
+    text, labels = {}, []
+    for band_id in ids:
+        if type(band_id) is not tuple or len(band_id) != 2:
+            labels.append(repr(band_id).replace(" ", ""))
+            continue
+        a, b = band_id
+        sa = text.get(a)
+        if sa is None:
+            sa = text[a] = repr(a).replace(" ", "")
+        sb = text.get(b)
+        if sb is None:
+            sb = text[b] = repr(b).replace(" ", "")
+        labels.append(f"({sa},{sb})")
+    return labels
+
+
 def dump_partition(part: Partition) -> str:
     """Deterministic text dump: one line per band, lexicographic id order.
-    Each distinct (lo, hi) interval is formatted once per call."""
-    edges = {}  # (lo, hi) -> "lo,hi"
-    lines = []
+    Each distinct interval of an axis, base id and piece tuple is formatted
+    once per call."""
+    boxes = None
+    for pairs, at in _distinct_intervals(part.edges):
+        text = [f"{_fmt_num(lo)},{_fmt_num(hi)}" for lo, hi in pairs]
+        text = np.array(text, dtype=object)[at]
+        boxes = text if boxes is None else boxes + " " + text
     counts = np.diff(part.offsets).tolist()
-    for band_id, intervals, n in zip(part.ids, part.edges.tolist(), counts):
-        box = []
-        for lo, hi in intervals:
-            if (lo, hi) not in edges:
-                edges[lo, hi] = f"{_fmt_num(lo)},{_fmt_num(hi)}"
-            box.append(edges[lo, hi])
-        ident = repr(band_id).replace(" ", "")
-        lines.append(f"band {ident} box {' '.join(box)} modes {n}")
+    rows = zip(band_labels(part.ids), boxes.tolist(), counts)
+    lines = [f"band {ident} box {box} modes {n}" for ident, box, n in rows]
     lines.append(f"dc modes {part.grid.npoints - int(part.offsets[-1])}")
     if part.dropped_empty:
         lines.append(f"dropped {part.dropped_empty}")

@@ -34,17 +34,15 @@ def _usage_error(message: str) -> int:
 
 
 def _build_partition(grid, scheme: str, packet_depth: int):
-    from .bands import build_mra_partition, build_tensorial_partition, refine_packet
+    """The command's partition, written once at its packet depth by the
+    scheme's builder."""
+    from .bands import build_mra_partition, build_tensorial_partition
 
     if scheme == "tensorial":
-        part = build_tensorial_partition(grid)
-    elif scheme == "mra":
-        part = build_mra_partition(grid)
-    else:
-        raise SystemExit(_usage_error(f"unknown scheme {scheme!r}"))
-    if packet_depth:
-        part = refine_packet(part, packet_depth)
-    return part
+        return build_tensorial_partition(grid, packet_depth)
+    if scheme == "mra":
+        return build_mra_partition(grid, packet_depth)
+    raise SystemExit(_usage_error(f"unknown scheme {scheme!r}"))
 
 
 def _write_report(report, path) -> None:
@@ -143,6 +141,7 @@ def cmd_helmholtz(args) -> int:
 
 
 def cmd_rates(args) -> int:
+    from .bands import band_labels
     from .precond import (
         implicit_laplacian_precond,
         leray_rate_bounds,
@@ -188,8 +187,9 @@ def cmd_rates(args) -> int:
         sampled = [sampled_contraction(sym, pc, band) for band in part.bands]
 
     lines = ["band_id,a,b,rho_theoretical,rho_sampled,formula"]
-    for rb, samp in zip(bounds, sampled):
-        ident = repr(rb.band_id).replace(" ", "").replace(",", ";")
+    labels = band_labels(rb.band_id for rb in bounds)
+    for label, rb, samp in zip(labels, bounds, sampled):
+        ident = label.replace(",", ";")
         lines.append(f"{ident},{rb.a!r},{rb.b!r},{rb.rho!r},{samp!r},{rb.formula}")
     text = "\n".join(lines) + "\n"
     if args.csv:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import Partition, _HalfLayout, layout_blocks
-from .bands import gather_rows, scatter_rows
+from .bands import band_labels, gather_rows, scatter_rows
 from .errors import ArityError, BoundViolationError, DivergenceError
 from .errors import InsufficientDataError, StructuralError, UnsupportedSchemeError
 from .grid import GridSpec, RealField, SpectralField, _apply, _apply_skipping
@@ -104,15 +104,18 @@ class SolveReport:
             payload["divergence_residuals"] = [
                 _finite(x) for x in self.divergence_history
             ]
+        rates = self.per_band_rates
         payload["per_band"] = [
             {
-                "band": repr(band_id).replace(" ", ""),
+                "band": label,
                 "a": _finite(a),
                 "b": _finite(b),
                 "rho": _finite(rho),
                 "formula": formula,
             }
-            for band_id, a, b, rho, formula in self.per_band_rates.rows()
+            for label, (_, a, b, rho, formula) in zip(
+                band_labels(rates.ids), rates.rows()
+            )
         ]
         return json.dumps(payload, indent=2, allow_nan=False)
 
@@ -522,7 +525,8 @@ def helmholtz_decompose(
     each sum in a fixed order; it is roundoff, and below zero reads 0.
 
     Besides the gathered band spectrum v0, the plan keeps lambda and one
-    real array of rows rho, a, B / a and C / a^2, plus the sum of A.  The
+    real array of rows rho, a, B / a and C / a^2, in the leading bytes of
+    u_div's half spectrum, plus the sum of A.  The
     d-vectors xi, c, l, m and sweep 1's outputs exist only block by block
     (``_leray_blocks``): once to fill the plan, and once at exit to write
     both outputs, with the recomputed t_1 times sigma, into half spectra,
@@ -573,8 +577,12 @@ def helmholtz_decompose(
     omega = _leray_omega(part.edges, part.ids)
 
     # The plan, block by block, with A in the rho row until it is summed.
+    # Its rows lie in the leading bytes of u_div's half spectrum, 32 nb of
+    # 16 d npos bytes, which the exit writes once the plan is read, so
+    # that pass allocates no u_div whatever the heap holds.
     lam = np.empty(nb)
-    state = np.empty((4, nb))
+    udiv = np.empty((d,) + grid.half_sizes, dtype=complex)
+    state = udiv.reshape(-1).view(float)[: 4 * nb].reshape(4, nb)
     rho, a, B, C = state
     for sl, xi, lam_b, csq, _, m, _, mv1, t in _leray_blocks(
         grid, half, omega, v0
@@ -617,7 +625,6 @@ def helmholtz_decompose(
     # The outputs, block by block into half spectra.  The last divergence
     # entry is measured on u_div, without the factor i, which leaves the
     # norm unchanged.
-    udiv = np.empty((d,) + grid.half_sizes, dtype=complex)
     ucurl = np.empty_like(udiv)
     fdiv, fcurl = udiv.reshape(d, -1), ucurl.reshape(d, -1)
     for sl, _, _, _, l, m, lv1, mv1, t in _leray_blocks(

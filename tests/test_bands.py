@@ -183,6 +183,19 @@ class TestPacketRefinement:
         with pytest.raises(StructuralError, match="packet depth 53 is above 52"):
             sp.refine_packet(sp.refine_packet(part, 1), 52)
 
+    def test_builders_refuse_depths_as_refine_does(self):
+        grid = sp.GridSpec((16, 16))
+        negative = "packet depth must be nonnegative"
+        for builder in (sp.build_tensorial_partition, sp.build_mra_partition):
+            assert builder(grid, 52).packet_depth == 52
+            with pytest.raises(StructuralError, match="packet depth 53 is above 52"):
+                builder(grid, 53)
+            with pytest.raises(StructuralError, match=negative):
+                builder(grid, -1)
+        part = sp.build_tensorial_partition(grid)
+        with pytest.raises(StructuralError, match=negative):
+            sp.refine_packet(part, -1)
+
     def test_extrema_ratio_shrinks(self):
         part = sp.build_tensorial_partition(sp.GridSpec((32,)))
         band = part.band((3,))

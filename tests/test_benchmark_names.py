@@ -65,6 +65,11 @@ def test_record_reads_every_traced_result(tmp_path):
     rec.observe("shannop.bands.build_tensorial_partition", (grid,), base)
     rec.observe("shannop.bands.refine_packet", (base, 1), part)
     assert rec.partition == (len(part.ids), len(part.dc_indices))
+    rec.observe("shannop.bands.build_mra_partition", (grid,),
+                sp.build_mra_partition(grid))
+    rec.observe("shannop.bands.build_tensorial_partition", (grid, 1),
+                sp.build_tensorial_partition(grid, 1))
+    assert rec.partition == (len(part.ids), len(part.dc_indices))
 
     sym = sp.ImplicitLaplacian(1e6)
     pc = sp.implicit_laplacian_precond(1e6, part)

@@ -65,22 +65,16 @@ def full_positions(perm, grid):
 @given(part=partitions(), block=blocks)
 def test_layout_blocks_cover_the_bands_in_order(part, block):
     with mock.patch.object(bands, "_BLOCK", block):
-        for whole in (False, True):
-            pos = 0
-            for sl, first, last, counts in bands.layout_blocks(part.offsets, whole):
-                assert sl.start == pos
-                pos = sl.stop
-                lo = np.maximum(part.offsets[first:last], sl.start)
-                hi = np.minimum(part.offsets[first + 1 : last + 1], pos)
-                assert np.array_equal(counts, hi - lo)
-                assert np.all(counts > 0) and np.sum(counts) == pos - sl.start
-                if whole:
-                    assert sl.start == part.offsets[first]
-                    assert pos == part.offsets[last]
-                    assert pos - sl.start <= block or last == first + 1
-                else:
-                    assert pos - sl.start <= block
-            assert pos == part.offsets[-1]
+        pos = 0
+        for sl, first, last, counts in bands.layout_blocks(part.offsets):
+            assert sl.start == pos
+            pos = sl.stop
+            lo = np.maximum(part.offsets[first:last], sl.start)
+            hi = np.minimum(part.offsets[first + 1 : last + 1], pos)
+            assert np.array_equal(counts, hi - lo)
+            assert np.all(counts > 0) and np.sum(counts) == pos - sl.start
+            assert pos - sl.start <= block
+        assert pos == part.offsets[-1]
 
 
 @SETTINGS

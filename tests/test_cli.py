@@ -379,6 +379,43 @@ class TestDecompose:
         assert "inf" not in out + err and "nan" not in out + err
 
 
+class TestPartitionBuilds:
+    @pytest.mark.parametrize(
+        "command", ["decompose", "solve-ilap", "helmholtz", "rates"]
+    )
+    def test_a_packet_command_writes_one_partition(
+        self, command, tmp_path, monkeypatch
+    ):
+        from shannop import bands
+
+        path = tmp_path / "v.swf"
+        components = "2" if command == "helmholtz" else "1"
+        run(["gen-field", "--grid", "16x16", "--components", components,
+             "--seed", "3", "--out", str(path)])
+        depths = []
+        subdivide = bands._subdivide
+
+        def counted(grid, scheme, depth, sizes):
+            depths.append(depth)
+            return subdivide(grid, scheme, depth, sizes)
+
+        monkeypatch.setattr(bands, "_subdivide", counted)
+        argv = {
+            "decompose": ["decompose", "--in", str(path),
+                          "--out", str(tmp_path / "d.txt")],
+            "solve-ilap": ["solve-ilap", "--alpha", "1e6", "--in", str(path)],
+            "helmholtz": ["helmholtz", "--in", str(path)],
+            "rates": ["rates", "--grid", "16x16", "--csv", str(tmp_path / "r.csv")],
+        }[command]
+        assert run(argv + ["--packet-depth", "2"]) == 0
+        assert depths == [2]
+
+    def test_negative_packet_depth_exits_2(self, capsys):
+        code = run(["rates", "--grid", "16x16", "--packet-depth", "-1"])
+        assert code == 2
+        assert "packet depth must be nonnegative" in capsys.readouterr().err
+
+
 class TestThreadIndependence:
     """Reports and energies must not depend on the BLAS thread count: a
     BLAS dot splits its sum per thread, so its last digits do.  512^2 is

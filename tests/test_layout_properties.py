@@ -168,6 +168,40 @@ def test_half_form_round_trips_and_keeps_the_full_energies(part, components, see
 
 
 @SETTINGS
+@given(
+    exps=st.integers(1, 3).flatmap(lambda dim: st.tuples(*[st.integers(2, 5)] * dim)),
+    scheme=st.sampled_from(["tensorial", "mra"]),
+    depth=st.integers(0, 3),
+    components=st.integers(1, 3),
+)
+def test_band_views_take_the_band_shapes(exps, scheme, depth, components):
+    """A view is (m, *sub-box) in the full form; in the half form the last
+    axis keeps the band's indices <= N_last/2."""
+    part = build(exps, scheme, depth)
+    grid = part.grid
+    field = random_field(grid, components, seed=1)
+    full = sp.analyze(sp.forward_transform(field), part)
+    half = sp.analyze(forward_half_transform(field), part)
+    for band in part.bands:
+        kept = np.count_nonzero(band.axis_indices[-1] <= grid.sizes[-1] // 2)
+        assert full.band_coeffs[band.id].shape == (components,) + band.shape
+        want = (components,) + band.shape[:-1] + (kept,)
+        assert half.band_coeffs[band.id].shape == want
+
+
+def test_axis_count_counts_the_magnitudes_in_an_interval():
+    from shannop.bands import _axis_count
+
+    for n in (4, 8, 32):
+        mags = np.abs(sp.GridSpec((n,)).axis_wavevectors(0))
+        edges = np.arange(0, n // 2 + 2, 0.25)
+        for lo in edges:
+            for hi in edges[edges >= lo]:
+                want = np.count_nonzero((mags >= lo) & (mags < hi))
+                assert _axis_count(lo, hi, n) == want, (lo, hi, n)
+
+
+@SETTINGS
 @given(part=partitions, alpha=st.sampled_from([1.0, 1e6]))
 def test_certificates_match_meshgrid_reference(part, alpha):
     part = build(*part)

@@ -129,3 +129,24 @@ def test_refining_twice_by_one_equals_refining_by_two(exps, scheme):
         # Each step drops the empty sub-boxes of the bands it refines.
         dropped = p1.dropped_empty + 2 ** (k * d) * len(p1.ids) - len(once.ids)
         assert chain.dropped_empty == dropped
+
+
+@settings(max_examples=40, deadline=None)
+@given(exps=grids, scheme=st.sampled_from(["tensorial", "mra"]),
+       depth=st.integers(0, 3))
+def test_building_at_a_depth_equals_refining_the_base(exps, scheme, depth):
+    if scheme == "mra":
+        exps = (exps[0],) * len(exps)
+        builder = sp.build_mra_partition
+    else:
+        builder = sp.build_tensorial_partition
+    grid = sp.GridSpec(tuple(2**e for e in exps))
+    once = builder(grid, depth)
+    refined = sp.refine_packet(builder(grid), depth)
+    assert once.packet_depth == refined.packet_depth == depth
+    assert once.ids == refined.ids
+    for name in ("edges", "offsets", "half.perm", "half.offsets", "half.sc"):
+        x, y = attrgetter(name)(once), attrgetter(name)(refined)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert once.dropped_empty == refined.dropped_empty
+    assert sp.dump_partition(once) == sp.dump_partition(refined)
